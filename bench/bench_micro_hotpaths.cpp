@@ -369,13 +369,6 @@ void BM_StepWindowSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_StepWindowSimd)->Unit(benchmark::kMillisecond);
 
-void BM_StepWindowBatchScalar(benchmark::State& state) {
-  // The scalar lockstep engine on the identical window: the denominator
-  // of the packed kernels' speedup at micro-bench granularity.
-  bench_step_window(state, "rk23batch", 4);
-}
-BENCHMARK(BM_StepWindowBatchScalar)->Unit(benchmark::kMillisecond);
-
 void BM_CoastingQuiescentHour(benchmark::State& state) {
   bench_quiescent_hour(state, /*coast=*/true);
 }

@@ -112,74 +112,66 @@ bool Rk23Integrator::begin_window(double t_end,
   return true;
 }
 
-bool Rk23Integrator::step_window(IntegrationResult& result) {
-  const double t_end = win_t_end_;
-  if (t_ < t_end) {
+bool Rk23Integrator::step_prologue(Rk23StepAttempt& at,
+                                   IntegrationResult& result) {
+  if (t_ < win_t_end_) {
     PNS_ENSURES(++win_steps_ <= opt_.max_steps_per_call);
 
-    const double h_limit = std::min(h_, opt_.max_step);
-    double h = std::min(h_limit, t_end - t_);
+    at.h_limit = std::min(h_, opt_.max_step);
+    const double h = std::min(at.h_limit, win_t_end_ - t_);
     // True when this step is shortened only to land on t_end (a segment
     // boundary), not because the controller asked for a small step.
-    const bool end_capped = h < h_limit;
-    h = std::max(h, opt_.min_step);
-
-    // Bogacki-Shampine tableau. k1 is the FSAL derivative from the
-    // previous step (f0_).
-    std::copy(f0_.begin(), f0_.end(), k1_.begin());
-
-    for (std::size_t i = 0; i < y_.size(); ++i)
-      ytmp_[i] = y_[i] + h * 0.5 * k1_[i];
-    system_->derivatives(t_ + 0.5 * h, ytmp_, std::span<double>(k2_));
-
-    for (std::size_t i = 0; i < y_.size(); ++i)
-      ytmp_[i] = y_[i] + h * 0.75 * k2_[i];
-    system_->derivatives(t_ + 0.75 * h, ytmp_, std::span<double>(k3_));
-
-    for (std::size_t i = 0; i < y_.size(); ++i)
-      ynew_[i] = y_[i] + h * (2.0 / 9.0 * k1_[i] + 1.0 / 3.0 * k2_[i] +
-                              4.0 / 9.0 * k3_[i]);
-    system_->derivatives(t_ + h, ynew_, std::span<double>(k4_));
-
-    // Embedded 2nd-order error estimate.
-    for (std::size_t i = 0; i < y_.size(); ++i) {
-      const double z = y_[i] + h * (7.0 / 24.0 * k1_[i] + 0.25 * k2_[i] +
-                                    1.0 / 3.0 * k3_[i] + 0.125 * k4_[i]);
-      yerr_[i] = ynew_[i] - z;
-    }
-
-    const double err =
-        error_norm(yerr_, y_, ynew_, opt_.rel_tol, opt_.abs_tol);
-
-    return finish_attempt(h, end_capped, h_limit, err, result);
+    at.end_capped = h < at.h_limit;
+    at.h = std::max(h, opt_.min_step);
+    return true;
   }
 
   result.t = t_;
   return false;
 }
 
+bool Rk23Integrator::step_window(IntegrationResult& result) {
+  Rk23StepAttempt at;
+  if (!step_prologue(at, result)) return false;
+  const double h = at.h;
+
+  // Bogacki-Shampine tableau. k1 is the FSAL derivative from the
+  // previous step (f0_).
+  std::copy(f0_.begin(), f0_.end(), k1_.begin());
+
+  for (std::size_t i = 0; i < y_.size(); ++i)
+    ytmp_[i] = y_[i] + h * 0.5 * k1_[i];
+  system_->derivatives(t_ + 0.5 * h, ytmp_, std::span<double>(k2_));
+
+  for (std::size_t i = 0; i < y_.size(); ++i)
+    ytmp_[i] = y_[i] + h * 0.75 * k2_[i];
+  system_->derivatives(t_ + 0.75 * h, ytmp_, std::span<double>(k3_));
+
+  for (std::size_t i = 0; i < y_.size(); ++i)
+    ynew_[i] = y_[i] + h * (2.0 / 9.0 * k1_[i] + 1.0 / 3.0 * k2_[i] +
+                            4.0 / 9.0 * k3_[i]);
+  system_->derivatives(t_ + h, ynew_, std::span<double>(k4_));
+
+  // Embedded 2nd-order error estimate.
+  for (std::size_t i = 0; i < y_.size(); ++i) {
+    const double z = y_[i] + h * (7.0 / 24.0 * k1_[i] + 0.25 * k2_[i] +
+                                  1.0 / 3.0 * k3_[i] + 0.125 * k4_[i]);
+    yerr_[i] = ynew_[i] - z;
+  }
+
+  const double err =
+      error_norm(yerr_, y_, ynew_, opt_.rel_tol, opt_.abs_tol);
+  return finish_attempt(h, at.end_capped, at.h_limit, err, result);
+}
+
 bool Rk23Integrator::attempt_open(Rk23StepAttempt& at,
                                   IntegrationResult& result) {
   PNS_EXPECTS(y_.size() == 1);
-  if (t_ < win_t_end_) {
-    PNS_ENSURES(++win_steps_ <= opt_.max_steps_per_call);
-
-    const double h_limit = std::min(h_, opt_.max_step);
-    double h = std::min(h_limit, win_t_end_ - t_);
-    const bool end_capped = h < h_limit;
-    h = std::max(h, opt_.min_step);
-
-    at.t = t_;
-    at.y = y_[0];
-    at.h = h;
-    at.k1 = f0_[0];
-    at.end_capped = end_capped;
-    at.h_limit = h_limit;
-    return true;
-  }
-
-  result.t = t_;
-  return false;
+  if (!step_prologue(at, result)) return false;
+  at.t = t_;
+  at.y = y_[0];
+  at.k1 = f0_[0];
+  return true;
 }
 
 bool Rk23Integrator::attempt_close(const Rk23StepAttempt& at,

@@ -50,20 +50,22 @@ struct Rk23Options {
   EventLocalization event_localization = EventLocalization::kBisection;
 };
 
-/// One staged step attempt of an open window, used by the batched SIMD
-/// stepper (ehsim/rk23_batch): attempt_open() runs step_window()'s
-/// prologue (step-size choice, runaway guard) and exposes the stage
-/// inputs; the caller evaluates the four RK stages and the scaled error
-/// norm -- packed across lanes, with the exact scalar arithmetic -- and
-/// attempt_close() feeds them back into the accept/reject epilogue.
+/// One step attempt of an open window. step_window() fills it for
+/// itself; the batched stepper (ehsim/rk23_batch) stages it across lanes:
+/// attempt_open() runs the shared step prologue (runaway guard,
+/// step-size choice) and exposes the stage inputs, the caller evaluates
+/// the four RK stages and the scaled error norm -- packed across lanes,
+/// with the exact scalar arithmetic -- and attempt_close() feeds them
+/// back into the shared accept/reject epilogue.
 struct Rk23StepAttempt {
-  // Filled by attempt_open():
-  double t = 0.0;   ///< time at the start of the attempt
-  double y = 0.0;   ///< state at the start of the attempt
-  double h = 0.0;   ///< step size of this attempt
-  double k1 = 0.0;  ///< FSAL stage: derivative at (t, y)
+  // Filled by the step prologue:
+  double h = 0.0;           ///< step size of this attempt
   bool end_capped = false;  ///< h shortened only to land on t_end
   double h_limit = 0.0;     ///< min(h_, max_step) before the end cap
+  // Filled by attempt_open() for dimension-1 systems:
+  double t = 0.0;   ///< time at the start of the attempt
+  double y = 0.0;   ///< state at the start of the attempt
+  double k1 = 0.0;  ///< FSAL stage: derivative at (t, y)
   // Filled by the caller before attempt_close():
   double k2 = 0.0, k3 = 0.0, k4 = 0.0;
   double ynew = 0.0;  ///< 3rd-order solution at t + h
@@ -128,10 +130,11 @@ class Rk23Integrator {
   /// window-stepped run is bit-identical to a plain advance().
   bool step_window(IntegrationResult& result);
 
-  /// Split form of step_window() for the batched SIMD stepper: performs
-  /// the prologue and fills the attempt's inputs. Returns false (and
-  /// completes `result`) when the window is already done -- exactly when
-  /// step_window() would have returned false without attempting a step.
+  /// Split form of step_window() for the batched stepper's packed
+  /// rounds: performs the same prologue and fills the attempt's inputs.
+  /// Returns false (and completes `result`) when the window is already
+  /// done -- exactly when step_window() would have returned false
+  /// without attempting a step.
   /// Only dimension-1 systems are supported (the batched engine
   /// integrates the single-node circuit).
   bool attempt_open(Rk23StepAttempt& at, IntegrationResult& result);
@@ -172,6 +175,11 @@ class Rk23Integrator {
   double event_value(const EventSpec& ev, double t);
 
   double initial_step_guess(double t_end) const;
+
+  /// Shared prologue of step_window()/attempt_open(): runaway guard and
+  /// step-size choice (h_limit, end cap, min_step floor) into `at`.
+  /// Returns false, completing `result`, once the window reached t_end.
+  bool step_prologue(Rk23StepAttempt& at, IntegrationResult& result);
 
   /// Shared epilogue of step_window()/attempt_close(): reject (with
   /// step-size cut) or accept (commit, FSAL, step growth, event scan and

@@ -1,15 +1,26 @@
 // Lockstep round executor over N open RK23 integration windows.
 //
 // Rk23BatchStepper drives several independent Rk23Integrators through
-// their open windows (begin_window .. step_window completion) in
-// round-robin rounds: every lane still in lockstep attempts exactly one
-// step per round, in lane order. Because each lane's numerics live
-// entirely inside its own integrator and step_window() is bit-identical
-// to advance() (see ehsim/rk23.hpp), the *interleave* is pure execution
-// strategy: per lane, the sequence of floating-point operations -- and
-// therefore the trajectory, the event roots, every output bit -- is
-// exactly what a scalar advance() would produce, for any batch width and
-// any lane order.
+// their open windows (begin_window .. window completion) in round-robin
+// rounds: every lane still in lockstep attempts exactly one step per
+// round, in lane order. Because each lane's numerics live entirely
+// inside its own integrator and every step runs through the integrator's
+// one prologue and one epilogue (see ehsim/rk23.hpp), the *interleave*
+// is pure execution strategy: per lane, the sequence of floating-point
+// operations -- and therefore the trajectory, the event roots, every
+// output bit -- is exactly what a scalar advance() would produce, for
+// any batch width and any lane order.
+//
+// Packed rounds: given a BatchRhs bound to the lanes' circuits, a round
+// with at least two lanes in lockstep opens every lane's attempt
+// (attempt_open), evaluates the four RK stages and the error norm across
+// the whole active set -- stage combinations in width-4 vector chunks,
+// derivative evaluations through the BatchRhs with the PV solves packed
+// (ehsim/solar_cell_simd.hpp) -- and closes each attempt in lane order
+// (attempt_close). A round with one lane in lockstep, or any round
+// without a BatchRhs, steps each lane through step_window(): one lane
+// has nothing to pack across. Both forms replicate the scalar sequence
+// exactly, so the choice changes scheduling, never bits.
 //
 // Divergence fallback: a lane whose window drags on (its step size
 // collapsed while its peers finished -- e.g. a stiff transient after
@@ -47,7 +58,6 @@ struct BatchStepStats {
   std::uint64_t tail_steps = 0;      ///< attempts finishing divergent lanes
   std::uint64_t divergences = 0;     ///< lane-windows that left lockstep
   std::uint64_t event_windows = 0;   ///< windows closed by an event root
-  std::uint64_t simd_rounds = 0;     ///< rounds driven by run_rounds_simd
   std::uint64_t simd_lane_steps = 0; ///< lane attempts staged across lanes
   PvSolveStats kernel;  ///< packed-kernel solve accounting (BatchRhs)
 };
@@ -56,13 +66,17 @@ class Rk23BatchStepper {
  public:
   explicit Rk23BatchStepper(Rk23BatchOptions options = {});
 
-  /// Runs every kLockstep lane of `state` to window completion.
+  /// Runs every kLockstep lane of `state` to window completion, packing
+  /// the rounds through `rhs` when it is non-null and at least two lanes
+  /// are in lockstep (see the file comment).
   ///
   /// Preconditions, per lane i with state.status[i] == kLockstep:
   /// integrators[i] has an open window (begin_window returned true) whose
   /// result accumulates into results[i], and state.rounds[i] counts the
-  /// attempts already spent on that window (0 for a fresh window).
-  /// Lanes in any other status are left untouched.
+  /// attempts already spent on that window (0 for a fresh window). A
+  /// non-null `rhs` must be bound to the circuits the integrators
+  /// integrate, indexed by lane. Lanes in any other status are left
+  /// untouched.
   ///
   /// On return every such lane is kIdle: its window completed (results[i]
   /// is exactly what a scalar advance() would have returned) and its
@@ -70,35 +84,31 @@ class Rk23BatchStepper {
   /// event root leave the integrator stopped at the root, ready for the
   /// caller to dispatch and re-plan.
   void run_rounds(std::span<Rk23Integrator* const> integrators,
-                  std::span<IntegrationResult> results, BatchState& state);
-
-  /// run_rounds() with the per-round stage math executed data-parallel
-  /// across the active lanes (the rk23simd integrator kind): each round
-  /// opens every lockstep lane's step attempt (Rk23Integrator::
-  /// attempt_open), evaluates the four RK stages and the error norm
-  /// across the whole active set -- stage combinations in width-4 vector
-  /// chunks, derivative evaluations through `rhs` with the PV solves
-  /// packed (ehsim/solar_cell_simd.hpp) -- then closes each attempt in
-  /// lane order (attempt_close: accept/reject, events, divergence
-  /// fallback). Every per-lane floating-point sequence is replicated
-  /// exactly, so results are bit-identical to run_rounds(), which is
-  /// bit-identical to scalar advance().
-  ///
-  /// `rhs` must be bound to the same circuits the integrators integrate,
-  /// indexed by lane. Same pre/postconditions as run_rounds().
-  void run_rounds_simd(std::span<Rk23Integrator* const> integrators,
-                       std::span<IntegrationResult> results,
-                       BatchState& state, BatchRhs& rhs);
+                  std::span<IntegrationResult> results, BatchState& state,
+                  BatchRhs* rhs);
 
   const BatchStepStats& stats() const { return stats_; }
   const Rk23BatchOptions& options() const { return opt_; }
 
  private:
+  /// Bookkeeping after lane `i`'s attempt of a round (`more`: its window
+  /// is still open): closes a completed window, or finishes a divergent
+  /// one in the scalar tail. Returns true while the lane stays in
+  /// lockstep.
+  bool settle(std::size_t i, bool more, Rk23Integrator& ig,
+              IntegrationResult& result, BatchState& state);
+
+  /// Evaluates the RK stages and error norms of the opened attempts of
+  /// every lane in active_, data-parallel, and writes them back into
+  /// attempts_ ready for attempt_close().
+  void stage_packed(std::span<Rk23Integrator* const> integrators,
+                    BatchRhs& rhs);
+
   Rk23BatchOptions opt_;
   BatchStepStats stats_;
 
-  // run_rounds_simd scratch (SoA over the active lane set), reused
-  // across rounds and calls.
+  // Packed-round scratch (SoA over the active lane set), reused across
+  // rounds and calls.
   std::vector<Rk23StepAttempt> attempts_;   // lane-indexed
   std::vector<std::size_t> active_;         // lane ids staging this round
   std::vector<double> ta_, ya_, ha_, k1a_, k2a_, k3a_, k4a_;

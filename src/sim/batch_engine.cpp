@@ -29,7 +29,6 @@ void BatchEngine::finish_scalar(std::size_t i) {
     ehsim::IntegrationResult res;
     if (plan.coasted) {
       res = plan.coast_result;
-      ++stats_.coasts;
     } else {
       res = e.integrator().advance(plan.t_stop, e.events());
     }
@@ -76,7 +75,6 @@ std::vector<SimResult> BatchEngine::run() {
         // lockstep to amortise. Commit it and retire the lane to an
         // independent scalar finish.
         e.commit_segment(plan.coast_result);
-        ++stats_.coasts;
         ++stats_.coast_retirements;
         state_.status[i] = ehsim::LaneStatus::kRetired;
         finish_scalar(i);
@@ -89,7 +87,6 @@ std::vector<SimResult> BatchEngine::run() {
         e.commit_segment(window_results_[i]);
         continue;
       }
-      ++stats_.windows;
       pending_commit_[i] = 1;
       state_.t_stop[i] = plan.t_stop;
       state_.rounds[i] = 0;
@@ -99,10 +96,8 @@ std::vector<SimResult> BatchEngine::run() {
 
     // Round phase: every open window steps to completion in lockstep;
     // divergent windows fall back to a scalar tail inside.
-    if (simd_)
-      stepper_.run_rounds_simd(integrators, window_results_, state_, rhs_);
-    else
-      stepper_.run_rounds(integrators, window_results_, state_);
+    stepper_.run_rounds(integrators, window_results_, state_,
+                        simd_ ? &rhs_ : nullptr);
 
     // Commit phase: windows closed by an event root or by reaching their
     // stop point both commit here and rejoin at the next superstep.

@@ -39,21 +39,19 @@ struct BatchEngineOptions {
   /// rounds before finishing that window scalar. Scheduling only; results
   /// are bit-identical for any value >= 1.
   std::uint32_t divergence_rounds = 64;
-  /// Drive the lockstep rounds through the data-parallel SIMD stepper
-  /// (ehsim::Rk23BatchStepper::run_rounds_simd): RK stages and error
-  /// norms evaluated across lanes, PV solves packed
-  /// (ehsim/solar_cell_simd.hpp). Execution strategy only -- results
-  /// stay bit-identical; on platforms where the packed kernels fail
-  /// their startup self-test they degrade to scalar automatically.
+  /// Pack the lockstep rounds (ehsim::Rk23BatchStepper::run_rounds with a
+  /// bound BatchRhs): whenever two or more lanes are in lockstep, RK
+  /// stages and error norms are evaluated across lanes and the PV solves
+  /// packed (ehsim/solar_cell_simd.hpp). Execution strategy only --
+  /// results stay bit-identical; on platforms where the packed kernels
+  /// fail their startup self-test they degrade to scalar automatically.
   bool simd = false;
 };
 
 /// Aggregate counters of one BatchEngine::run().
 struct BatchRunStats {
   std::uint64_t supersteps = 0;       ///< plan-rounds-commit cycles
-  std::uint64_t windows = 0;          ///< integration windows opened
   std::uint64_t coast_retirements = 0;  ///< lanes retired on a coast
-  std::uint64_t coasts = 0;           ///< coasts taken (incl. retired tail)
   ehsim::BatchStepStats stepping;     ///< lockstep-round counters
 };
 

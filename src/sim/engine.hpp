@@ -79,7 +79,7 @@ struct SimConfig {
   /// elision fire the same *live* ticks at the same times; elision is an
   /// execution strategy, not a model change. Off for the default `rk23`
   /// kind (pinned bit-identical to the published CSVs); on for rk23pi /
-  /// rk23batch.
+  /// rk23simd.
   bool gov_tick_elide = false;
 
   // Recording.

@@ -431,7 +431,7 @@ std::string sweep_identity(const std::string& sweep_name, double minutes,
   // The default integrator is omitted (it computes identically whether
   // spelled out or not), so pre-existing journal identities stay valid.
   // Execution-only keys (IntegratorEntry::execution_only, e.g.
-  // rk23batch's "width") select a scheduling strategy, not numerics:
+  // rk23simd's "width") select a scheduling strategy, not numerics:
   // they are stripped so journals written under different widths stay
   // interchangeable on resume.
   IntegratorSpec canonical{integrator.kind, {}};

@@ -197,7 +197,7 @@ void write_canonical_journal(const std::string& path,
 /// PV mode, the full spec strings of any --control/--source overrides,
 /// and the integrator (appended only when it differs from the default
 /// "rk23", which computes identically whether spelled or omitted;
-/// execution-only keys like rk23batch's "width" are stripped, since any
+/// execution-only keys like rk23simd's "width" are stripped, since any
 /// width computes the same bytes) and the platform (appended only when
 /// it differs from the default "mono", for the same reason). A resume
 /// whose overrides differ therefore fails the header match instead of

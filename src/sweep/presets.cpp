@@ -15,7 +15,7 @@ ctl::ControllerConfig fig6_controller_config() {
 
 ScenarioSpec fig6_shadowing_base() {
   ScenarioSpec base;
-  base.source = SourceKind::kShadowing;
+  base.source.kind = "shadow";
   base.shadow.t_event_s = 2.0;
   base.shadow.t_fall_s = 0.4;
   base.shadow.hold_s = 3.2;

@@ -8,7 +8,8 @@
 //           (ehsim/stepper_pi), dense-output cubic event localisation
 //           (ehsim/dense_output) and steady-state coasting across
 //           provably quiescent spans (sim/engine try_coast)
-// Both accept numeric overrides so a sweep can trade accuracy against
+// plus rk23simd, the rk23pi numerics executed in lockstep batches.
+// All accept numeric overrides so a sweep can trade accuracy against
 // wall-clock from the command line: `--integrator rk23pi:rtol=1e-05`.
 // A new engine registers the same way:
 // IntegratorRegistry::instance().add({kind, summary, params, apply}).
@@ -26,9 +27,9 @@ void apply_numeric_overrides(const ParamMap& params, sim::SimConfig& cfg) {
   cfg.max_ode_step_s = params.get_double("max_step", cfg.max_ode_step_s);
 }
 
-/// The second-generation numerics shared by rk23pi and rk23batch: PI
+/// The second-generation numerics shared by rk23pi and rk23simd: PI
 /// step control, dense-output event roots, coasting, tick elision.
-/// rk23batch must stay *bit-identical* to rk23pi at every width, so the
+/// rk23simd must stay *bit-identical* to rk23pi at every width, so the
 /// two kinds resolve their SimConfig through this one function -- a
 /// numeric default that drifted between them would silently break the
 /// parity contract the differential harness enforces.
@@ -103,60 +104,33 @@ void register_builtin_integrators(IntegratorRegistry& registry) {
       /*batch_capable=*/false,
   });
 
-  {
-    // rk23pi's numerics executed in lockstep batches: the runner groups
-    // compatible rows (same control/source family) into one BatchEngine
-    // of up to `width` lanes per worker. Output bytes are independent of
-    // the width and of how rows land in batches; `width` is therefore an
-    // execution-only key -- journals written under different widths are
-    // interchangeable, and width=1 degenerates to plain rk23pi.
-    IntegratorEntry batch{
-        "rk23batch",
-        "rk23pi numerics in lockstep batches (bit-identical to rk23pi)",
-        pi_family_params(),
-        [](const ScenarioSpec&, const ParamMap& params, sim::SimConfig& cfg) {
-          apply_pi_family(params, cfg);
-        },
-        /*execution_only=*/{},
-        /*batch_capable=*/false,
-    };
-    batch.params.push_back(
-        {"width", "uint", "8",
-         "max lanes per lockstep batch (execution strategy only; every "
-         "width produces the same bytes)"});
-    batch.execution_only = {"width"};
-    batch.batch_capable = true;
-    registry.add(std::move(batch));
-  }
-
-  {
-    // rk23batch with the lockstep rounds driven data-parallel: RK stages
-    // and error norms evaluated across lanes in vector chunks, PV Newton
-    // solves and table lookups packed (ehsim/solar_cell_simd). Still the
-    // rk23pi numerics through apply_pi_family, still bit-identical at
-    // every width and lane order -- the differential harness holds
-    // rk23simd to byte-equality with rk23pi, and platforms whose packed
-    // kernels fail the startup self-test degrade to scalar execution
-    // automatically.
-    IntegratorEntry simd{
-        "rk23simd",
-        "rk23pi numerics, SIMD lockstep batches (bit-identical to rk23pi)",
-        pi_family_params(),
-        [](const ScenarioSpec&, const ParamMap& params, sim::SimConfig& cfg) {
-          apply_pi_family(params, cfg);
-        },
-        /*execution_only=*/{},
-        /*batch_capable=*/false,
-    };
-    simd.params.push_back(
-        {"width", "uint", "8",
-         "max lanes per lockstep batch (execution strategy only; every "
-         "width produces the same bytes)"});
-    simd.execution_only = {"width"};
-    simd.batch_capable = true;
-    simd.batch_simd = true;
-    registry.add(std::move(simd));
-  }
+  // rk23pi's numerics executed in lockstep batches: the runner groups
+  // compatible rows into one BatchEngine of up to `width` lanes per
+  // worker, and rounds with two or more lanes in lockstep run
+  // data-parallel -- RK stages and error norms in vector chunks, PV
+  // Newton solves and table lookups packed (ehsim/solar_cell_simd).
+  // Output bytes are independent of the width and of how rows land in
+  // batches, so `width` is an execution-only key (journals interchange
+  // across widths; width=1 degenerates to plain rk23pi). Platforms whose
+  // packed kernels fail the startup self-test degrade to scalar
+  // execution automatically. The retired kind "rk23batch" resolves here
+  // too (IntegratorRegistry::find).
+  IntegratorEntry simd{
+      "rk23simd",
+      "rk23pi numerics, SIMD lockstep batches (bit-identical to rk23pi)",
+      pi_family_params(),
+      [](const ScenarioSpec&, const ParamMap& params, sim::SimConfig& cfg) {
+        apply_pi_family(params, cfg);
+      },
+      /*execution_only=*/{"width"},
+      /*batch_capable=*/true,
+      /*batch_simd=*/true,
+  };
+  simd.params.push_back(
+      {"width", "uint", "8",
+       "max lanes per lockstep batch (execution strategy only; every "
+       "width produces the same bytes)"});
+  registry.add(std::move(simd));
 }
 
 }  // namespace pns::sweep

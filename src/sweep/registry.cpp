@@ -81,7 +81,10 @@ void IntegratorRegistry::add(IntegratorEntry entry) {
 
 const IntegratorEntry* IntegratorRegistry::find(
     const std::string& kind) const {
-  return find_entry(entries_, kind);
+  // "rk23batch" named the unpacked lockstep kind before the two round
+  // drivers merged; it resolves to rk23simd under its own spelling, so
+  // its spec strings, command lines and journal identities keep working.
+  return find_entry(entries_, kind == "rk23batch" ? "rk23simd" : kind);
 }
 
 const IntegratorEntry& IntegratorRegistry::require(

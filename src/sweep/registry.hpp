@@ -90,7 +90,7 @@ struct IntegratorEntry {
   /// of this kind into one sim::BatchEngine per worker, up to the kind's
   /// "width" parameter, without changing any output byte.
   bool batch_capable = false;
-  /// Batched runs of this kind drive the data-parallel SIMD stepper
+  /// Batched runs of this kind pack their lockstep rounds
   /// (BatchEngineOptions::simd): RK stages evaluated across lanes and PV
   /// solves packed, still without changing any output byte. Implies
   /// batch_capable semantics for everything else.
@@ -152,6 +152,8 @@ class IntegratorRegistry {
   static IntegratorRegistry& instance();
 
   void add(IntegratorEntry entry);
+  /// nullptr when unknown. The retired kind "rk23batch" resolves to the
+  /// "rk23simd" entry (entries() lists only the latter).
   const IntegratorEntry* find(const std::string& kind) const;
   const IntegratorEntry& require(const std::string& kind) const;
   const std::vector<IntegratorEntry>& entries() const { return entries_; }

@@ -12,21 +12,6 @@
 
 namespace pns::sweep {
 
-const char* to_string(SourceKind k) {
-  switch (k) {
-    case SourceKind::kSolarWeather: return "solar";
-    case SourceKind::kShadowing: return "shadowing";
-  }
-  return "?";
-}
-
-SourceSpec::SourceSpec(SourceKind k)
-    : kind(k == SourceKind::kShadowing ? "shadow" : "solar") {}
-
-bool operator==(const SourceSpec& spec, SourceKind kind) {
-  return spec.kind == SourceSpec(kind).kind;
-}
-
 std::string SourceSpec::spec_string() const {
   return params.empty() ? kind : kind + ":" + params.serialize();
 }
@@ -96,18 +81,35 @@ sim::SimConfig make_sim_config(const ScenarioSpec& spec) {
   return cfg;
 }
 
-sim::SimResult run_scenario(const ScenarioSpec& spec,
-                            ScenarioAssets& assets) {
+namespace {
+
+/// One resolved scenario: everything its engine references that the
+/// caller must keep alive while it runs.
+struct Lane {
+  /// Spec copy carrying a compiled multi-domain platform; null on the
+  /// legacy "mono" path. Heap-allocated so the engine's Platform pointer
+  /// stays stable while lanes move.
+  std::unique_ptr<ScenarioSpec> resolved;
+  /// Per-lane source: each owns its own solve cache and trace-hint
+  /// closures; the trace itself is shared immutably through `assets`.
+  std::unique_ptr<ehsim::PvSource> source;
+  sim::EngineBundle bundle;
+};
+
+/// Resolves `in` into a ready-to-run engine (the one lane-setup path of
+/// run_scenario and run_scenarios_batched). Throws on a malformed spec.
+Lane build_lane(const ScenarioSpec& in, ScenarioAssets& assets) {
+  Lane lane;
   // A non-default platform spec compiles into spec.platform *before*
   // anything else: static controls validate their OPP against the
   // resolved ladder and governors size their state from it. The default
   // ("mono", no params) takes the untouched legacy path.
-  if (spec.platform_spec != PlatformSpec{}) {
-    ScenarioSpec resolved = spec;
-    resolved.platform = resolve_platform(spec.platform_spec);
-    resolved.platform_spec = PlatformSpec{};
-    return run_scenario(resolved, assets);
+  if (in.platform_spec != PlatformSpec{}) {
+    lane.resolved = std::make_unique<ScenarioSpec>(in);
+    lane.resolved->platform = resolve_platform(in.platform_spec);
+    lane.resolved->platform_spec = PlatformSpec{};
   }
+  const ScenarioSpec& spec = lane.resolved ? *lane.resolved : in;
   PNS_EXPECTS(spec.t_end > spec.t_start);
   PNS_EXPECTS(spec.capacitance_f > 0.0);
   const SourceEntry& source_entry =
@@ -115,10 +117,18 @@ sim::SimResult run_scenario(const ScenarioSpec& spec,
   // Resolve the control first: a bad control spec should not cost a
   // weather-trace synthesis.
   sim::ControlSelection control = resolve_control(spec.control, spec);
-  const ehsim::PvSource source = resolve_source(spec, assets);
-  return sim::run_pv_control(spec.platform, source, std::move(control),
-                             make_sim_config(spec),
-                             source_entry.solar_defaults);
+  lane.source = std::make_unique<ehsim::PvSource>(resolve_source(spec, assets));
+  lane.bundle = sim::make_pv_engine(spec.platform, *lane.source,
+                                    std::move(control), make_sim_config(spec),
+                                    source_entry.solar_defaults);
+  return lane;
+}
+
+}  // namespace
+
+sim::SimResult run_scenario(const ScenarioSpec& spec,
+                            ScenarioAssets& assets) {
+  return build_lane(spec, assets).bundle.engine->run();
 }
 
 sim::SimResult run_scenario(const ScenarioSpec& spec) {
@@ -161,43 +171,14 @@ std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
                                                 std::size_t count,
                                                 ScenarioAssets& assets) {
   std::vector<SweepOutcome> outcomes(count);
-  // A lane bundles everything one engine references that run_scenario
-  // would have kept on its stack: the per-lane PvSource instance (each
-  // owns its own solve cache and trace-hint closures; the trace itself is
-  // shared immutably through `assets`) plus the engine and workload.
-  struct Lane {
-    std::size_t spec_index = 0;
-    /// Spec copy carrying a compiled multi-domain platform; null on the
-    /// legacy "mono" path. Heap-allocated so the engine's Platform
-    /// pointer stays stable while lanes move into the vector.
-    std::unique_ptr<ScenarioSpec> resolved;
-    std::unique_ptr<ehsim::PvSource> source;
-    sim::EngineBundle bundle;
-  };
   std::vector<Lane> lanes;
+  std::vector<std::size_t> spec_index;
   lanes.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     outcomes[i].spec = specs[i];
     try {
-      std::unique_ptr<ScenarioSpec> resolved;
-      if (specs[i].platform_spec != PlatformSpec{}) {
-        resolved = std::make_unique<ScenarioSpec>(specs[i]);
-        resolved->platform = resolve_platform(specs[i].platform_spec);
-        resolved->platform_spec = PlatformSpec{};
-      }
-      const ScenarioSpec& spec = resolved ? *resolved : specs[i];
-      PNS_EXPECTS(spec.t_end > spec.t_start);
-      PNS_EXPECTS(spec.capacitance_f > 0.0);
-      const SourceEntry& source_entry =
-          SourceRegistry::instance().require(spec.source.kind);
-      sim::ControlSelection control = resolve_control(spec.control, spec);
-      auto source =
-          std::make_unique<ehsim::PvSource>(resolve_source(spec, assets));
-      sim::EngineBundle bundle = sim::make_pv_engine(
-          spec.platform, *source, std::move(control), make_sim_config(spec),
-          source_entry.solar_defaults);
-      lanes.push_back(Lane{i, std::move(resolved), std::move(source),
-                           std::move(bundle)});
+      lanes.push_back(build_lane(specs[i], assets));
+      spec_index.push_back(i);
     } catch (const std::exception& e) {
       outcomes[i].error = e.what();
     } catch (...) {
@@ -216,13 +197,13 @@ std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
     // decides whether the lockstep rounds run data-parallel.
     sim::BatchEngineOptions batch_opt;
     const IntegratorEntry* entry = IntegratorRegistry::instance().find(
-        specs[lanes.front().spec_index].integrator.kind);
+        specs[spec_index.front()].integrator.kind);
     batch_opt.simd = entry != nullptr && entry->batch_simd;
     sim::BatchEngine batch(std::move(engines), batch_opt);
     std::vector<sim::SimResult> results = batch.run();
     for (std::size_t k = 0; k < lanes.size(); ++k) {
-      outcomes[lanes[k].spec_index].result = std::move(results[k]);
-      outcomes[lanes[k].spec_index].ok = true;
+      outcomes[spec_index[k]].result = std::move(results[k]);
+      outcomes[spec_index[k]].ok = true;
     }
   } catch (...) {
     batch_failed = true;
@@ -232,10 +213,10 @@ std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
     // engines cannot be resumed), so rerun every lane scalar from
     // scratch: the healthy rows still complete and the diagnostic lands
     // on the failing row alone.
-    for (const Lane& lane : lanes) {
-      SweepOutcome& out = outcomes[lane.spec_index];
+    for (const std::size_t i : spec_index) {
+      SweepOutcome& out = outcomes[i];
       try {
-        out.result = run_scenario(specs[lane.spec_index], assets);
+        out.result = run_scenario(specs[i], assets);
         out.ok = true;
         out.error.clear();
       } catch (const std::exception& e) {
@@ -283,7 +264,7 @@ std::size_t SweepSpec::size() const {
   std::size_t total = 0;
   for (const auto& src : srcs) {
     const std::size_t depth_axis =
-        src == SourceKind::kShadowing ? axis(shadow_depths.size()) : 1;
+        src.kind == "shadow" ? axis(shadow_depths.size()) : 1;
     const std::size_t cond_axis =
         source_uses_condition(src.kind) ? axis(conditions.size()) : 1;
     total += cond_axis * axis(controls.size()) *
@@ -309,7 +290,7 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
   // conditions -- an axis a source ignores would clone identical
   // scenarios under identical labels.
   auto depths_for = [&](const SourceSpec& src) {
-    return src == SourceKind::kShadowing && !shadow_depths.empty()
+    return src.kind == "shadow" && !shadow_depths.empty()
                ? shadow_depths
                : std::vector{base.shadow.depth};
   };
@@ -363,7 +344,7 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
               label += src_suffixes[si];
               label += "/";
               label += ctl_labels[ci];
-              if (s.source == SourceKind::kShadowing) {
+              if (s.source.kind == "shadow") {
                 if (shadow_depths.size() > 1) {
                   char buf[32];
                   std::snprintf(buf, sizeof buf, "/depth=%g", depth);

@@ -14,8 +14,7 @@
 // "static:opp=4", "shadow:depth=0.2,hold=5", "trace:file=day.csv",
 // "flicker:period=30". New policies and supply shapes register a factory
 // instead of editing this file, the experiment helpers and the CLI in
-// lockstep; the legacy ControlKind/SourceKind enums survive as thin
-// adapters over the kind strings.
+// lockstep.
 #pragma once
 
 #include <cstdint>
@@ -32,16 +31,6 @@
 #include "util/params.hpp"
 
 namespace pns::sweep {
-
-/// Legacy source selector, kept as a thin adapter: assigning or comparing
-/// a SourceKind against a SourceSpec addresses the registry kinds
-/// "solar" / "shadow".
-enum class SourceKind {
-  kSolarWeather,  ///< clear-sky envelope x stochastic weather (Figs. 12-14)
-  kShadowing,     ///< deterministic shadowing event (Fig. 6)
-};
-
-const char* to_string(SourceKind k);
 
 /// Parameters of the deterministic shadowing-event source (Fig. 6): full
 /// irradiance, a linear collapse to `depth` at `t_event`, a hold, and a
@@ -63,12 +52,6 @@ struct SourceSpec {
   std::string kind = "solar";
   ParamMap params;
 
-  SourceSpec() = default;
-  /// Adapter: SourceKind::kSolarWeather -> "solar", kShadowing ->
-  /// "shadow" (implicit, so `spec.source = SourceKind::kShadowing` keeps
-  /// compiling).
-  SourceSpec(SourceKind k);  // NOLINT(google-explicit-constructor)
-
   /// Round-trippable "kind" / "kind:key=value,..." form (identity in
   /// journal headers and CLI flags).
   std::string spec_string() const;
@@ -80,10 +63,6 @@ struct SourceSpec {
 
   bool operator==(const SourceSpec&) const = default;
 };
-
-/// Kind-only comparison, so `spec.source == SourceKind::kShadowing` keeps
-/// meaning "is a shadowing source" whatever the parameters say.
-bool operator==(const SourceSpec& spec, SourceKind kind);
 
 /// Open integrator selection: a registry kind ("rk23" -- the original
 /// engine, bit-for-bit -- or "rk23pi" -- PI step control, dense-output

@@ -55,10 +55,11 @@ grep -q "valid: exact, tabulated" err.txt || \
 "$BIN" list >list.txt 2>&1 || fail "list exited non-zero"
 for needle in "pns" "gov:ondemand" "static" "solar" "shadow" "trace" \
               "flicker" "period=<double>" "up_threshold=<double>" \
-              "rk23" "rk23pi" "rk23batch" "coast=<bool>" "width=<uint>" \
+              "rk23" "rk23pi" "rk23simd" "coast=<bool>" "width=<uint>" \
               "table2" "quick"; do
   grep -q "$needle" list.txt || fail "list: '$needle' missing"
 done
+grep -q "rk23batch" list.txt && fail "list: retired kind rk23batch listed"
 
 # --- control/source spec-string diagnostics name the valid choices
 if "$BIN" quick --control warp-speed >out.txt 2>err.txt; then
@@ -90,16 +91,17 @@ grep -q "rtol" err.txt || fail "unknown integrator param: keys not listed"
   >/dev/null || fail "rk23pi threaded run failed"
 cmp -s pi.csv pi4.csv || fail "rk23pi CSV differs across thread counts"
 
-# --- rk23batch is an execution strategy over rk23pi: byte-identical
-# aggregates at every width and thread count, width=1 included
-"$BIN" quick --quiet --integrator rk23batch --csv bat.csv >/dev/null || \
-  fail "rk23batch run failed"
-"$BIN" quick --quiet --integrator rk23batch:width=1 --csv bat1.csv \
-  >/dev/null || fail "rk23batch width=1 run failed"
+# --- rk23simd is an execution strategy over rk23pi: byte-identical
+# aggregates at every width and thread count, width=1 included; the
+# retired spelling rk23batch still runs the same engine
+"$BIN" quick --quiet --integrator rk23simd --csv bat.csv >/dev/null || \
+  fail "rk23simd run failed"
+"$BIN" quick --quiet --integrator rk23simd:width=1 --csv bat1.csv \
+  >/dev/null || fail "rk23simd width=1 run failed"
 "$BIN" quick --quiet --integrator rk23batch:width=4 --threads 4 \
   --csv bat4.csv >/dev/null || fail "rk23batch width=4 threaded run failed"
-cmp -s pi.csv bat.csv || fail "rk23batch CSV differs from rk23pi"
-cmp -s pi.csv bat1.csv || fail "rk23batch width=1 CSV differs from rk23pi"
+cmp -s pi.csv bat.csv || fail "rk23simd CSV differs from rk23pi"
+cmp -s pi.csv bat1.csv || fail "rk23simd width=1 CSV differs from rk23pi"
 cmp -s pi.csv bat4.csv || \
   fail "rk23batch width=4/threads=4 CSV differs from rk23pi"
 

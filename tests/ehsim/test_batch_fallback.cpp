@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,7 +84,7 @@ void run_batch_windows(std::vector<Rk23Integrator*>& igs,
     }
     state.observe(i, *igs[i]);
   }
-  stepper.run_rounds(igs, results, state);
+  stepper.run_rounds(igs, results, state, /*rhs=*/nullptr);
 }
 
 TEST(BatchFallback, DivergentTailWindowIsBitIdenticalToScalar) {
@@ -198,7 +199,7 @@ TEST(BatchFallback, RetiredLanesMatchScalarUnderAOneRoundBudget) {
     GridOptions opt;
     opt.count = 4;
     opt.min_window_s = 40.0;
-    opt.integrator = "rk23batch";
+    opt.integrator = "rk23simd";
     const auto specs = make_scenario_grid(seed, opt);
 
     std::vector<std::string> ref;
@@ -234,6 +235,52 @@ TEST(BatchFallback, RetiredLanesMatchScalarUnderAOneRoundBudget) {
   EXPECT_GT(event_windows, 0u);
   EXPECT_GT(coast_retirements, 0u)
       << "fuzz premise broken: no scenario in the population coasts";
+}
+
+TEST(BatchFallback, PackedBatchDroppingToOneLaneMatchesScalar) {
+  // Lane 0's run ends after a few seconds and lane 1 runs on alone. One
+  // lane in lockstep has nothing to pack, so its remaining rounds step
+  // through step_window() -- and must still reproduce rk23pi bit for
+  // bit. Coasting is off so lane 1 stays in the rounds instead of
+  // retiring.
+  std::vector<sweep::ScenarioSpec> specs(2);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].label = "lane-" + std::to_string(i);
+    specs[i].condition = trace::WeatherCondition::kPartialSun;
+    specs[i].t_start = 12.0 * 3600.0;
+    specs[i].record_series = false;
+  }
+  specs[0].t_end = specs[0].t_start + 5.0;
+  specs[1].t_end = specs[1].t_start + 60.0;
+
+  sweep::ScenarioAssets assets;
+  std::vector<std::string> ref;
+  for (auto spec : specs) {
+    spec.integrator = sweep::IntegratorSpec::parse("rk23pi:coast=false");
+    ref.push_back(canonical_metrics(spec, sweep::run_scenario(spec, assets)));
+  }
+
+  std::vector<Lane> lanes;
+  std::vector<sim::SimEngine*> engines;
+  for (auto& spec : specs) {
+    spec.integrator = sweep::IntegratorSpec::parse("rk23simd:coast=false");
+    lanes.push_back(make_lane(spec, assets));
+    engines.push_back(lanes.back().bundle.engine.get());
+  }
+  sim::BatchEngineOptions opt;
+  opt.simd = true;
+  sim::BatchEngine batch(std::move(engines), opt);
+  const auto results = batch.run();
+  ASSERT_EQ(results.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    EXPECT_EQ(canonical_metrics(specs[i], results[i]), ref[i])
+        << specs[i].label;
+
+  // Both lanes staged packed while open together; lane 1's lone rounds
+  // (most of the run) did not.
+  const BatchStepStats& st = batch.stats().stepping;
+  EXPECT_GT(st.simd_lane_steps, 0u);
+  EXPECT_LT(2 * st.simd_lane_steps, st.lockstep_steps);
 }
 
 }  // namespace

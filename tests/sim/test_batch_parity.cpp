@@ -1,13 +1,17 @@
 // Differential-testing harness for the batched lockstep engine.
 //
 // The contract under test (sim/batch_engine.hpp): running scenarios
-// through rk23batch is an execution strategy, not a numeric one -- for
+// through rk23simd is an execution strategy, not a numeric one -- for
 // any batch width and any lane order, every scenario's metrics are
 // *identical* (to the last bit, asserted via the shortest_double
-// round-trip serialisation) to running it alone under rk23pi. The grids
-// come from tests/support/scenario_grid.hpp: seeded, diverse (controls,
-// weather, windows, capacitances, brownout-provoking start voltages) and
-// deterministic, so a failure reproduces from its seed.
+// round-trip serialisation) to running it alone under rk23pi. The batched
+// path has the machinery that could break it: packed vector RK stages,
+// packed masked Newton, packed bilinear lookups, one-lane rounds stepped
+// scalar, and a scalar kernel fallback that must agree with all of the
+// above. The grids come from tests/support/scenario_grid.hpp: seeded,
+// diverse (controls, weather, windows, capacitances, brownout-provoking
+// start voltages) and deterministic, so a failure reproduces from its
+// seed.
 #include <algorithm>
 #include <cstddef>
 #include <string>
@@ -27,7 +31,7 @@ using testsupport::GridOptions;
 using testsupport::canonical_metrics;
 using testsupport::make_scenario_grid;
 
-/// Scalar reference: each spec alone under rk23pi (the engine rk23batch
+/// Scalar reference: each spec alone under rk23pi (the engine rk23simd
 /// must reproduce bit for bit).
 std::vector<std::string> scalar_reference(std::vector<ScenarioSpec> specs) {
   std::vector<std::string> ref;
@@ -42,13 +46,12 @@ std::vector<std::string> scalar_reference(std::vector<ScenarioSpec> specs) {
 }
 
 /// Runs `specs` through run_scenarios_batched in groups of `width`,
-/// under <kind>:width=<width>, and returns canonical metrics per spec.
+/// under rk23simd:width=<width>, and returns canonical metrics per spec.
 std::vector<std::string> batched_run(std::vector<ScenarioSpec> specs,
-                                     std::size_t width,
-                                     const std::string& kind = "rk23batch") {
+                                     std::size_t width) {
   for (auto& spec : specs)
     spec.integrator =
-        IntegratorSpec::parse(kind + ":width=" + std::to_string(width));
+        IntegratorSpec::parse("rk23simd:width=" + std::to_string(width));
   std::vector<std::string> got(specs.size());
   ScenarioAssets assets;
   for (std::size_t begin = 0; begin < specs.size(); begin += width) {
@@ -63,35 +66,29 @@ std::vector<std::string> batched_run(std::vector<ScenarioSpec> specs,
   return got;
 }
 
-TEST(BatchParity, EveryWidthMatchesScalarRk23PiExactly) {
+TEST(BatchParity, EveryWidthAndLaneOrderMatchesScalarRk23PiExactly) {
   GridOptions opt;
   opt.count = 10;
   const auto specs = make_scenario_grid(0xB41C5EEDull, opt);
   const auto ref = scalar_reference(specs);
+  // Reversed, spec i rides in the mirrored lane (and, below full width,
+  // with different batchmates). Results must still match spec for spec.
+  const std::vector<ScenarioSpec> reversed(specs.rbegin(), specs.rend());
   for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{3}, std::size_t{8}}) {
+                                  std::size_t{3}, std::size_t{4},
+                                  std::size_t{8}}) {
     const auto got = batched_run(specs, width);
+    auto got_reversed = batched_run(reversed, width);
+    std::reverse(got_reversed.begin(), got_reversed.end());
     ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
+    for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_EQ(got[i], ref[i])
           << "width=" << width << " diverged on " << specs[i].label;
+      EXPECT_EQ(got_reversed[i], ref[i])
+          << "width=" << width << " lane permutation changed "
+          << specs[i].label;
+    }
   }
-}
-
-TEST(BatchParity, LaneOrderDoesNotChangeAnyLane) {
-  GridOptions opt;
-  opt.count = 6;
-  auto specs = make_scenario_grid(0x0DDC0FFEull, opt);
-  const auto ref = scalar_reference(specs);
-
-  // Reverse the lane assignment: spec i rides in lane count-1-i of the
-  // same batch. Results must still match spec for spec.
-  std::vector<ScenarioSpec> reversed(specs.rbegin(), specs.rend());
-  auto got_reversed = batched_run(std::move(reversed), opt.count);
-  std::reverse(got_reversed.begin(), got_reversed.end());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_EQ(got_reversed[i], ref[i])
-        << "lane permutation changed " << specs[i].label;
 }
 
 TEST(BatchParity, MixedControlFamiliesShareABatchSafely) {
@@ -117,7 +114,7 @@ TEST(BatchParity, BadLaneFailsAloneAndNeverPoisonsBatchmates) {
   auto specs = make_scenario_grid(0xBADBADull, opt);
   const auto ref = scalar_reference(specs);
   for (auto& spec : specs)
-    spec.integrator = IntegratorSpec::parse("rk23batch");
+    spec.integrator = IntegratorSpec::parse("rk23simd");
   specs[1].source.kind = "no-such-source";
   ScenarioAssets assets;
   const auto outcomes =
@@ -133,28 +130,7 @@ TEST(BatchParity, BadLaneFailsAloneAndNeverPoisonsBatchmates) {
   }
 }
 
-// --------------------------------------------------------------- rk23simd
-// The SIMD stepper makes the same promise as rk23batch -- execution
-// strategy, not numerics -- with more machinery that could break it:
-// vector RK stages, packed masked Newton, packed bilinear lookups, and a
-// scalar fallback that must agree with all of the above.
-
-TEST(BatchParity, SimdEveryWidthMatchesScalarRk23PiExactly) {
-  GridOptions opt;
-  opt.count = 10;
-  const auto specs = make_scenario_grid(0xB41C5EEDull, opt);
-  const auto ref = scalar_reference(specs);
-  for (const std::size_t width : {std::size_t{2}, std::size_t{4},
-                                  std::size_t{8}}) {
-    const auto got = batched_run(specs, width, "rk23simd");
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      EXPECT_EQ(got[i], ref[i])
-          << "rk23simd width=" << width << " diverged on " << specs[i].label;
-  }
-}
-
-TEST(BatchParity, SimdSurvivesNewtonStressGridsAtEveryWidth) {
+TEST(BatchParity, NewtonStressGridsMatchAtEveryWidth) {
   // Dawn/dusk irradiance ramps, near-brownout stiff spans, and lanes
   // mixing tabulated and exact PV: the inputs most likely to expose a
   // packed kernel that is almost-but-not-quite the scalar sequence.
@@ -171,27 +147,14 @@ TEST(BatchParity, SimdSurvivesNewtonStressGridsAtEveryWidth) {
   const auto ref = scalar_reference(specs);
   for (const std::size_t width : {std::size_t{2}, std::size_t{4},
                                   std::size_t{8}}) {
-    const auto got = batched_run(specs, width, "rk23simd");
+    const auto got = batched_run(specs, width);
     for (std::size_t i = 0; i < ref.size(); ++i)
       EXPECT_EQ(got[i], ref[i])
-          << "rk23simd width=" << width << " diverged on " << specs[i].label;
+          << "width=" << width << " diverged on " << specs[i].label;
   }
 }
 
-TEST(BatchParity, SimdLaneOrderDoesNotChangeAnyLane) {
-  GridOptions opt;
-  opt.count = 8;
-  auto specs = testsupport::make_newton_stress_grid(0x0DDC0FFEull, opt);
-  const auto ref = scalar_reference(specs);
-  std::vector<ScenarioSpec> reversed(specs.rbegin(), specs.rend());
-  auto got_reversed = batched_run(std::move(reversed), opt.count, "rk23simd");
-  std::reverse(got_reversed.begin(), got_reversed.end());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_EQ(got_reversed[i], ref[i])
-        << "rk23simd lane permutation changed " << specs[i].label;
-}
-
-TEST(BatchParity, SimdForcedScalarFallbackMatchesToo) {
+TEST(BatchParity, ForcedScalarKernelFallbackMatchesToo) {
   // Platforms whose packed kernels fail the startup self-test degrade to
   // per-lane scalar execution; force that path and hold it to the same
   // contract. (Restore the override even if an assertion throws.)
@@ -204,7 +167,7 @@ TEST(BatchParity, SimdForcedScalarFallbackMatchesToo) {
   opt.count = 6;
   const auto specs = testsupport::make_newton_stress_grid(0xFA11BAC2ull, opt);
   const auto ref = scalar_reference(specs);
-  const auto got = batched_run(specs, 4, "rk23simd");
+  const auto got = batched_run(specs, 4);
   for (std::size_t i = 0; i < ref.size(); ++i)
     EXPECT_EQ(got[i], ref[i]) << "forced-scalar " << specs[i].label;
 }
@@ -232,7 +195,7 @@ TEST(BatchParity, BatchedStaysWithinToleranceOfRk23Reference) {
     spec.integrator = IntegratorSpec{};  // rk23, the published reference
     const SummaryRow exact = summarize(
         SweepOutcome{spec, run_scenario(spec, assets), true, "", 0.0});
-    spec.integrator = IntegratorSpec::parse("rk23batch:width=4");
+    spec.integrator = IntegratorSpec::parse("rk23simd:width=4");
     const auto outcomes = run_scenarios_batched(&spec, 1, assets);
     ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
     const SummaryRow batched = summarize(outcomes[0]);

@@ -532,29 +532,41 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
 }
 
 TEST(SweepRunnerResume, BatchWidthIsExecutionOnlyInTheIdentity) {
-  // rk23batch's `width` shapes execution, not results (the batched
+  // rk23simd's `width` shapes execution, not results (the batched
   // engine is bit-identical at every width), so sweep_identity strips
   // it: journals written at one width are interchangeable with runs at
   // any other. Result-shaping params (rtol, ...) still pin.
   const auto mode = ehsim::PvSource::Mode::kExact;
   EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23batch:width=4")),
-            "quick?minutes=2&pv=exact&integrator=rk23batch");
+                           IntegratorSpec::parse("rk23simd:width=4")),
+            "quick?minutes=2&pv=exact&integrator=rk23simd");
   EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23batch:width=8")),
+                           IntegratorSpec::parse("rk23simd:width=8")),
             sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23batch")));
+                           IntegratorSpec::parse("rk23simd")));
+  EXPECT_EQ(
+      sweep_identity("quick", 2.0, mode, {}, {},
+                     IntegratorSpec::parse("rk23simd:width=4,rtol=0.001")),
+      "quick?minutes=2&pv=exact&integrator=rk23simd:rtol=0.001");
+}
+
+TEST(SweepRunnerResume, RetiredRk23BatchJournalResumesUnderItsOldIdentity) {
+  // The retired kind rk23batch resolves to rk23simd but keeps its
+  // spelling, so its identity is byte-for-byte what earlier releases
+  // wrote into journal headers -- `width` stripped as before -- and a
+  // journal fully written under width=4 resumes under width=8 with every
+  // row reused.
+  const auto mode = ehsim::PvSource::Mode::kExact;
   EXPECT_EQ(
       sweep_identity("quick", 2.0, mode, {}, {},
                      IntegratorSpec::parse("rk23batch:width=4,rtol=0.001")),
       "quick?minutes=2&pv=exact&integrator=rk23batch:rtol=0.001");
 
-  // A journal fully written under width=4 resumes under width=8 with
-  // every row reused.
   auto sw4 = small_sweep();
   sw4.base.integrator = IntegratorSpec::parse("rk23batch:width=4");
   const std::string id4 = sweep_identity("small", 0.5, mode, {}, {},
                                          sw4.base.integrator);
+  EXPECT_EQ(id4, "small?minutes=0.5&pv=exact&integrator=rk23batch");
   TempFile file("pns-batch-width");
   runner_with(1).resume(sw4.expand(), file.path(), id4);
 

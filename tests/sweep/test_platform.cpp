@@ -7,7 +7,7 @@
 // byte-invisible -- an explicit "mono" run and a default run produce
 // identical canonical metrics, and the journal identity omits the
 // platform key entirely; (2) multi-domain runs are execution-strategy
-// independent -- the rk23batch lanes reproduce the scalar rk23pi
+// independent -- the rk23simd lanes reproduce the scalar rk23pi
 // per-domain metrics bit for bit.
 #include <algorithm>
 #include <cstddef>
@@ -234,10 +234,10 @@ TEST(PlatformAxis, MultiDomainBatchLanesMatchScalarExactly) {
     EXPECT_NE(ref.back().find("\"domains\""), std::string::npos);
   }
 
-  // Batched lanes under rk23batch, width 4.
+  // Batched lanes under rk23simd, width 4.
   std::vector<ScenarioSpec> batched = specs;
   for (auto& spec : batched)
-    spec.integrator = IntegratorSpec::parse("rk23batch:width=4");
+    spec.integrator = IntegratorSpec::parse("rk23simd:width=4");
   for (std::size_t begin = 0; begin < batched.size(); begin += 4) {
     const std::size_t n = std::min<std::size_t>(4, batched.size() - begin);
     const auto outcomes =

@@ -95,6 +95,27 @@ TEST(Registry, EveryIntegratorKindRoundTripsItsSpecString) {
   }
 }
 
+TEST(Registry, RetiredRk23BatchKindResolvesToRk23Simd) {
+  // `list` (and every "valid:" diagnostic) prints the registered entries:
+  // rk23batch is gone from them, yet its spec strings still resolve --
+  // to the rk23simd entry, keeping their own spelling.
+  const IntegratorRegistry& registry = IntegratorRegistry::instance();
+  for (const auto& entry : registry.entries())
+    EXPECT_NE(entry.kind, "rk23batch");
+  ASSERT_NE(registry.find("rk23simd"), nullptr);
+  EXPECT_EQ(registry.find("rk23batch"), registry.find("rk23simd"));
+  const IntegratorSpec spec = IntegratorSpec::parse("rk23batch:width=4");
+  EXPECT_EQ(spec.kind, "rk23batch");
+  EXPECT_EQ(spec.spec_string(), "rk23batch:width=4");
+  try {
+    IntegratorSpec::parse("rk99");
+    FAIL() << "expected ParamError";
+  } catch (const ParamError& e) {
+    EXPECT_EQ(std::string(e.what()).find("rk23batch"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Registry, IntegratorKindsResolveToDistinctNumerics) {
   auto spec = tiny_solar_spec();
   const auto default_cfg = make_sim_config(spec);

@@ -81,7 +81,7 @@ TEST(SweepSpec, LabelsAreUniqueAcrossTheProduct) {
 
 TEST(SweepSpec, ShadowDepthAxisAppliesToShadowSpec) {
   SweepSpec sw;
-  sw.base.source = SourceKind::kShadowing;
+  sw.base.source.kind = "shadow";
   sw.base.t_start = 0.0;
   sw.base.t_end = 10.0;
   sw.shadow_depths = {0.2, 0.5};
@@ -186,7 +186,7 @@ TEST(RunScenario, MakeSimConfigAppliesOverrides) {
   EXPECT_TRUE(cfg.record_series);
   EXPECT_DOUBLE_EQ(cfg.record_interval_s, 0.5);
 
-  spec.source = SourceKind::kShadowing;
+  spec.source.kind = "shadow";
   EXPECT_DOUBLE_EQ(make_sim_config(spec).v_target, 0.0);  // band disabled
   spec.v_target = 4.9;
   EXPECT_DOUBLE_EQ(make_sim_config(spec).v_target, 4.9);
@@ -295,8 +295,8 @@ TEST(SweepRunner, AssetReuseBitIdenticalToRebuilding) {
   EXPECT_EQ(csv_of(reused), csv_of(rebuilt));
 }
 
-TEST(SweepRunner, Rk23BatchBitIdenticalToRk23PiAcrossWidthsAndThreads) {
-  // rk23batch is an execution strategy over the rk23pi numerics, not a
+TEST(SweepRunner, Rk23SimdBitIdenticalToRk23PiAcrossWidthsAndThreads) {
+  // rk23simd is an execution strategy over the rk23pi numerics, not a
   // numeric variant: every batch width, at every thread count, must
   // publish an aggregate byte-identical to scalar rk23pi. The sweep's
   // seed-innermost expansion puts compatible rows adjacent, so widths
@@ -308,7 +308,7 @@ TEST(SweepRunner, Rk23BatchBitIdenticalToRk23PiAcrossWidthsAndThreads) {
   for (const unsigned width : {1u, 4u, 8u}) {
     auto sw = determinism_sweep();
     sw.base.integrator =
-        IntegratorSpec::parse("rk23batch:width=" + std::to_string(width));
+        IntegratorSpec::parse("rk23simd:width=" + std::to_string(width));
     for (const unsigned threads : {1u, 2u, 8u}) {
       const auto got = runner_with(threads).run(sw);
       EXPECT_EQ(csv_of(got), ref_csv)

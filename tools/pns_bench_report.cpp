@@ -2,9 +2,9 @@
 //
 // Executes the google-benchmark micro suite (bench_micro_hotpaths, when it
 // was built) plus wall-clock timings of the `table2` sweep -- exact and
-// tabulated PV, the rk23pi / rk23batch / rk23simd integrators (with the
-// PV implicit-solve accounting: iteration counts, memo/table hit rates
-// and the packed-lane fraction), an asset-reuse A/B, the same sweep
+// tabulated PV, the rk23pi / rk23simd integrators (with the PV
+// implicit-solve accounting: iteration counts, memo/table hit rates and
+// the packed-lane fraction), an asset-reuse A/B, the same sweep
 // on the 2-domain biglittle platform (the joint-ladder dispatch tax), and
 // the sweep daemon's dispatch overhead (the same sweep through an
 // in-process pns_sweepd with 4 local socket workers versus a plain
@@ -394,10 +394,6 @@ int main(int argc, char** argv) {
                opt.minutes);
   const auto pi =
       time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23pi");
-  std::fprintf(stderr, "timing table2 sweep (rk23batch, %.0f min)...\n",
-               opt.minutes);
-  const auto batch =
-      time_table2(opt, ehsim::PvSource::Mode::kExact, "rk23batch");
   std::fprintf(stderr, "timing table2 sweep (rk23simd, %.0f min)...\n",
                opt.minutes);
   const auto simd =
@@ -442,8 +438,6 @@ int main(int argc, char** argv) {
   write_sweep(w, tab);
   w.key("rk23pi");
   write_sweep(w, pi);
-  w.key("rk23batch");
-  write_sweep(w, batch);
   w.key("rk23simd");
   write_sweep(w, simd);
   w.key("exact_no_asset_reuse");
@@ -497,15 +491,12 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", opt.out_path.c_str());
   std::printf("table2 exact: %.2f s wall (%.0fx realtime); tabulated: "
               "%.2f s wall (%.0fx realtime); rk23pi: %.2f s wall "
-              "(%.0fx realtime); rk23batch: %.2f s wall (%.0fx realtime); "
-              "rk23simd: %.2f s wall (%.0fx realtime); "
+              "(%.0fx realtime); rk23simd: %.2f s wall (%.0fx realtime); "
               "no asset reuse: %.2f s wall\n",
               exact.wall_s,
               exact.wall_s > 0 ? exact.simulated_s / exact.wall_s : 0.0,
               tab.wall_s, tab.wall_s > 0 ? tab.simulated_s / tab.wall_s : 0.0,
               pi.wall_s, pi.wall_s > 0 ? pi.simulated_s / pi.wall_s : 0.0,
-              batch.wall_s,
-              batch.wall_s > 0 ? batch.simulated_s / batch.wall_s : 0.0,
               simd.wall_s,
               simd.wall_s > 0 ? simd.simulated_s / simd.wall_s : 0.0,
               no_reuse.wall_s);
@@ -524,8 +515,8 @@ int main(int argc, char** argv) {
                 dispatch.daemon.wall_s, dispatch.workers,
                 dispatch.in_process.wall_s, dispatch.overhead_per_row_ms);
   const bool sweeps_ok = exact.failed == 0 && tab.failed == 0 &&
-                         pi.failed == 0 && batch.failed == 0 &&
-                         simd.failed == 0 && no_reuse.failed == 0 &&
+                         pi.failed == 0 && simd.failed == 0 &&
+                         no_reuse.failed == 0 &&
                          biglittle.failed == 0 && dispatch.ok &&
                          dispatch.daemon.failed == 0;
   return sweeps_ok ? 0 : 1;

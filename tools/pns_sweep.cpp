@@ -155,9 +155,10 @@ void usage(const char* argv0) {
       "  --integrator S  integration engine spec string: rk23 (default,\n"
       "                bit-reproducible), rk23pi[:rtol=...,coast=...]\n"
       "                (PI step control + dense events + coasting, ~2x\n"
-      "                faster), or rk23batch[:width=...] (rk23pi in\n"
-      "                lockstep batches, bit-identical to rk23pi at\n"
-      "                every width; docs/performance.md has the grammar)\n"
+      "                faster), or rk23simd[:width=...] (rk23pi in\n"
+      "                packed lockstep batches, bit-identical to rk23pi\n"
+      "                at every width; rk23batch is its retired alias;\n"
+      "                docs/performance.md has the grammar)\n"
       "  --platform S  platform topology spec string: mono (default,\n"
       "                the paper's single-domain board) or a multi-domain\n"
       "                kind such as biglittle[:little_cores=4,big_cores=4,\n"
