@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
 
   const soc::Platform board = soc::Platform::odroid_xu4();
   // Batch objective: each search stage's candidates are evaluated through
-  // sweep::SweepRunner in parallel (score-identical to the point-wise
-  // StabilityObjective::standard).
+  // sweep::SweepRunner in parallel.
   const auto objective = opt::SweepStabilityObjective::standard(board, seed);
 
   // Phase 1: global random exploration (log-uniform).

@@ -7,21 +7,6 @@
 
 namespace pns::ehsim {
 
-void integrate_euler(const OdeSystem& system, double t0,
-                     std::span<double> y0, double t_end, double h) {
-  PNS_EXPECTS(h > 0.0);
-  PNS_EXPECTS(t_end >= t0);
-  PNS_EXPECTS(y0.size() == system.dimension());
-  std::vector<double> f(y0.size());
-  double t = t0;
-  while (t < t_end) {
-    const double step = std::min(h, t_end - t);
-    system.derivatives(t, y0, std::span<double>(f));
-    for (std::size_t i = 0; i < y0.size(); ++i) y0[i] += step * f[i];
-    t += step;
-  }
-}
-
 void integrate_rk4(const OdeSystem& system, double t0, std::span<double> y0,
                    double t_end, double h) {
   PNS_EXPECTS(h > 0.0);

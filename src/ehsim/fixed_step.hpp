@@ -1,8 +1,8 @@
-// Fixed-step explicit integrators (forward Euler, classic RK4).
+// Fixed-step classic RK4 integrator.
 //
-// These exist as verification baselines: the convergence-order tests
-// integrate known analytic systems with all three integrators and assert
-// the expected order of accuracy, which cross-checks the adaptive RK23
+// A verification baseline: the convergence-order tests integrate known
+// analytic systems with it and with the adaptive RK23 and assert the
+// expected order of accuracy, which cross-checks the RK23
 // implementation.
 #pragma once
 
@@ -14,12 +14,8 @@
 namespace pns::ehsim {
 
 /// Integrates y' = f(t,y) from (t0, y0) to t_end with fixed step h using
-/// forward Euler. The final state overwrites `y0`.
-void integrate_euler(const OdeSystem& system, double t0,
-                     std::span<double> y0, double t_end, double h);
-
-/// Same contract as integrate_euler but with the classic 4th-order
-/// Runge-Kutta method.
+/// the classic 4th-order Runge-Kutta method. The final state overwrites
+/// `y0`.
 void integrate_rk4(const OdeSystem& system, double t0, std::span<double> y0,
                    double t_end, double h);
 

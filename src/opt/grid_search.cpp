@@ -59,8 +59,4 @@ SearchResult grid_search(const BatchObjective& objective,
   return make_search_result(std::move(candidates), scores);
 }
 
-SearchResult grid_search(const Objective& objective, const GridSpec& grid) {
-  return grid_search(batched(objective), grid);
-}
-
 }  // namespace pns::opt

@@ -4,12 +4,11 @@
 // equivalent driver. All evaluated points are returned so benches can
 // print the score landscape, not just the winner.
 //
-// Two evaluation shapes are supported. The point-wise Objective is the
-// simple path; the BatchObjective receives every candidate of a search
-// stage at once, which lets a simulation-backed objective fan the batch
-// out over sweep::SweepRunner (see opt/objective.hpp) and inherit its
-// thread pool, checkpoint journal and sharding. Both shapes evaluate the
-// same candidates in the same order, so they select the same optimum.
+// Drivers take a BatchObjective, which receives every candidate of a
+// search stage at once: a simulation-backed objective fans the batch out
+// over sweep::SweepRunner (see opt/objective.hpp) and inherits its
+// thread pool, checkpoint journal and sharding. batched() adapts a plain
+// point-wise callable.
 #pragma once
 
 #include <functional>
@@ -20,8 +19,7 @@
 namespace pns::opt {
 
 /// Evaluates a whole batch of candidates; returns one score per input, in
-/// order. Invalid candidates (ParamSet::valid() == false) must score -1,
-/// matching the point-wise convention.
+/// order. Invalid candidates (ParamSet::valid() == false) must score -1.
 using BatchObjective =
     std::function<std::vector<double>(const std::vector<ParamSet>&)>;
 
@@ -71,11 +69,8 @@ SearchResult make_search_result(std::vector<ParamSet> candidates,
                                 const std::vector<double>& scores);
 
 /// Evaluates every grid combination (invalid ones score -1 and are kept in
-/// `evaluated` for completeness, flagged by their score).
-SearchResult grid_search(const Objective& objective, const GridSpec& grid);
-
-/// Batch variant: expands the grid once and hands the whole candidate set
-/// to `objective` -- the path that runs the underlying simulations in
+/// `evaluated` for completeness, flagged by their score). The grid is
+/// expanded once and handed to `objective` as one batch -- run in
 /// parallel when backed by SweepStabilityObjective.
 SearchResult grid_search(const BatchObjective& objective,
                          const GridSpec& grid);

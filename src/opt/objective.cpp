@@ -6,35 +6,6 @@
 
 namespace pns::opt {
 
-StabilityObjective::StabilityObjective(const soc::Platform& platform,
-                                       sim::SolarScenario scenario,
-                                       sim::SimConfig base)
-    : platform_(&platform), scenario_(scenario), base_(std::move(base)) {}
-
-StabilityObjective StabilityObjective::standard(
-    const soc::Platform& platform, std::uint64_t seed) {
-  sim::SolarScenario scenario;
-  scenario.condition = trace::WeatherCondition::kPartialSun;
-  scenario.t_start = 12.0 * 3600.0;
-  scenario.t_end = 12.25 * 3600.0;  // 15 minutes
-  scenario.seed = seed;
-  sim::SimConfig cfg = sim::solar_sim_config(scenario);
-  cfg.record_series = false;  // metrics only: keeps sweeps cheap
-  return StabilityObjective(platform, scenario, cfg);
-}
-
-double StabilityObjective::operator()(const ParamSet& p) const {
-  if (!p.valid()) return -1.0;
-  ctl::ControllerConfig cc;
-  cc.v_width = p.v_width;
-  cc.v_q = p.v_q;
-  cc.alpha = p.alpha;
-  cc.beta = p.beta;
-  const auto result =
-      sim::run_solar_power_neutral(*platform_, scenario_, base_, cc);
-  return result.metrics.fraction_in_band();
-}
-
 SweepStabilityObjective::SweepStabilityObjective(
     sweep::ScenarioSpec base, SweepObjectiveOptions options)
     : base_(std::move(base)), options_(std::move(options)) {}
@@ -42,10 +13,9 @@ SweepStabilityObjective::SweepStabilityObjective(
 SweepStabilityObjective SweepStabilityObjective::standard(
     const soc::Platform& platform, std::uint64_t seed,
     SweepObjectiveOptions options) {
-  // Mirrors StabilityObjective::standard: the ScenarioSpec defaults
-  // (47 mF, 5 % band around 5.3 V, vc0 = 5.3 V, no recording) already
-  // match solar_sim_config + record_series = false, so the two objectives
-  // drive bit-identical simulations.
+  // The ScenarioSpec defaults (47 mF, 5 % band around 5.3 V, vc0 =
+  // 5.3 V, no recording) already match solar_sim_config with
+  // record_series = false.
   sweep::ScenarioSpec base;
   base.platform = platform;
   base.condition = trace::WeatherCondition::kPartialSun;

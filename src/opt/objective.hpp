@@ -2,8 +2,8 @@
 //
 // The paper selects (Vwidth, Vq, alpha, beta) by simulating the control
 // system and scoring "the proportion of time spent within 5 % of the
-// target voltage". StabilityObjective reproduces that score over a
-// configurable solar scenario; search drivers (grid/random) maximise it.
+// target voltage". SweepStabilityObjective reproduces that score over a
+// configurable scenario; search drivers (grid/random) maximise it.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hpp"
 #include "sweep/runner.hpp"
 
 namespace pns::opt {
@@ -31,30 +30,9 @@ struct ParamSet {
   }
 };
 
-/// Scalar objective: evaluate(params) -> score, higher is better.
+/// Scalar objective: evaluate(params) -> score, higher is better. Search
+/// drivers take the batch shape; batched() adapts one of these.
 using Objective = std::function<double(const ParamSet&)>;
-
-/// Voltage-stability objective of §III: fraction of simulated time the
-/// node voltage stays within the +/- band around the target. Invalid
-/// parameter sets score -1.
-class StabilityObjective {
- public:
-  /// Scenario defaults to a 15-minute partial-sun window -- short enough
-  /// for dense sweeps, turbulent enough to separate good tunings.
-  StabilityObjective(const soc::Platform& platform,
-                     sim::SolarScenario scenario, sim::SimConfig base);
-
-  /// Convenience: build the paper-standard sweep objective.
-  static StabilityObjective standard(const soc::Platform& platform,
-                                     std::uint64_t seed = 7);
-
-  double operator()(const ParamSet& p) const;
-
- private:
-  const soc::Platform* platform_;
-  sim::SolarScenario scenario_;
-  sim::SimConfig base_;
-};
 
 /// Execution options for the SweepRunner-backed batch objective.
 struct SweepObjectiveOptions {
@@ -75,10 +53,10 @@ struct SweepObjectiveOptions {
 /// sweep::SweepRunner: every candidate tuning becomes a power-neutral
 /// ScenarioSpec over a shared base scenario, the batch fans out across the
 /// runner's thread pool, and each score is the scenario's fraction of time
-/// in the voltage band. For identical base scenarios the scores are
-/// bit-identical to the point-wise StabilityObjective (same experiment
-/// entry point, deterministic engine) -- parameter search simply inherits
-/// the sweep service's parallelism, checkpointing and sharding.
+/// in the voltage band -- bit-identical to sim::run_solar_power_neutral
+/// on the same scenario (deterministic engine), so parameter search
+/// simply inherits the sweep service's parallelism, checkpointing and
+/// sharding.
 ///
 /// Scoring convention: invalid parameter sets score -1 without being
 /// simulated; a scenario that *fails* (engine threw) also scores -1.
@@ -91,8 +69,7 @@ class SweepStabilityObjective {
                                    SweepObjectiveOptions options = {});
 
   /// The paper-standard study: 15-minute partial-sun window, 47 mF buffer,
-  /// MPP-centred 5 % band. Score-identical to
-  /// StabilityObjective::standard(platform, seed).
+  /// MPP-centred 5 % band.
   static SweepStabilityObjective standard(const soc::Platform& platform,
                                           std::uint64_t seed = 7,
                                           SweepObjectiveOptions options = {});

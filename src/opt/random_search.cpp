@@ -45,9 +45,4 @@ SearchResult random_search(const BatchObjective& objective,
   return make_search_result(std::move(candidates), scores);
 }
 
-SearchResult random_search(const Objective& objective,
-                           const RandomSearchSpec& spec) {
-  return random_search(batched(objective), spec);
-}
-
 }  // namespace pns::opt

@@ -50,7 +50,7 @@ sim::ControlSelection make_static_control(const ScenarioSpec& spec,
 
 }  // namespace
 
-void register_builtin_controls(ControlRegistry& registry) {
+void ControlAxis::register_builtins(ControlRegistry& registry) {
   registry.add(ControlEntry{
       "pns",
       "power-neutral controller (the paper's proposed scheme)",

@@ -71,11 +71,11 @@ std::vector<ParamInfo> pi_family_params() {
 
 }  // namespace
 
-void register_builtin_integrators(IntegratorRegistry& registry) {
+void IntegratorAxis::register_builtins(IntegratorRegistry& registry) {
   registry.add(IntegratorEntry{
       "rk23",
       // `pns_sweep list` derives the "(default)" marker from
-      // IntegratorSpec{}.kind; don't bake it into the description.
+      // IntegratorAxis::default_kind; don't bake it into the description.
       "adaptive RK2(3), clamped step rule + bisection events",
       {
           {"rtol", "double", "", "relative tolerance (default: scenario's)"},
@@ -113,8 +113,7 @@ void register_builtin_integrators(IntegratorRegistry& registry) {
   // batches, so `width` is an execution-only key (journals interchange
   // across widths; width=1 degenerates to plain rk23pi). Platforms whose
   // packed kernels fail the startup self-test degrade to scalar
-  // execution automatically. The retired kind "rk23batch" resolves here
-  // too (IntegratorRegistry::find).
+  // execution automatically.
   IntegratorEntry simd{
       "rk23simd",
       "rk23pi numerics, SIMD lockstep batches (bit-identical to rk23pi)",
@@ -131,6 +130,10 @@ void register_builtin_integrators(IntegratorRegistry& registry) {
        "max lanes per lockstep batch (execution strategy only; every "
        "width produces the same bytes)"});
   registry.add(std::move(simd));
+  // "rk23batch" named the unpacked lockstep kind before the two round
+  // drivers merged; it resolves to rk23simd under its own spelling, so
+  // its spec strings, command lines and journal identities keep working.
+  registry.alias("rk23batch", "rk23simd");
 }
 
 }  // namespace pns::sweep

@@ -121,7 +121,7 @@ soc::Platform make_biglittle(const ParamMap& params) {
 
 }  // namespace
 
-void register_builtin_platforms(PlatformRegistry& registry) {
+void PlatformAxis::register_builtins(PlatformRegistry& registry) {
   registry.add(PlatformEntry{
       "mono",
       "single-domain ODROID XU4 (the paper's board; default)",

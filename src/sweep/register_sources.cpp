@@ -194,7 +194,7 @@ ehsim::PvSource make_flicker(const ScenarioSpec& spec,
 
 }  // namespace
 
-void register_builtin_sources(SourceRegistry& registry) {
+void SourceAxis::register_builtins(SourceRegistry& registry) {
   registry.add(SourceEntry{
       "solar",
       "clear-sky envelope x seeded stochastic weather",

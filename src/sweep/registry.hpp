@@ -1,24 +1,25 @@
-// Open control/source plugin registries behind the spec-string API.
+// Open plugin registries behind the spec-string API.
 //
-// Both axes of the paper's parameter studies -- *how the SoC is
-// controlled* and *what feeds the storage node* -- are registries of
-// named factories instead of closed enums. A registry entry carries the
-// kind string, a one-line summary, the ParamInfo list of accepted keys
-// (so diagnostics and `pns_sweep list` can never go stale) and the
-// factory that resolves a validated ParamMap into the runnable artefact:
-// a sim::ControlSelection for controls, an ehsim::PvSource for sources.
+// Every axis of the paper's parameter studies -- *how the SoC is
+// controlled*, *what feeds the storage node*, *which engine integrates
+// it* and *which board it runs on* -- is a Registry<Axis> of named
+// entries instead of a closed enum. An entry carries the kind string, a
+// one-line summary, the ParamInfo list of accepted keys (so diagnostics
+// and `pns_sweep list` can never go stale) and the hook that resolves a
+// validated ParamMap into the runnable artefact: a sim::ControlSelection,
+// an ehsim::PvSource, SimConfig numerics or a soc::Platform.
 //
-// Built-ins are registered on first use from three provider units --
-// register_controls.cpp (core/'s power-neutral controller + the static
-// baseline, governors/' six stock governors through the widened
-// make_governor API) and register_sources.cpp (trace/'s solar-weather,
-// shadowing, CSV-trace and cloud-flicker sources). User code can add
-// kinds at startup with ControlRegistry::instance().add(...) -- see
-// docs/architecture.md, "Adding a control or source kind".
+// Built-ins are registered on first use by each axis's provider unit
+// (register_controls.cpp, register_sources.cpp, register_integrators.cpp,
+// register_platforms.cpp). User code can add kinds at startup with
+// ControlRegistry::instance().add(...) -- see docs/architecture.md,
+// "Adding a control, source, integrator, or platform kind".
 #pragma once
 
 #include <functional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ehsim/sources.hpp"
@@ -110,73 +111,51 @@ struct PlatformEntry {
   std::function<soc::Platform(const ParamMap&)> make;
 };
 
-/// Registry of control kinds. instance() is created thread-safely on
-/// first use with the built-ins already registered; add() further kinds
-/// before sweeps start (registration is not synchronised against
+/// Registry of one axis's kinds. instance() is created thread-safely on
+/// first use with the axis's built-ins already registered; add() further
+/// kinds before sweeps start (registration is not synchronised against
 /// concurrent lookups).
-class ControlRegistry {
+template <class Axis>
+class Registry {
  public:
-  static ControlRegistry& instance();
+  using Entry = typename Axis::Entry;
+
+  static Registry& instance();
 
   /// Registers a kind; throws std::invalid_argument on a duplicate.
-  void add(ControlEntry entry);
+  void add(Entry entry);
+  /// Registers `retired` as another spelling of the registered `kind`:
+  /// find() resolves it to that entry, while entries() and the
+  /// unknown-kind diagnostic list only `kind`. Specs keep the spelling
+  /// they were written with, so their identities do not change.
+  void alias(std::string retired, std::string kind);
   /// nullptr when unknown.
-  const ControlEntry* find(const std::string& kind) const;
+  const Entry* find(const std::string& kind) const;
   /// Throws ParamError naming the valid kinds when unknown.
-  const ControlEntry& require(const std::string& kind) const;
-  const std::vector<ControlEntry>& entries() const { return entries_; }
+  const Entry& require(const std::string& kind) const;
+  /// require(spec.kind), with spec.params' keys validated against the
+  /// entry (ParamError naming the accepted keys).
+  const Entry& entry_for(const KindSpec<Axis>& spec) const;
+  const std::vector<Entry>& entries() const { return entries_; }
 
  private:
-  ControlRegistry() = default;
-  std::vector<ControlEntry> entries_;
+  Registry() = default;
+  std::vector<Entry> entries_;
+  std::vector<std::pair<std::string, std::string>> aliases_;
 };
 
-/// Registry of source kinds; same contract as ControlRegistry.
-class SourceRegistry {
- public:
-  static SourceRegistry& instance();
+using ControlRegistry = Registry<ControlAxis>;
+using SourceRegistry = Registry<SourceAxis>;
+using IntegratorRegistry = Registry<IntegratorAxis>;
+using PlatformRegistry = Registry<PlatformAxis>;
 
-  void add(SourceEntry entry);
-  const SourceEntry* find(const std::string& kind) const;
-  const SourceEntry& require(const std::string& kind) const;
-  const std::vector<SourceEntry>& entries() const { return entries_; }
+/// Every registry axis, in `pns_sweep list` order.
+using Axes = std::tuple<ControlAxis, SourceAxis, IntegratorAxis, PlatformAxis>;
 
- private:
-  SourceRegistry() = default;
-  std::vector<SourceEntry> entries_;
-};
-
-/// Registry of integrator kinds; same contract as ControlRegistry.
-class IntegratorRegistry {
- public:
-  static IntegratorRegistry& instance();
-
-  void add(IntegratorEntry entry);
-  /// nullptr when unknown. The retired kind "rk23batch" resolves to the
-  /// "rk23simd" entry (entries() lists only the latter).
-  const IntegratorEntry* find(const std::string& kind) const;
-  const IntegratorEntry& require(const std::string& kind) const;
-  const std::vector<IntegratorEntry>& entries() const { return entries_; }
-
- private:
-  IntegratorRegistry() = default;
-  std::vector<IntegratorEntry> entries_;
-};
-
-/// Registry of platform kinds; same contract as ControlRegistry.
-class PlatformRegistry {
- public:
-  static PlatformRegistry& instance();
-
-  void add(PlatformEntry entry);
-  const PlatformEntry* find(const std::string& kind) const;
-  const PlatformEntry& require(const std::string& kind) const;
-  const std::vector<PlatformEntry>& entries() const { return entries_; }
-
- private:
-  PlatformRegistry() = default;
-  std::vector<PlatformEntry> entries_;
-};
+extern template class Registry<ControlAxis>;
+extern template class Registry<SourceAxis>;
+extern template class Registry<IntegratorAxis>;
+extern template class Registry<PlatformAxis>;
 
 /// Resolves a platform spec through the registry (same diagnostics
 /// contract as resolve_control): unknown kinds and parameter keys throw
@@ -213,12 +192,5 @@ std::string source_condition_label(const ScenarioSpec& spec);
 /// SourceEntry::uses_condition). True for unknown kinds, so expansion
 /// stays permissive and the hard error lands in run_scenario.
 bool source_uses_condition(const std::string& kind);
-
-/// Built-in registration units (called once by the registries' lazy
-/// constructors; separated per provider domain).
-void register_builtin_controls(ControlRegistry& registry);
-void register_builtin_sources(SourceRegistry& registry);
-void register_builtin_integrators(IntegratorRegistry& registry);
-void register_builtin_platforms(PlatformRegistry& registry);
 
 }  // namespace pns::sweep

@@ -12,22 +12,7 @@
 
 namespace pns::sweep {
 
-std::string SourceSpec::spec_string() const {
-  return params.empty() ? kind : kind + ":" + params.serialize();
-}
-
-std::string ControlSpec::spec_string() const {
-  return params.empty() ? kind : kind + ":" + params.serialize();
-}
-
-std::string IntegratorSpec::spec_string() const {
-  return params.empty() ? kind : kind + ":" + params.serialize();
-}
-
-std::string PlatformSpec::spec_string() const {
-  return params.empty() ? kind : kind + ":" + params.serialize();
-}
-
+template <>
 std::string ControlSpec::governor_name() const {
   constexpr std::string_view prefix = "gov:";
   if (kind.size() <= prefix.size() || kind.compare(0, prefix.size(), prefix))
@@ -35,22 +20,19 @@ std::string ControlSpec::governor_name() const {
   return kind.substr(prefix.size());
 }
 
+template <>
 ControlSpec ControlSpec::power_neutral(ctl::ControllerConfig config) {
-  ControlSpec c;
-  c.kind = "pns";
-  c.params = ctl::controller_config_to_params(config);
-  return c;
+  return {"pns", ctl::controller_config_to_params(config)};
 }
 
+template <>
 ControlSpec ControlSpec::linux_governor(std::string name) {
-  ControlSpec c;
-  c.kind = "gov:" + std::move(name);
-  return c;
+  return {"gov:" + std::move(name), {}};
 }
 
+template <>
 ControlSpec ControlSpec::static_opp_point(soc::OperatingPoint opp) {
-  ControlSpec c;
-  c.kind = "static";
+  ControlSpec c{"static", {}};
   c.params.set_uint("opp", opp.freq_index);
   c.params.set_int("little", opp.cores.n_little);
   c.params.set_int("big", opp.cores.n_big);

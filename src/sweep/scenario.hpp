@@ -8,15 +8,16 @@
 // thread pool (sweep/runner.hpp), or sharded across machines, without the
 // experiment code changing.
 //
-// Control and source selection are *open*: a ControlSpec/SourceSpec is a
-// registry kind plus a typed ParamMap (sweep/registry.hpp), addressable
-// as a compact spec string -- "pns:v_q=0.04", "gov:ondemand:period=0.05",
-// "static:opp=4", "shadow:depth=0.2,hold=5", "trace:file=day.csv",
-// "flicker:period=30". New policies and supply shapes register a factory
-// instead of editing this file, the experiment helpers and the CLI in
-// lockstep.
+// Control, source, integrator and platform selection are *open*: a
+// KindSpec<Axis> is a registry kind plus a typed ParamMap
+// (sweep/registry.hpp), addressable as a compact spec string --
+// "pns:v_q=0.04", "gov:ondemand:period=0.05", "static:opp=4",
+// "shadow:depth=0.2,hold=5", "trace:file=day.csv", "flicker:period=30".
+// New policies and supply shapes register a factory instead of editing
+// this file, the experiment helpers and the CLI in lockstep.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -46,95 +47,108 @@ struct ShadowingSpec {
   double peak_wm2 = 1000.0;  ///< irradiance outside the shadow
 };
 
-/// Open source selection: a registry kind ("solar", "shadow", "trace",
-/// "flicker", or anything registered at runtime) plus its parameters.
-struct SourceSpec {
-  std::string kind = "solar";
+template <class Axis>
+class Registry;  // sweep/registry.hpp
+struct ControlEntry;
+struct SourceEntry;
+struct IntegratorEntry;
+struct PlatformEntry;
+
+/// The four registry axes. A tag carries the axis's noun (diagnostics,
+/// `--<noun>` flags, `pns_sweep list`), the kind a default-constructed
+/// spec selects, the entry type its Registry holds and the provider unit
+/// that registers its built-in kinds (register_<noun>s.cpp).
+///
+/// Control: how the SoC is governed -- "pns", "static", "gov:<name>",
+/// "mdgov:<name>", or anything registered at runtime.
+struct ControlAxis {
+  static constexpr const char* noun = "control";
+  static constexpr const char* default_kind = "pns";
+  using Entry = ControlEntry;
+  static void register_builtins(Registry<ControlAxis>& registry);
+};
+
+/// Source: what feeds the storage node -- "solar", "shadow", "trace",
+/// "flicker", ...
+struct SourceAxis {
+  static constexpr const char* noun = "source";
+  static constexpr const char* default_kind = "solar";
+  using Entry = SourceEntry;
+  static void register_builtins(Registry<SourceAxis>& registry);
+};
+
+/// Integrator: "rk23" (the original engine, bit-for-bit), "rk23pi",
+/// "rk23simd", ... plus numeric overrides, e.g. "rk23pi:rtol=1e-05".
+/// Applied onto the SimConfig by make_sim_config.
+struct IntegratorAxis {
+  static constexpr const char* noun = "integrator";
+  static constexpr const char* default_kind = "rk23";
+  using Entry = IntegratorEntry;
+  static void register_builtins(Registry<IntegratorAxis>& registry);
+};
+
+/// Platform: "mono" (the paper's single-domain ODROID XU4) or a
+/// multi-domain topology such as "biglittle:big_cores=2,arbiter=demand",
+/// compiled into a soc::Platform by run_scenario before control/source
+/// resolution.
+struct PlatformAxis {
+  static constexpr const char* noun = "platform";
+  static constexpr const char* default_kind = "mono";
+  using Entry = PlatformEntry;
+  static void register_builtins(Registry<PlatformAxis>& registry);
+};
+
+/// Open selection on one registry axis: a registered kind plus its
+/// parameters. The control factories encode their typed arguments into
+/// the ParamMap losslessly (shortest_double), so a programmatically built
+/// spec and its string form drive bit-identical simulations.
+template <class Axis>
+struct KindSpec {
+  std::string kind = Axis::default_kind;
   ParamMap params;
 
   /// Round-trippable "kind" / "kind:key=value,..." form (identity in
   /// journal headers and CLI flags).
-  std::string spec_string() const;
+  std::string spec_string() const {
+    return params.empty() ? kind : kind + ":" + params.serialize();
+  }
 
-  /// Parses a spec string, validating the kind and its parameter keys
-  /// against the source registry; errors name the valid choices. Defined
-  /// in registry.cpp.
-  static SourceSpec parse(std::string_view text);
+  /// Parses a spec string, validating the kind, its parameter keys and
+  /// their value types against the axis registry; errors name the valid
+  /// choices. Defined in registry.cpp.
+  static KindSpec parse(std::string_view text);
 
-  bool operator==(const SourceSpec&) const = default;
-};
+  bool operator==(const KindSpec&) const = default;
 
-/// Open integrator selection: a registry kind ("rk23" -- the original
-/// engine, bit-for-bit -- or "rk23pi" -- PI step control, dense-output
-/// event roots and steady-state coasting) plus numeric overrides, e.g.
-/// "rk23pi:rtol=1e-05,coast=false". Resolved by make_sim_config through
-/// the integrator registry (sweep/registry.hpp).
-struct IntegratorSpec {
-  std::string kind = "rk23";
-  ParamMap params;
-
-  /// Round-trippable "kind" / "kind:key=value,..." form.
-  std::string spec_string() const;
-
-  /// Parses a spec string, validating the kind and its parameter keys
-  /// against the integrator registry. Defined in registry.cpp.
-  static IntegratorSpec parse(std::string_view text);
-
-  bool operator==(const IntegratorSpec&) const = default;
-};
-
-/// Open platform selection: a registry kind ("mono" -- the paper's
-/// single-domain ODROID XU4, byte-identical default -- or "biglittle" /
-/// anything registered at runtime) plus params, e.g.
-/// "biglittle:little_cores=4,big_cores=4,arbiter=demand". Resolved into
-/// a compiled soc::Platform (soc/topology.hpp) by run_scenario before
-/// control/source resolution. Like pv_mode and the integrator this is a
-/// whole-sweep knob, not an axis.
-struct PlatformSpec {
-  std::string kind = "mono";
-  ParamMap params;
-
-  /// Round-trippable "kind" / "kind:key=value,..." form.
-  std::string spec_string() const;
-
-  /// Parses a spec string, validating the kind and its parameter keys
-  /// against the platform registry. Defined in registry.cpp.
-  static PlatformSpec parse(std::string_view text);
-
-  bool operator==(const PlatformSpec&) const = default;
-};
-
-/// Open control selection: a registry kind ("pns", "static",
-/// "gov:<name>", ...) plus its parameters. The compat factories encode
-/// their typed arguments into the ParamMap losslessly (shortest_double),
-/// so a programmatically built spec and its string form drive
-/// bit-identical simulations.
-struct ControlSpec {
-  std::string kind = "pns";
-  ParamMap params;
+  // ---------------------------------------------- control-axis helpers
 
   /// Compact row identity for labels and reports: the kind alone ("pns",
   /// "gov:ondemand", "static"); parameters are deliberately omitted --
   /// SweepSpec::expand() disambiguates duplicates positionally.
-  std::string label() const { return kind; }
-
-  /// Round-trippable "kind" / "kind:key=value,..." form.
-  std::string spec_string() const;
-
-  /// Parses a spec string, validating the kind and its parameter keys
-  /// against the control registry; errors name the valid choices.
-  /// Defined in registry.cpp.
-  static ControlSpec parse(std::string_view text);
+  std::string label() const
+    requires std::same_as<Axis, ControlAxis>
+  {
+    return kind;
+  }
 
   /// The governor name of a "gov:<name>" kind; empty otherwise.
-  std::string governor_name() const;
+  std::string governor_name() const
+    requires std::same_as<Axis, ControlAxis>;
 
-  static ControlSpec power_neutral(ctl::ControllerConfig config = {});
-  static ControlSpec linux_governor(std::string name);
-  static ControlSpec static_opp_point(soc::OperatingPoint opp);
-
-  bool operator==(const ControlSpec&) const = default;
+  static KindSpec power_neutral(ctl::ControllerConfig config = {})
+    requires std::same_as<Axis, ControlAxis>;
+  static KindSpec linux_governor(std::string name)
+    requires std::same_as<Axis, ControlAxis>;
+  static KindSpec static_opp_point(soc::OperatingPoint opp)
+    requires std::same_as<Axis, ControlAxis>;
 };
+
+using ControlSpec = KindSpec<ControlAxis>;
+using SourceSpec = KindSpec<SourceAxis>;
+/// Integrator and platform are whole-sweep knobs like pv_mode: SweepSpec
+/// has no axis over them.
+using IntegratorSpec = KindSpec<IntegratorAxis>;
+using PlatformSpec = KindSpec<PlatformAxis>;
 
 /// One fully determined simulation point. Value semantics throughout: a
 /// spec can be copied, stored, compared in logs and shipped to a worker.

@@ -4,14 +4,15 @@
 #   pns_sweep_cli_test.sh /path/to/pns_sweep
 #
 # Covers the error surfaces (unknown sweep/flag must name the valid
-# choices and exit non-zero, inconsistent flag combinations are refused)
-# and the checkpoint workflows end-to-end on the quick preset: a 2-shard
+# choices and exit non-zero, inconsistent flag combinations are refused),
+# `list` byte for byte against list.golden, and the checkpoint workflows end-to-end on the quick preset: a 2-shard
 # run merged, and an interrupted run resumed, must both produce a CSV
 # byte-identical to a single uninterrupted run.
 set -eu
 
 BIN=$1
 [ -x "$BIN" ] || { echo "pns_sweep binary not found: $BIN"; exit 1; }
+LIST_GOLDEN=$(cd "$(dirname "$0")" && pwd)/list.golden
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -53,6 +54,10 @@ grep -q "valid: exact, tabulated" err.txt || \
 
 # --- the list subcommand is generated from the registries
 "$BIN" list >list.txt 2>&1 || fail "list exited non-zero"
+cmp -s list.txt "$LIST_GOLDEN" || {
+  diff "$LIST_GOLDEN" list.txt || true
+  fail "list: output differs from tests/cli/list.golden"
+}
 for needle in "pns" "gov:ondemand" "static" "solar" "shadow" "trace" \
               "flicker" "period=<double>" "up_threshold=<double>" \
               "rk23" "rk23pi" "rk23simd" "coast=<bool>" "width=<uint>" \

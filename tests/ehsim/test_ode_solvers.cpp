@@ -49,25 +49,11 @@ class Oscillator : public OdeSystem {
   double w_;
 };
 
-double euler_error(double h) {
-  ExpDecay sys(1.0);
-  std::vector<double> y{1.0};
-  integrate_euler(sys, 0.0, y, 1.0, h);
-  return std::abs(y[0] - std::exp(-1.0));
-}
-
 double rk4_error(double h) {
   ExpDecay sys(1.0);
   std::vector<double> y{1.0};
   integrate_rk4(sys, 0.0, y, 1.0, h);
   return std::abs(y[0] - std::exp(-1.0));
-}
-
-TEST(FixedStep, EulerFirstOrderConvergence) {
-  const double e1 = euler_error(0.01);
-  const double e2 = euler_error(0.005);
-  const double order = std::log2(e1 / e2);
-  EXPECT_NEAR(order, 1.0, 0.15);
 }
 
 TEST(FixedStep, Rk4FourthOrderConvergence) {

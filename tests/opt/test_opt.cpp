@@ -13,6 +13,7 @@
 #include "opt/grid_search.hpp"
 #include "opt/objective.hpp"
 #include "opt/random_search.hpp"
+#include "sim/experiment.hpp"
 #include "sweep/journal.hpp"
 #include "util/contracts.hpp"
 
@@ -41,7 +42,7 @@ TEST(ParamSet, ValidityRules) {
 
 TEST(GridSearch, FindsPeakCell) {
   const auto grid = GridSpec::paper_neighbourhood();
-  const auto result = grid_search(synthetic, grid);
+  const auto result = grid_search(batched(synthetic), grid);
   EXPECT_EQ(result.evaluated.size(), grid.size());
   // The peak cell of the synthetic objective is the paper's optimum.
   EXPECT_DOUBLE_EQ(result.best.v_width, 0.144);
@@ -53,20 +54,20 @@ TEST(GridSearch, FindsPeakCell) {
 
 TEST(GridSearch, KeepsAllEvaluations) {
   GridSpec grid{{0.1, 0.2}, {0.05}, {0.1}, {0.3}};
-  const auto result = grid_search(synthetic, grid);
+  const auto result = grid_search(batched(synthetic), grid);
   ASSERT_EQ(result.evaluated.size(), 2u);
   for (const auto& e : result.evaluated) EXPECT_LE(e.score, result.best_score);
 }
 
 TEST(GridSearch, EmptyAxisRejected) {
   GridSpec grid{{}, {0.05}, {0.1}, {0.3}};
-  EXPECT_THROW(grid_search(synthetic, grid), pns::ContractViolation);
+  EXPECT_THROW(grid_search(batched(synthetic), grid), pns::ContractViolation);
 }
 
 TEST(GridSearch, InvalidCombosScoredNegative) {
   // vq > width for one combination.
   GridSpec grid{{0.1}, {0.05, 0.2}, {0.1}, {0.3}};
-  const auto result = grid_search(synthetic, grid);
+  const auto result = grid_search(batched(synthetic), grid);
   int invalid = 0;
   for (const auto& e : result.evaluated)
     if (e.score < 0.0) ++invalid;
@@ -77,8 +78,8 @@ TEST(RandomSearch, DeterministicForSeed) {
   RandomSearchSpec spec;
   spec.iterations = 32;
   spec.seed = 99;
-  const auto a = random_search(synthetic, spec);
-  const auto b = random_search(synthetic, spec);
+  const auto a = random_search(batched(synthetic), spec);
+  const auto b = random_search(batched(synthetic), spec);
   ASSERT_EQ(a.evaluated.size(), b.evaluated.size());
   EXPECT_DOUBLE_EQ(a.best_score, b.best_score);
   EXPECT_DOUBLE_EQ(a.best.v_width, b.best.v_width);
@@ -87,7 +88,7 @@ TEST(RandomSearch, DeterministicForSeed) {
 TEST(RandomSearch, SamplesValidParamsWithinRanges) {
   RandomSearchSpec spec;
   spec.iterations = 64;
-  const auto result = random_search(synthetic, spec);
+  const auto result = random_search(batched(synthetic), spec);
   EXPECT_EQ(result.evaluated.size(), 64u);
   for (const auto& e : result.evaluated) {
     EXPECT_TRUE(e.params.valid());
@@ -105,23 +106,9 @@ TEST(RandomSearch, MoreIterationsNeverWorse) {
   RandomSearchSpec large;
   large.iterations = 64;
   large.seed = 7;
-  const auto a = random_search(synthetic, small);
-  const auto b = random_search(synthetic, large);
+  const auto a = random_search(batched(synthetic), small);
+  const auto b = random_search(batched(synthetic), large);
   EXPECT_GE(b.best_score, a.best_score);  // same stream prefix
-}
-
-TEST(BatchSearch, GridBatchMatchesPointwise) {
-  const auto grid = GridSpec::paper_neighbourhood();
-  const auto pointwise = grid_search(synthetic, grid);
-  const auto batch = grid_search(batched(synthetic), grid);
-  ASSERT_EQ(batch.evaluated.size(), pointwise.evaluated.size());
-  for (std::size_t i = 0; i < batch.evaluated.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch.evaluated[i].score, pointwise.evaluated[i].score);
-    EXPECT_DOUBLE_EQ(batch.evaluated[i].params.beta,
-                     pointwise.evaluated[i].params.beta);
-  }
-  EXPECT_DOUBLE_EQ(batch.best_score, pointwise.best_score);
-  EXPECT_DOUBLE_EQ(batch.best.v_width, pointwise.best.v_width);
 }
 
 TEST(BatchSearch, GridExpandIsCanonicalOrder) {
@@ -134,31 +121,30 @@ TEST(BatchSearch, GridExpandIsCanonicalOrder) {
   EXPECT_DOUBLE_EQ(candidates[2].v_width, 0.2);
 }
 
-TEST(BatchSearch, RandomBatchMatchesPointwise) {
-  RandomSearchSpec spec;
-  spec.iterations = 24;
-  spec.seed = 17;
-  const auto pointwise = random_search(synthetic, spec);
-  const auto batch = random_search(batched(synthetic), spec);
-  ASSERT_EQ(batch.evaluated.size(), pointwise.evaluated.size());
-  // The candidate stream must be identical: the batch overload consumes
-  // the RNG in the same order as the old interleaved loop.
-  for (std::size_t i = 0; i < batch.evaluated.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch.evaluated[i].params.v_width,
-                     pointwise.evaluated[i].params.v_width);
-    EXPECT_DOUBLE_EQ(batch.evaluated[i].score, pointwise.evaluated[i].score);
-  }
-  EXPECT_DOUBLE_EQ(batch.best_score, pointwise.best_score);
-}
-
 TEST(SweepStabilityObjective, BitIdenticalToPointwiseObjective) {
   // The sweep-backed batch objective drives the same experiment entry
   // point with the same configuration, so its scores are bit-identical to
-  // StabilityObjective -- parallel search changes nothing but wall-clock.
+  // a direct run_solar_power_neutral -- parallel search changes nothing
+  // but wall-clock.
   static soc::Platform platform = soc::Platform::odroid_xu4();
   const std::uint64_t seed = 5;
-  const auto pointwise = StabilityObjective::standard(platform, seed);
   const auto batch = SweepStabilityObjective::standard(platform, seed);
+  auto pointwise = [&](const ParamSet& p) {
+    sim::SolarScenario scenario;
+    scenario.condition = trace::WeatherCondition::kPartialSun;
+    scenario.t_start = 12.0 * 3600.0;
+    scenario.t_end = 12.25 * 3600.0;
+    scenario.seed = seed;
+    sim::SimConfig cfg = sim::solar_sim_config(scenario);
+    cfg.record_series = false;
+    ctl::ControllerConfig cc;
+    cc.v_width = p.v_width;
+    cc.v_q = p.v_q;
+    cc.alpha = p.alpha;
+    cc.beta = p.beta;
+    return sim::run_solar_power_neutral(platform, scenario, cfg, cc)
+        .metrics.fraction_in_band();
+  };
 
   const std::vector<ParamSet> candidates = {
       {0.144, 0.0479, 0.120, 0.479},  // the paper's optimum
@@ -212,24 +198,21 @@ TEST(SweepStabilityObjective, JournalCheckpointsEvaluations) {
   std::filesystem::remove(tmp);
 }
 
-TEST(StabilityObjective, ScoresRealSimulation) {
+TEST(SweepStabilityObjective, ScoresRealSimulation) {
   // Tiny scenario to keep the test fast: 2 simulated minutes.
-  static soc::Platform platform = soc::Platform::odroid_xu4();
-  sim::SolarScenario scenario;
-  scenario.condition = trace::WeatherCondition::kFullSun;
-  scenario.t_start = 12.0 * 3600.0;
-  scenario.t_end = scenario.t_start + 120.0;
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_series = false;
-  StabilityObjective obj(platform, scenario, cfg);
+  sweep::ScenarioSpec base;
+  base.condition = trace::WeatherCondition::kFullSun;
+  base.t_start = 12.0 * 3600.0;
+  base.t_end = base.t_start + 120.0;
+  const SweepStabilityObjective obj(base);
 
-  const double good = obj(ParamSet{0.144, 0.0479, 0.120, 0.479});
-  EXPECT_GE(good, 0.0);
-  EXPECT_LE(good, 1.0);
-  EXPECT_GT(good, 0.3);  // paper-tuned parameters hold the band mostly
-
-  const double invalid = obj(ParamSet{0.1, 0.2, 0.1, 0.5});
-  EXPECT_DOUBLE_EQ(invalid, -1.0);
+  const auto scores = obj({ParamSet{0.144, 0.0479, 0.120, 0.479},
+                           ParamSet{0.1, 0.2, 0.1, 0.5}});
+  ASSERT_EQ(scores.size(), 2u);
+  EXPECT_GE(scores[0], 0.0);
+  EXPECT_LE(scores[0], 1.0);
+  EXPECT_GT(scores[0], 0.3);  // paper-tuned parameters hold the band mostly
+  EXPECT_DOUBLE_EQ(scores[1], -1.0);  // invalid tuning
 }
 
 }  // namespace

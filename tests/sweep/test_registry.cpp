@@ -1,5 +1,5 @@
-// Tests for the open control/source plugin registries: spec-string round
-// trips for every registered kind, diagnostics naming the valid choices,
+// Tests for the open plugin registries: spec-string round trips, duplicate
+// rejection and diagnostics naming the valid choices on every axis,
 // lossless equivalence between the programmatic factories and their spec
 // strings, and the new trace/flicker sources end-to-end.
 #include <gtest/gtest.h>
@@ -40,29 +40,47 @@ std::string spec_with_defaults(const Entry& entry) {
                         : entry.kind + ":" + params.serialize();
 }
 
-TEST(Registry, EveryControlKindRoundTripsItsSpecString) {
-  for (const auto& entry : ControlRegistry::instance().entries()) {
+// One suite over every registry axis: the shared Registry<Axis> /
+// KindSpec<Axis> contract holds for each of them.
+template <class Axis>
+class EveryAxis : public ::testing::Test {};
+using AxisTypes =
+    ::testing::Types<ControlAxis, SourceAxis, IntegratorAxis, PlatformAxis>;
+TYPED_TEST_SUITE(EveryAxis, AxisTypes);
+
+TYPED_TEST(EveryAxis, KindsRoundTripRefuseDuplicatesAndNameEveryKind) {
+  using Spec = KindSpec<TypeParam>;
+  Registry<TypeParam>& registry = Registry<TypeParam>::instance();
+  const auto entries = registry.entries();  // copy: add() is exercised
+  ASSERT_FALSE(entries.empty());
+  EXPECT_NE(registry.find(Spec{}.kind), nullptr) << "default kind";
+  for (const auto& entry : entries) {
     // Bare kind.
-    const ControlSpec bare = ControlSpec::parse(entry.kind);
+    const Spec bare = Spec::parse(entry.kind);
     EXPECT_EQ(bare.spec_string(), entry.kind);
-    EXPECT_EQ(ControlSpec::parse(bare.spec_string()), bare);
+    EXPECT_EQ(Spec::parse(bare.spec_string()), bare);
     // Kind with every advertised parameter at its default.
     const std::string text = spec_with_defaults(entry);
-    const ControlSpec full = ControlSpec::parse(text);
+    const Spec full = Spec::parse(text);
     EXPECT_EQ(full.spec_string(), text) << entry.kind;
-    EXPECT_EQ(ControlSpec::parse(full.spec_string()), full) << entry.kind;
+    EXPECT_EQ(Spec::parse(full.spec_string()), full) << entry.kind;
+    // Registering the kind a second time is refused.
+    EXPECT_THROW(registry.add(entry), std::invalid_argument) << entry.kind;
   }
-}
+  EXPECT_EQ(registry.entries().size(), entries.size());
 
-TEST(Registry, EverySourceKindRoundTripsItsSpecString) {
-  for (const auto& entry : SourceRegistry::instance().entries()) {
-    const SourceSpec bare = SourceSpec::parse(entry.kind);
-    EXPECT_EQ(bare.spec_string(), entry.kind);
-    EXPECT_EQ(SourceSpec::parse(bare.spec_string()), bare);
-    const std::string text = spec_with_defaults(entry);
-    const SourceSpec full = SourceSpec::parse(text);
-    EXPECT_EQ(full.spec_string(), text) << entry.kind;
-    EXPECT_EQ(SourceSpec::parse(full.spec_string()), full) << entry.kind;
+  try {
+    Spec::parse("no-such-kind");
+    FAIL() << "expected ParamError";
+  } catch (const ParamError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::string("unknown ") + TypeParam::noun +
+                        " 'no-such-kind'"),
+              std::string::npos)
+        << what;
+    for (const auto& entry : entries)
+      EXPECT_NE(what.find(" " + entry.kind), std::string::npos)
+          << entry.kind << " missing from: " << what;
   }
 }
 
@@ -80,19 +98,6 @@ TEST(Registry, CompatFactoriesRoundTripThroughSpecStrings) {
       ControlSpec::static_opp_point(soc::OperatingPoint{4, {4, 2}});
   EXPECT_EQ(pin.spec_string(), "static:opp=4,little=4,big=2");
   EXPECT_EQ(ControlSpec::parse(pin.spec_string()), pin);
-}
-
-TEST(Registry, EveryIntegratorKindRoundTripsItsSpecString) {
-  for (const auto& entry : IntegratorRegistry::instance().entries()) {
-    const IntegratorSpec bare = IntegratorSpec::parse(entry.kind);
-    EXPECT_EQ(bare.spec_string(), entry.kind);
-    EXPECT_EQ(IntegratorSpec::parse(bare.spec_string()), bare);
-    const std::string text = spec_with_defaults(entry);
-    const IntegratorSpec full = IntegratorSpec::parse(text);
-    EXPECT_EQ(full.spec_string(), text) << entry.kind;
-    EXPECT_EQ(IntegratorSpec::parse(full.spec_string()), full)
-        << entry.kind;
-  }
 }
 
 TEST(Registry, RetiredRk23BatchKindResolvesToRk23Simd) {

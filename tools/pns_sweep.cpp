@@ -48,6 +48,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -214,37 +215,26 @@ void print_params(const std::vector<ParamInfo>& params) {
   }
 }
 
-/// The `list` subcommand: every registered control/source kind, its
-/// accepted parameters and the sweep presets -- generated from the
-/// registries, so it cannot go stale.
+/// One axis of the `list` subcommand: every registered kind with its
+/// accepted parameters, the axis's default kind marked.
+template <class Axis>
+void list_kinds(Axis) {
+  std::printf("%ss (--%s KIND[:key=value,...]):\n", Axis::noun, Axis::noun);
+  for (const auto& e : sweep::Registry<Axis>::instance().entries()) {
+    const bool is_default = e.kind == Axis::default_kind;
+    std::printf("  %-16s %s%s\n", e.kind.c_str(), e.summary.c_str(),
+                is_default ? " (default)" : "");
+    print_params(e.params);
+  }
+  std::printf("\n");
+}
+
+/// The `list` subcommand: every registry axis, the sweep presets and the
+/// refine metrics -- generated from the registries, so it cannot go
+/// stale.
 int run_list() {
-  std::printf("controls (--control KIND[:key=value,...]):\n");
-  for (const auto& e : sweep::ControlRegistry::instance().entries()) {
-    std::printf("  %-16s %s\n", e.kind.c_str(), e.summary.c_str());
-    print_params(e.params);
-  }
-  std::printf("\nsources (--source KIND[:key=value,...]):\n");
-  for (const auto& e : sweep::SourceRegistry::instance().entries()) {
-    std::printf("  %-16s %s\n", e.kind.c_str(), e.summary.c_str());
-    print_params(e.params);
-  }
-  std::printf("\nintegrators (--integrator KIND[:key=value,...]):\n");
-  const std::string default_integrator = sweep::IntegratorSpec{}.kind;
-  for (const auto& e : sweep::IntegratorRegistry::instance().entries()) {
-    const bool is_default = e.kind == default_integrator;
-    std::printf("  %-16s %s%s\n", e.kind.c_str(), e.summary.c_str(),
-                is_default ? " (default)" : "");
-    print_params(e.params);
-  }
-  std::printf("\nplatforms (--platform KIND[:key=value,...]):\n");
-  const std::string default_platform = sweep::PlatformSpec{}.kind;
-  for (const auto& e : sweep::PlatformRegistry::instance().entries()) {
-    const bool is_default = e.kind == default_platform;
-    std::printf("  %-16s %s%s\n", e.kind.c_str(), e.summary.c_str(),
-                is_default ? " (default)" : "");
-    print_params(e.params);
-  }
-  std::printf("\nsweep presets:\n");
+  std::apply([](auto... axis) { (list_kinds(axis), ...); }, sweep::Axes{});
+  std::printf("sweep presets:\n");
   for (const auto& p : sweep::sweep_presets())
     std::printf("  %-16s %s\n", p.name.c_str(), p.summary.c_str());
   std::printf("\nrefine metrics (--refine-metric):");
