@@ -23,7 +23,9 @@ namespace pns::sim {
 
 /// The PV array of the paper's validation setup: 1340 cm^2
 /// monocrystalline, calibrated so that at full sun Isc ~ 1.15 A,
-/// Voc ~ 6.8 V and the MPP is ~5.4 W at 5.3 V (Fig. 13).
+/// Voc ~ 6.8 V and the MPP is ~5.4 W at 5.3 V (Fig. 13). Calibrated
+/// once per process (thread-safe static initialisation); every call
+/// returns a copy of that one fit.
 ehsim::SolarCell paper_pv_array();
 
 /// The 250 cm^2 cell of Fig. 1 (area-scaled version of the same array).

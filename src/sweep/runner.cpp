@@ -90,6 +90,13 @@ std::vector<ShardIndices> plan_shards(
 
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<ScenarioSpec>& specs) const {
+  return run(specs, options_.on_outcome, nullptr);
+}
+
+std::vector<SweepOutcome> SweepRunner::run(
+    const std::vector<ScenarioSpec>& specs,
+    const std::function<void(std::size_t, const SweepOutcome&)>& on_outcome,
+    std::vector<ScenarioAssets>* caches) const {
   std::vector<SweepOutcome> outcomes(specs.size());
   if (specs.empty()) return outcomes;
 
@@ -118,29 +125,27 @@ std::vector<SweepOutcome> SweepRunner::run(
   std::size_t done = 0;  // guarded by progress_mutex
   std::mutex progress_mutex;
 
-  auto worker = [&]() {
-    // One asset cache per worker thread: rows that share a weather trace
-    // reuse it instead of re-synthesising (results are bit-identical, so
-    // the thread-count independence guarantee is unaffected).
-    ScenarioAssets assets;
+  auto worker = [&](ScenarioAssets* kept) {
+    // One asset cache per worker thread -- the caller's slot, or one on
+    // this thread's stack: rows that share a weather trace reuse it
+    // instead of re-synthesising (results are bit-identical, so the
+    // thread-count independence guarantee is unaffected). With reuse
+    // off, every unit gets a fresh one.
+    ScenarioAssets local;
+    ScenarioAssets& cache = kept ? *kept : local;
     for (;;) {
       const std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
       if (u >= units.size()) return;
       const Unit unit = units[u];
       const std::size_t rows = unit.end - unit.begin;
+      ScenarioAssets throwaway;
+      ScenarioAssets& assets = options_.reuse_assets ? cache : throwaway;
       const auto t0 = std::chrono::steady_clock::now();
       if (batch_width(specs[unit.begin]) > 0) {
         // Lockstep path (also for a lone row: width=1 degenerates to the
         // scalar call sequence inside BatchEngine, bit-identically).
-        std::vector<SweepOutcome> got;
-        if (options_.reuse_assets) {
-          got = run_scenarios_batched(specs.data() + unit.begin, rows,
-                                      assets);
-        } else {
-          ScenarioAssets throwaway;
-          got = run_scenarios_batched(specs.data() + unit.begin, rows,
-                                      throwaway);
-        }
+        std::vector<SweepOutcome> got =
+            run_scenarios_batched(specs.data() + unit.begin, rows, assets);
         // Per-row wall attribution: the unit's wall split evenly. Lanes
         // advance interleaved, so no finer per-row figure exists; CSVs,
         // JSON and canonical journal comparisons all exclude wall_s.
@@ -151,11 +156,11 @@ std::vector<SweepOutcome> SweepRunner::run(
           got[r].wall_s = wall / static_cast<double>(rows);
           outcomes[unit.begin + r] = std::move(got[r]);
         }
-        if (options_.progress || options_.on_outcome) {
+        if (options_.progress || on_outcome) {
           std::lock_guard<std::mutex> lock(progress_mutex);
           for (std::size_t r = 0; r < rows; ++r) {
-            if (options_.on_outcome)
-              options_.on_outcome(unit.begin + r, outcomes[unit.begin + r]);
+            if (on_outcome)
+              on_outcome(unit.begin + r, outcomes[unit.begin + r]);
             if (options_.progress) options_.progress(++done, specs.size());
           }
         }
@@ -165,8 +170,7 @@ std::vector<SweepOutcome> SweepRunner::run(
       SweepOutcome& out = outcomes[i];
       out.spec = specs[i];
       try {
-        out.result = options_.reuse_assets ? run_scenario(specs[i], assets)
-                                           : run_scenario(specs[i]);
+        out.result = run_scenario(specs[i], assets);
         out.ok = true;
       } catch (const std::exception& e) {
         out.error = e.what();
@@ -176,24 +180,26 @@ std::vector<SweepOutcome> SweepRunner::run(
       out.wall_s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
-      if (options_.progress || options_.on_outcome) {
+      if (options_.progress || on_outcome) {
         // Count, journal and report under one lock so completion counts
         // reach the callbacks in order and appends never interleave.
         std::lock_guard<std::mutex> lock(progress_mutex);
-        if (options_.on_outcome) options_.on_outcome(i, out);
+        if (on_outcome) on_outcome(i, out);
         if (options_.progress) options_.progress(++done, specs.size());
       }
     }
   };
 
   const unsigned n_threads = effective_threads(specs.size());
+  if (caches && caches->size() < n_threads) caches->resize(n_threads);
+  auto slot = [&](unsigned t) { return caches ? &(*caches)[t] : nullptr; };
   if (n_threads <= 1) {
-    worker();
+    worker(slot(0));
     return outcomes;
   }
   std::vector<std::thread> pool;
   pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
+  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker, slot(t));
   for (auto& th : pool) th.join();
   return outcomes;
 }
@@ -267,13 +273,12 @@ ResumeReport SweepRunner::run_checkpointed(
   // and in `fresh` for the stitch below. on_outcome already runs under
   // the runner's completion mutex, so the writer needs no extra locking.
   std::vector<SummaryRow> fresh(pending.size());
-  SweepRunner sub = *this;
-  sub.options_.on_outcome = [&](std::size_t pi, const SweepOutcome& out) {
+  const auto record = [&](std::size_t pi, const SweepOutcome& out) {
     fresh[pi] = summarize(out);
     if (journal) journal->append(global_index[pi], fresh[pi], out.wall_s);
     if (options_.on_outcome) options_.on_outcome(global_index[pi], out);
   };
-  sub.run(pending);
+  run(pending, record, nullptr);
 
   report.rows.reserve(indices.size());
   std::size_t next_fresh = 0;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sweep/aggregate.hpp"
+#include "sweep/assets.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/scenario.hpp"
 
@@ -31,8 +32,8 @@ struct SweepRunnerOptions {
   /// more threads than scenarios).
   unsigned threads = 0;
   /// Reuse immutable scenario assets (weather traces, parsed CSV traces)
-  /// across the rows a worker executes (sweep/assets.hpp). Bit-identical
-  /// to rebuilding per scenario; off exists for A/B timing
+  /// across the rows a worker thread executes (sweep/assets.hpp).
+  /// Bit-identical to rebuilding per scenario; off exists for A/B timing
   /// (tools/pns_bench_report) and debugging.
   bool reuse_assets = true;
   /// Optional progress callback, invoked after each scenario completes
@@ -106,6 +107,20 @@ class SweepRunner {
 
   /// Executes every spec and returns outcomes in spec order.
   std::vector<SweepOutcome> run(const std::vector<ScenarioSpec>& specs) const;
+
+  /// Same, but reports each outcome to `on_outcome` in place of
+  /// options.on_outcome (same threading and ordering contract) and, when
+  /// `caches` is non-null, looks scenario assets up in `*caches` -- one
+  /// ScenarioAssets per thread slot, grown to the thread count. A caller
+  /// that keeps `*caches` across calls reuses assets between them (a
+  /// sweep daemon worker over the leases of one job); two concurrent
+  /// calls must not share it. Null keeps run(specs)'s behaviour: each
+  /// worker thread's cache lives on its own stack and dies with it, so a
+  /// one-shot sweep's memory profile is that of a plain run.
+  std::vector<SweepOutcome> run(
+      const std::vector<ScenarioSpec>& specs,
+      const std::function<void(std::size_t, const SweepOutcome&)>& on_outcome,
+      std::vector<ScenarioAssets>* caches) const;
 
   /// Convenience: expand + run.
   std::vector<SweepOutcome> run(const SweepSpec& sweep) const;

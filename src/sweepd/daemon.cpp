@@ -302,24 +302,26 @@ struct Daemon::Impl {
 
   /// Picks the rows of one lease from a job's pending pool using the
   /// journalled-cost LPT planner: the pending rows are partitioned into
-  /// the number of leases we want outstanding, balanced by measured
-  /// wall_s (costs learned from resumed journals and rows completed so
-  /// far -- unmeasured rows assume the mean), and the first non-empty
-  /// part becomes this lease. Re-planning happens on every grant, so
+  /// leases of the lease size, balanced by measured wall_s (costs
+  /// learned from resumed journals and rows completed so far --
+  /// unmeasured rows assume the mean), and the first non-empty part
+  /// becomes this lease. Re-planning happens on every grant, so
   /// re-leased rows and fresh cost data are always incorporated.
   std::vector<std::size_t> plan_lease(const Job& job) {
     const std::vector<std::size_t> pending(job.pending.begin(),
                                            job.pending.end());
-    std::size_t parts;
-    if (options.lease_rows > 0) {
-      parts = (pending.size() + options.lease_rows - 1) /
-              options.lease_rows;
-    } else {
+    std::size_t lease_rows = options.lease_rows;
+    if (lease_rows == 0) {
       // Two waves per connected worker keeps everyone busy while
       // leaving enough granularity to rebalance around a slow worker
       // (cf. Gupta et al.'s online dispatch for heterogeneous speeds).
-      parts = 2 * std::max<std::size_t>(worker_count(), 1);
+      // The size comes from the whole job, not from what is left of it:
+      // dividing the shrinking pending pool instead would shrink every
+      // later lease geometrically toward one row.
+      const std::size_t waves = 2 * std::max<std::size_t>(worker_count(), 1);
+      lease_rows = (job.specs.size() + waves - 1) / waves;
     }
+    std::size_t parts = (pending.size() + lease_rows - 1) / lease_rows;
     parts = std::max<std::size_t>(
         1, std::min(parts, pending.size()));
 

@@ -51,9 +51,10 @@ struct DaemonOptions {
   /// Rows leased to a worker are returned to the pending pool when no
   /// result arrived for this long -- the crashed-worker recovery path.
   double lease_timeout_s = 120.0;
-  /// Rows per lease; 0 sizes leases automatically from the pending count
-  /// and connected-worker count (smaller leases = finer rebalancing,
-  /// more round trips).
+  /// Rows per lease; 0 sizes leases automatically as
+  /// ceil(job rows / (2 x connected workers)) -- two waves per worker,
+  /// fixed by the job's size rather than by its shrinking pending pool
+  /// (smaller leases = finer rebalancing, more round trips).
   std::size_t lease_rows = 0;
   /// Poll-again hint sent to idle workers.
   double idle_poll_s = 0.5;

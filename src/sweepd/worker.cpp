@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "sweep/assets.hpp"
 #include "sweep/runner.hpp"
 #include "sweepd/job.hpp"
 #include "sweepd/protocol.hpp"
@@ -19,10 +20,26 @@ namespace pns::sweepd {
 
 namespace {
 
+/// The job this worker last leased from: its expansion, plus the
+/// per-thread scenario-asset caches (weather traces) every lease of the
+/// job runs with, so they outlive a single lease. Both are dropped
+/// together when a lease of another job arrives.
 struct ExpandedJob {
   std::string identity;
   std::vector<sweep::ScenarioSpec> specs;
+  std::vector<sweep::ScenarioAssets> assets;
 };
+
+/// Lookups served from (hits) / added to (misses) a set of caches.
+std::pair<std::size_t, std::size_t> asset_counts(
+    const std::vector<sweep::ScenarioAssets>& caches) {
+  std::pair<std::size_t, std::size_t> n{0, 0};
+  for (const sweep::ScenarioAssets& a : caches) {
+    n.first += a.hits();
+    n.second += a.misses();
+  }
+  return n;
+}
 
 /// Thrown when the daemon link drops mid-session: run_worker's outer
 /// loop catches it and enters the reconnect path. Derives from
@@ -32,10 +49,10 @@ struct ConnLost : ProtocolError {
   ConnLost() : ProtocolError("connection to daemon lost") {}
 };
 
-/// State that must survive a reconnect: the cached job expansion plus
-/// the redelivery buffer of row lines the daemon has not yet provably
-/// processed (any later daemon reply proves processing -- TCP delivers
-/// in order).
+/// State that must survive a reconnect: the cached job (expansion and
+/// asset caches) plus the redelivery buffer of row lines the daemon has not
+/// yet provably processed (any later daemon reply proves processing --
+/// TCP delivers in order).
 struct SessionState {
   ExpandedJob cached;
   std::vector<std::string> unacked;  ///< framed row lines, oldest first
@@ -80,10 +97,8 @@ void execute_lease(net::LineConn& conn, const WorkerOptions& options,
   const std::uint64_t lease = msg.at("lease").as_uint64();
   JobSpec spec = JobSpec::from_json(msg.at("spec"));
   const std::string identity = spec.identity();
-  if (identity != state.cached.identity) {
-    state.cached.identity = identity;
-    state.cached.specs = spec.expand();
-  }
+  if (identity != state.cached.identity)
+    state.cached = ExpandedJob{identity, spec.expand(), {}};
 
   std::vector<std::size_t> global;
   std::vector<sweep::ScenarioSpec> subset;
@@ -127,10 +142,8 @@ void execute_lease(net::LineConn& conn, const WorkerOptions& options,
     }
   });
 
-  sweep::SweepRunnerOptions ropt;
-  ropt.threads = options.threads;
-  ropt.on_outcome = [&](std::size_t local,
-                        const sweep::SweepOutcome& outcome) {
+  const auto send_row = [&](std::size_t local,
+                            const sweep::SweepOutcome& outcome) {
     const sweep::SummaryRow row = sweep::summarize(outcome);
     if (!row.ok) ++report.failed;
     ++report.rows;
@@ -141,7 +154,13 @@ void execute_lease(net::LineConn& conn, const WorkerOptions& options,
     if (!peer_lost.load() && !conn.send_line_blocking(line))
       peer_lost.store(true);
   };
-  sweep::SweepRunner(ropt).run(subset);
+  sweep::SweepRunnerOptions ropt;
+  ropt.threads = options.threads;
+  const auto [hits0, misses0] = asset_counts(state.cached.assets);
+  sweep::SweepRunner(ropt).run(subset, send_row, &state.cached.assets);
+  const auto [hits1, misses1] = asset_counts(state.cached.assets);
+  report.asset_hits += hits1 - hits0;
+  report.asset_misses += misses1 - misses0;
 
   {
     std::lock_guard<std::mutex> lk(hb_mutex);
@@ -274,7 +293,9 @@ WorkerReport run_worker(const WorkerOptions& options) {
                       " failed, " + std::to_string(report.reconnects) +
                       " reconnects, " +
                       std::to_string(report.redelivered) +
-                      " redelivered)");
+                      " redelivered, " + std::to_string(report.asset_hits) +
+                      " asset hits, " + std::to_string(report.asset_misses) +
+                      " asset misses)");
   return report;
 }
 

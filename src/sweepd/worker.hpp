@@ -1,13 +1,20 @@
 // Pull-worker for the sweep daemon (`pns_sweep worker --connect ...`).
 //
-// A worker is stateless: it connects, announces itself, and then pulls
-// leases until told there is nothing left. Each lease carries the job's
-// full JobSpec plus the global row indices to execute, so the worker
-// expands the very same scenario list the daemon holds (shared preset +
-// registry code, pinned by the sweep identity) and runs the leased subset
-// on a local SweepRunner -- streaming every row back the moment it
-// completes, in completion order. The daemon re-orders by global index,
-// so worker count, speed and interleaving never show in the output.
+// A worker holds no state the daemon depends on: it connects, announces
+// itself, and then pulls leases until told there is nothing left. Each
+// lease carries the job's full JobSpec plus the global row indices to
+// execute, so the worker expands the very same scenario list the daemon
+// holds (shared preset + registry code, pinned by the sweep identity) and
+// runs the leased subset on a local SweepRunner -- streaming every row
+// back the moment it completes, in completion order. The daemon re-orders
+// by global index, so worker count, speed and interleaving never show in
+// the output.
+//
+// Job-scoped reuse: the expansion and the runner's per-thread
+// scenario-asset caches are kept for as long as leases keep naming the
+// same job identity, so a job's later leases reuse the weather traces
+// its earlier leases synthesised. A lease of another job drops both;
+// reuse is bit-identical to rebuilding.
 //
 // Self-healing: while a lease executes, a heartbeat thread beacons the
 // daemon so a slow-but-alive worker never loses its lease to the
@@ -68,6 +75,10 @@ struct WorkerReport {
   std::size_t failed = 0;       ///< rows whose scenario failed (ok == false)
   std::size_t reconnects = 0;   ///< sessions re-established after a drop
   std::size_t redelivered = 0;  ///< buffered rows re-sent on reconnect
+  /// Scenario-asset lookups (weather traces) served from / added to the
+  /// worker's job-scoped caches (sweep::ScenarioAssets::hits/misses).
+  std::size_t asset_hits = 0;
+  std::size_t asset_misses = 0;
 };
 
 /// Runs the worker loop until the daemon says goodbye, the work runs dry

@@ -1,6 +1,10 @@
 // Tests for the experiment scenario helpers (sim/experiment).
 #include "sim/experiment.hpp"
 
+#include <cstdlib>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace pns::sim {
@@ -23,6 +27,49 @@ TEST(Fig1PvCell, AreaScaledDown) {
   auto small = fig1_pv_cell();
   EXPECT_NEAR(small.mpp(1000.0).power / big.mpp(1000.0).power,
               250.0 / 1340.0, 0.01);
+}
+
+bool same_params(const ehsim::SolarCellParams& a,
+                 const ehsim::SolarCellParams& b) {
+  return a.i0 == b.i0 && a.vt_eff == b.vt_eff && a.rs == b.rs &&
+         a.rp == b.rp && a.il_ref == b.il_ref && a.g_ref == b.g_ref;
+}
+
+void expect_same_params(const ehsim::SolarCellParams& a,
+                        const ehsim::SolarCellParams& b) {
+  EXPECT_EQ(a.i0, b.i0);
+  EXPECT_EQ(a.vt_eff, b.vt_eff);
+  EXPECT_EQ(a.rs, b.rs);
+  EXPECT_EQ(a.rp, b.rp);
+  EXPECT_EQ(a.il_ref, b.il_ref);
+  EXPECT_EQ(a.g_ref, b.g_ref);
+}
+
+TEST(PaperPvArray, CalibratedOnceBitIdenticalToFreshCalibration) {
+  const ehsim::SolarCell fresh =
+      ehsim::SolarCell::calibrate(6.8, 1.15, 5.3, 0.30, 200.0);
+
+  // Earlier tests in this binary have already made the first call, so
+  // the racing first call runs in a child: the threadsafe death-test
+  // style re-executes the binary for this test alone.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::vector<ehsim::SolarCellParams> seen(4);
+        std::vector<std::thread> threads;
+        for (std::size_t k = 0; k < seen.size(); ++k)
+          threads.emplace_back(
+              [&seen, k] { seen[k] = paper_pv_array().params(); });
+        for (auto& t : threads) t.join();
+        bool all_same = true;
+        for (const auto& p : seen) all_same &= same_params(p, fresh.params());
+        std::exit(all_same ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  expect_same_params(paper_pv_array().params(), fresh.params());
+  expect_same_params(fig1_pv_cell().params(),
+                     fresh.scaled_area(250.0 / 1340.0).params());
 }
 
 TEST(PaperClearSky, DaylightWindow) {

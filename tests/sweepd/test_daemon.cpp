@@ -59,6 +59,15 @@ JobSpec quick_job() {
   return spec;
 }
 
+/// An 18-row job: the table2 preset (6 schemes x 3 weather seeds) over a
+/// one-minute window.
+JobSpec table2_job() {
+  JobSpec spec;
+  spec.preset = "table2";
+  spec.minutes = 1.0;
+  return spec;
+}
+
 /// Ground truth: the same sweep executed locally, as index -> row.
 std::map<std::size_t, sweep::SummaryRow> local_rows(const JobSpec& spec) {
   sweep::SweepRunnerOptions opt;
@@ -201,6 +210,75 @@ TEST(Daemon, TwoWorkersMatchLocalByteForByte) {
   EXPECT_EQ(status.jobs[0].duplicates, 0u);
 
   expect_distributed_equals_local(ep, submitted.job, spec);
+}
+
+TEST(Daemon, AutoLeasesAreSizedFromTheJob) {
+  TempDir state("pns-sweepd-autolease");
+  TestDaemon td(state.path());  // lease_rows = 0: sized automatically
+  const net::Endpoint ep = td.endpoint();
+  const JobSpec spec = table2_job();
+  const SubmitResult submitted = submit_job(ep, spec);
+  ASSERT_EQ(submitted.total, 18u);
+
+  WorkerReport r1, r2;
+  std::thread w1([&] { r1 = run_worker(worker_options(ep)); });
+  std::thread w2([&] { r2 = run_worker(worker_options(ep)); });
+  w1.join();
+  w2.join();
+  EXPECT_EQ(r1.rows + r2.rows, submitted.total);
+  // Two waves per worker, sized from the whole job: leases of about
+  // ceil(18 / 4) = 5 rows, however far the job has drained. Sizing from
+  // the pending pool instead shrinks them toward one row (11 leases).
+  EXPECT_LE(r1.leases + r2.leases, 4u);
+
+  const StatusReport status = fetch_status(ep);
+  ASSERT_EQ(status.jobs.size(), 1u);
+  EXPECT_TRUE(status.jobs[0].complete);
+  EXPECT_EQ(status.jobs[0].duplicates, 0u);
+  expect_distributed_equals_local(ep, submitted.job, spec);
+}
+
+TEST(Daemon, WorkerKeepsAssetsForTheJobAndDropsThemOnAJobSwitch) {
+  TempDir state("pns-sweepd-assets");
+  // One-row leases: a cache that lived for one lease would miss on
+  // every row.
+  TestDaemon td(state.path(), 30.0, /*lease_rows=*/1);
+  const net::Endpoint ep = td.endpoint();
+  // A (3 weather traces), then B (2 traces), then A again. One worker
+  // drains them in submission order.
+  const std::vector<JobSpec> specs = {table2_job(), quick_job(),
+                                      table2_job()};
+  std::vector<std::string> ids;
+  std::size_t total = 0;
+  for (const JobSpec& spec : specs) {
+    const SubmitResult submitted = submit_job(ep, spec);
+    ids.push_back(submitted.job);
+    total += submitted.total;
+  }
+
+  std::vector<std::string> log;
+  WorkerOptions wopt = worker_options(ep);
+  wopt.threads = 1;
+  wopt.log = [&](const std::string& line) { log.push_back(line); };
+  const WorkerReport report = run_worker(wopt);
+  EXPECT_EQ(report.rows, total);
+  EXPECT_EQ(report.leases, total);
+
+  // Each visit to a job synthesises each of its traces once and every
+  // later lease of that job hits. The return to A misses again: the
+  // switch to B dropped A's cache.
+  const std::size_t misses = 3 + 2 + 3;
+  EXPECT_EQ(report.asset_misses, misses);
+  EXPECT_EQ(report.asset_hits, total - misses);
+  ASSERT_FALSE(log.empty());
+  EXPECT_NE(log.back().find(std::to_string(total - misses) +
+                            " asset hits, " + std::to_string(misses) +
+                            " asset misses"),
+            std::string::npos)
+      << log.back();
+
+  for (std::size_t j = 0; j < specs.size(); ++j)
+    expect_distributed_equals_local(ep, ids[j], specs[j]);
 }
 
 TEST(Daemon, ServesUnixSockets) {
