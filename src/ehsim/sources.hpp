@@ -21,8 +21,9 @@ namespace pns::ehsim {
 /// Accounting of the PV implicit solves behind a PvSource (and of the
 /// packed kernel executing them in batched runs). Pure observability:
 /// counting changes no arithmetic, and none of these numbers reach the
-/// default CSV/JSON emitters -- they surface through pns_bench_report
-/// and the batch stepper stats, where kernel wins must be attributable.
+/// default CSV/JSON emitters -- they surface through pnsbench's
+/// `ehsim.pv_*` metrics and the batch stepper stats, where kernel wins
+/// must be attributable.
 struct PvSolveStats {
   std::uint64_t calls = 0;         ///< current() evaluations
   std::uint64_t table_hits = 0;    ///< answered by the bilinear table

@@ -2,9 +2,19 @@
 
 #include "governors/registry.hpp"
 #include "governors/static_governor.hpp"
-#include "util/contracts.hpp"
 
 namespace pns::sim {
+
+namespace {
+
+// One lambda per alternative: std::visit over an Overloaded set fails to
+// compile when an alternative has no handler.
+template <class... Ts>
+struct Overloaded : Ts... {
+  using Ts::operator()...;
+};
+
+}  // namespace
 
 ehsim::SolarCell paper_pv_array() {
   // Fig. 13 anchors: Voc ~ 6.8 V, Isc ~ 1.15 A, MPP voltage 5.3 V. The
@@ -107,26 +117,17 @@ ehsim::PvSource make_solar_source(const SolarScenario& scenario) {
 
 ControlSelection ControlSelection::power_neutral(
     ctl::ControllerConfig config) {
-  ControlSelection sel;
-  sel.kind = ControlKind::kPowerNeutral;
-  sel.controller = config;
-  return sel;
+  return ControlSelection{config};
 }
 
 ControlSelection ControlSelection::governed(
     std::unique_ptr<gov::Governor> governor) {
-  ControlSelection sel;
-  sel.kind = ControlKind::kGovernor;
-  sel.governor = std::move(governor);
-  return sel;
+  return ControlSelection{std::move(governor)};
 }
 
 ControlSelection ControlSelection::pinned(
     std::optional<soc::OperatingPoint> opp) {
-  ControlSelection sel;
-  sel.kind = ControlKind::kStatic;
-  sel.static_opp = opp;
-  return sel;
+  return ControlSelection{opp};
 }
 
 SimResult run_pv_control(const soc::Platform& platform,
@@ -145,47 +146,46 @@ EngineBundle make_pv_engine(const soc::Platform& platform,
   EngineBundle bundle;
   bundle.workload = std::make_unique<soc::RaytraceWorkload>(
       platform.perf.params().instr_per_frame);
-  switch (control.kind) {
-    case ControlKind::kPowerNeutral: {
-      if (warm_start) {
-        // Anchor the regulation window at the calibrated MPP target (the
-        // paper sets Vc,target to the array's MPP of 5.3 V); the window
-        // may still track all the way down when harvest is scarce.
-        if (control.controller.v_ceiling == 0.0 && sim_config.v_target > 0.0)
-          control.controller.v_ceiling =
-              sim_config.v_target * (1.0 + sim_config.band_fraction) - 0.02;
-        // Warm start: the paper records systems that are already in
-        // regulation, so begin at the best OPP the opening harvest can
-        // sustain.
-        if (!sim_config.initial_opp)
-          sim_config.initial_opp = balanced_opp(
-              platform, source.available_power(sim_config.t_start));
-      }
-      bundle.engine = std::make_unique<SimEngine>(
-          platform, source, *bundle.workload, std::move(sim_config),
-          control.controller);
-      return bundle;
-    }
-    case ControlKind::kGovernor: {
-      // Stock Linux keeps every core online; governors only move
-      // frequency.
-      if (warm_start && !sim_config.initial_opp)
-        sim_config.initial_opp =
-            soc::OperatingPoint{platform.opps.min_index(),
-                                platform.max_cores};
-      bundle.engine = std::make_unique<SimEngine>(
-          platform, source, *bundle.workload, std::move(sim_config),
-          std::move(control.governor));
-      return bundle;
-    }
-    case ControlKind::kStatic: {
-      if (control.static_opp) sim_config.initial_opp = control.static_opp;
-      bundle.engine = std::make_unique<SimEngine>(
-          platform, source, *bundle.workload, std::move(sim_config));
-      return bundle;
-    }
-  }
-  PNS_EXPECTS(false && "unreachable: unknown ControlKind");
+  std::visit(
+      Overloaded{
+          [&](ctl::ControllerConfig& controller) {
+            if (warm_start) {
+              // Anchor the regulation window at the calibrated MPP target
+              // (the paper sets Vc,target to the array's MPP of 5.3 V); the
+              // window may still track all the way down when harvest is
+              // scarce.
+              if (controller.v_ceiling == 0.0 && sim_config.v_target > 0.0)
+                controller.v_ceiling =
+                    sim_config.v_target * (1.0 + sim_config.band_fraction) -
+                    0.02;
+              // Warm start: the paper records systems that are already in
+              // regulation, so begin at the best OPP the opening harvest
+              // can sustain.
+              if (!sim_config.initial_opp)
+                sim_config.initial_opp = balanced_opp(
+                    platform, source.available_power(sim_config.t_start));
+            }
+            bundle.engine = std::make_unique<SimEngine>(
+                platform, source, *bundle.workload, std::move(sim_config),
+                controller);
+          },
+          [&](std::unique_ptr<gov::Governor>& governor) {
+            // Stock Linux keeps every core online; governors only move
+            // frequency.
+            if (warm_start && !sim_config.initial_opp)
+              sim_config.initial_opp = soc::OperatingPoint{
+                  platform.opps.min_index(), platform.max_cores};
+            bundle.engine = std::make_unique<SimEngine>(
+                platform, source, *bundle.workload, std::move(sim_config),
+                std::move(governor));
+          },
+          [&](std::optional<soc::OperatingPoint>& opp) {
+            if (opp) sim_config.initial_opp = opp;
+            bundle.engine = std::make_unique<SimEngine>(
+                platform, source, *bundle.workload, std::move(sim_config));
+          },
+      },
+      control.scheme);
   return bundle;
 }
 

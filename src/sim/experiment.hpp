@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <variant>
 
 #include "core/controller.hpp"
 #include "ehsim/solar_cell.hpp"
@@ -52,21 +53,17 @@ struct SolarScenario {
   ehsim::PvSource::Mode pv_mode = ehsim::PvSource::Mode::kExact;
 };
 
-/// Control selection for a run.
-enum class ControlKind { kPowerNeutral, kGovernor, kStatic };
-
 /// A fully resolved control scheme, ready to drive one engine: the
-/// controller tuning for kPowerNeutral, a constructed governor for
-/// kGovernor, the pinned operating point (when any) for kStatic. This is
-/// what the sweep registry's control factories produce; move-only because
-/// it owns the governor.
+/// controller tuning for power-neutral control, a constructed governor,
+/// or the pinned operating point (nullopt leaves config.initial_opp in
+/// force) for a static run. A default-constructed selection is
+/// power-neutral with the default tuning. This is what the sweep
+/// registry's control factories produce; move-only because it owns the
+/// governor.
 struct ControlSelection {
-  ControlKind kind = ControlKind::kPowerNeutral;
-  ctl::ControllerConfig controller{};            ///< kPowerNeutral only
-  std::unique_ptr<gov::Governor> governor;       ///< kGovernor only
-  std::optional<soc::OperatingPoint> static_opp; ///< kStatic; leaves
-                                                 ///< config.initial_opp
-                                                 ///< in force when unset
+  std::variant<ctl::ControllerConfig, std::unique_ptr<gov::Governor>,
+               std::optional<soc::OperatingPoint>>
+      scheme;
 
   static ControlSelection power_neutral(ctl::ControllerConfig config = {});
   static ControlSelection governed(std::unique_ptr<gov::Governor> governor);
@@ -78,13 +75,14 @@ struct ControlSelection {
 /// control scheme's warm-start defaults (only when `warm_start`; the
 /// shadowing scenarios start from the spec's explicit operating point)
 /// and runs one engine over `source`:
-///   * kPowerNeutral + warm_start: anchors controller.v_ceiling just
+///   * power-neutral + warm_start: anchors controller.v_ceiling just
 ///     above the regulation target and starts at the best OPP the opening
 ///     harvest can sustain (balanced_opp) -- the paper records systems
 ///     already in regulation.
-///   * kGovernor + warm_start: starts at the lowest frequency with every
+///   * governor + warm_start: starts at the lowest frequency with every
 ///     core online (stock Linux never hot-plugs).
-///   * kStatic: pins config.initial_opp to `static_opp` when set.
+///   * pinned: sets config.initial_opp to the pinned point when one is
+///     given.
 SimResult run_pv_control(const soc::Platform& platform,
                          const ehsim::CurrentSource& source,
                          ControlSelection control, SimConfig sim_config,

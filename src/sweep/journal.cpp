@@ -469,4 +469,15 @@ JournalContents read_journal(const std::string& path,
   return contents;
 }
 
+void check_journal_rows(const std::string& path,
+                        const std::map<std::size_t, SummaryRow>& rows,
+                        const std::vector<ScenarioSpec>& specs) {
+  for (const auto& [i, row] : rows) {
+    if (i >= specs.size() || row.label != specs[i].label)
+      throw JournalError(path + ": journaled row does not match scenario " +
+                         std::to_string(i) +
+                         " -- delete the journal to start over");
+  }
+}
+
 }  // namespace pns::sweep

@@ -165,6 +165,15 @@ JournalContents read_journal(const std::string& path);
 JournalContents read_journal(const std::string& path,
                              const JournalHeader& expected);
 
+/// The rule for reusing journalled rows: each must carry the label of
+/// the scenario at its index. Anything else means the journal belongs to
+/// a differently parameterised sweep (same name and size, different
+/// axes), whose rows would corrupt the merge. Throws JournalError naming
+/// `path` and the first offending index.
+void check_journal_rows(const std::string& path,
+                        const std::map<std::size_t, SummaryRow>& rows,
+                        const std::vector<ScenarioSpec>& specs);
+
 /// Rewrites the journal at `in_path` as its header plus ONE aggregate
 /// "rows" block holding every completed row (and recorded cost) -- the
 /// compaction the `pns_sweep compact` subcommand exposes. A long-lived

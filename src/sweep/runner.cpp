@@ -129,17 +129,14 @@ std::vector<SweepOutcome> SweepRunner::run(
     // One asset cache per worker thread -- the caller's slot, or one on
     // this thread's stack: rows that share a weather trace reuse it
     // instead of re-synthesising (results are bit-identical, so the
-    // thread-count independence guarantee is unaffected). With reuse
-    // off, every unit gets a fresh one.
+    // thread-count independence guarantee is unaffected).
     ScenarioAssets local;
-    ScenarioAssets& cache = kept ? *kept : local;
+    ScenarioAssets& assets = kept ? *kept : local;
     for (;;) {
       const std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
       if (u >= units.size()) return;
       const Unit unit = units[u];
       const std::size_t rows = unit.end - unit.begin;
-      ScenarioAssets throwaway;
-      ScenarioAssets& assets = options_.reuse_assets ? cache : throwaway;
       const auto t0 = std::chrono::steady_clock::now();
       if (batch_width(specs[unit.begin]) > 0) {
         // Lockstep path (also for a lone row: width=1 degenerates to the
@@ -234,16 +231,7 @@ ResumeReport SweepRunner::run_checkpointed(
   if (journal_exists) {
     JournalContents contents = read_journal(journal_path, header);
     done = std::move(contents.rows);
-    // A journaled row must describe the spec at its index; anything else
-    // means the journal belongs to a differently parameterised sweep
-    // (same name/size, different axes), which would corrupt the merge.
-    for (const auto& [i, row] : done) {
-      if (i >= specs.size() || row.label != specs[i].label)
-        throw JournalError(journal_path +
-                           ": journaled row does not match scenario " +
-                           std::to_string(i) +
-                           " -- delete the journal to start over");
-    }
+    check_journal_rows(journal_path, done, specs);
   }
 
   // Gather the shard's pending specs (journal misses), keeping their

@@ -31,11 +31,6 @@ struct SweepRunnerOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency() (and never
   /// more threads than scenarios).
   unsigned threads = 0;
-  /// Reuse immutable scenario assets (weather traces, parsed CSV traces)
-  /// across the rows a worker thread executes (sweep/assets.hpp).
-  /// Bit-identical to rebuilding per scenario; off exists for A/B timing
-  /// (tools/pns_bench_report) and debugging.
-  bool reuse_assets = true;
   /// Optional progress callback, invoked after each scenario completes
   /// with (completed, total). Called from worker threads under a mutex.
   std::function<void(std::size_t, std::size_t)> progress;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <string>
 #include <unordered_set>
+#include <variant>
 
 #include "sweep/registry.hpp"
 #include "sweep/presets.hpp"
@@ -231,20 +232,26 @@ TEST(Registry, GovernorParamsReachTheGovernor) {
   const auto spec = tiny_solar_spec();
   auto control = ControlSpec::parse("gov:ondemand:period=0.05");
   const auto sel = resolve_control(control, spec);
-  ASSERT_EQ(sel.kind, sim::ControlKind::kGovernor);
-  ASSERT_NE(sel.governor, nullptr);
-  EXPECT_DOUBLE_EQ(sel.governor->sampling_period(), 0.05);
+  const auto* governor =
+      std::get_if<std::unique_ptr<gov::Governor>>(&sel.scheme);
+  ASSERT_NE(governor, nullptr);
+  ASSERT_NE(*governor, nullptr);
+  EXPECT_DOUBLE_EQ((*governor)->sampling_period(), 0.05);
 }
 
 TEST(Registry, ControllerParamsReachTheConfig) {
   const auto spec = tiny_solar_spec();
   auto control = ControlSpec::parse("pns:v_q=0.04,ordering=freq-first");
   const auto sel = resolve_control(control, spec);
-  ASSERT_EQ(sel.kind, sim::ControlKind::kPowerNeutral);
-  EXPECT_DOUBLE_EQ(sel.controller.v_q, 0.04);
-  EXPECT_EQ(sel.controller.ordering, soc::OrderingPolicy::kFreqFirst);
+  const auto* controller = std::get_if<ctl::ControllerConfig>(&sel.scheme);
+  ASSERT_NE(controller, nullptr);
+  EXPECT_DOUBLE_EQ(controller->v_q, 0.04);
+  EXPECT_EQ(controller->ordering, soc::OrderingPolicy::kFreqFirst);
   // Untouched keys keep their defaults.
-  EXPECT_DOUBLE_EQ(sel.controller.v_width, ctl::ControllerConfig{}.v_width);
+  EXPECT_DOUBLE_EQ(controller->v_width, ctl::ControllerConfig{}.v_width);
+  // With nothing selected, control stays power-neutral.
+  EXPECT_TRUE(std::holds_alternative<ctl::ControllerConfig>(
+      sim::ControlSelection{}.scheme));
 }
 
 TEST(Registry, StaticParamsResolveTheOperatingPoint) {
@@ -252,10 +259,12 @@ TEST(Registry, StaticParamsResolveTheOperatingPoint) {
   const auto sel =
       resolve_control(ControlSpec::parse("static:opp=4,little=4,big=2"),
                       spec);
-  ASSERT_EQ(sel.kind, sim::ControlKind::kStatic);
-  ASSERT_TRUE(sel.static_opp.has_value());
-  EXPECT_EQ(sel.static_opp->freq_index, 4u);
-  EXPECT_EQ(sel.static_opp->cores, (soc::CoreConfig{4, 2}));
+  const auto* opp =
+      std::get_if<std::optional<soc::OperatingPoint>>(&sel.scheme);
+  ASSERT_NE(opp, nullptr);
+  ASSERT_TRUE(opp->has_value());
+  EXPECT_EQ((*opp)->freq_index, 4u);
+  EXPECT_EQ((*opp)->cores, (soc::CoreConfig{4, 2}));
   EXPECT_THROW(
       resolve_control(ControlSpec::parse("static:opp=99"), spec),
       ParamError);

@@ -284,14 +284,17 @@ TEST(SweepRunner, Rk23PiAggregateBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(SweepRunner, AssetReuseBitIdenticalToRebuilding) {
-  // Cached weather traces are pure functions of their keys: disabling
-  // the per-worker asset cache must not move a single output bit.
-  const auto sw = determinism_sweep();
-  SweepRunnerOptions no_reuse_opt;
-  no_reuse_opt.threads = 2;
-  no_reuse_opt.reuse_assets = false;
-  const auto reused = runner_with(2).run(sw);
-  const auto rebuilt = SweepRunner(no_reuse_opt).run(sw);
+  // Cached weather traces are pure functions of their keys: rows that
+  // share a runner thread's asset cache must publish the same bytes as
+  // rows each built from scratch by a cache-free run_scenario call.
+  const auto specs = determinism_sweep().expand();
+  const auto reused = runner_with(2).run(specs);
+  std::vector<SweepOutcome> rebuilt(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    rebuilt[i].spec = specs[i];
+    rebuilt[i].result = run_scenario(specs[i]);
+    rebuilt[i].ok = true;
+  }
   EXPECT_EQ(csv_of(reused), csv_of(rebuilt));
 }
 

@@ -9,9 +9,12 @@
 // the same sweep byte for byte.
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -107,11 +110,13 @@ class TestDaemon {
  public:
   explicit TestDaemon(const std::string& state_dir,
                       double lease_timeout_s = 30.0,
-                      std::size_t lease_rows = 0) {
+                      std::size_t lease_rows = 0,
+                      std::function<void(const std::string&)> log = {}) {
     options_.endpoint = net::Endpoint::parse("tcp:127.0.0.1:0");
     options_.state_dir = state_dir;
     options_.lease_timeout_s = lease_timeout_s;
     options_.lease_rows = lease_rows;
+    options_.log = std::move(log);
     options_.idle_poll_s = 0.02;  // fast idle polling keeps tests quick
     daemon_.emplace(options_);
     daemon_->bind();
@@ -448,6 +453,64 @@ TEST(Daemon, RestartResumesFromJournalByteIdentically) {
   EXPECT_EQ(finish.rows, local.size() - 4);
 
   expect_distributed_equals_local(ep, job_id, spec);
+}
+
+TEST(Daemon, ReloadSkipsAJobWhoseJournalRowsDoNotMatchItsSpecs) {
+  TempDir state("pns-sweepd-relabel");
+  const JobSpec bad = table2_job();
+  const JobSpec good = quick_job();
+  std::string bad_id, good_id;
+  {
+    TestDaemon td(state.path());
+    bad_id = submit_job(td.endpoint(), bad).job;
+    good_id = submit_job(td.endpoint(), good).job;
+  }
+
+  // Rewrite the first job's journal with one well-formed (CRC-checked)
+  // row at index 0 that carries scenario 1's label: the journal reads
+  // back cleanly, so only the label rule can catch it.
+  const auto specs = bad.expand();
+  {
+    sweep::JournalWriter writer = sweep::JournalWriter::create(
+        state.path() + "/" + bad_id + ".jsonl",
+        sweep::JournalHeader{bad.identity(), specs.size()});
+    sweep::SummaryRow relabelled;
+    relabelled.label = specs[1].label;
+    relabelled.ok = true;
+    writer.append(0, relabelled);
+  }
+
+  std::mutex log_mutex;
+  std::vector<std::string> log;
+  TestDaemon td(state.path(), 30.0, 0, [&](const std::string& line) {
+    std::lock_guard<std::mutex> lock(log_mutex);
+    log.push_back(line);
+  });
+  const net::Endpoint ep = td.endpoint();
+  {
+    const StatusReport status = fetch_status(ep);
+    ASSERT_EQ(status.jobs.size(), 1u);
+    EXPECT_EQ(status.jobs[0].job, good_id);
+  }
+  const WorkerReport report = run_worker(worker_options(ep));
+  EXPECT_EQ(report.rows, good.expand().size());
+  expect_distributed_equals_local(ep, good_id, good);
+  td.stop();
+
+  const std::vector<JobStatus> jobs = td.daemon().jobs();
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].job, good_id);
+  const std::string diagnostic = "skipping " + state.path() + "/" + bad_id +
+                                 ".spec.json: " + state.path() + "/" +
+                                 bad_id +
+                                 ".jsonl: journaled row does not match "
+                                 "scenario 0";
+  std::lock_guard<std::mutex> lock(log_mutex);
+  EXPECT_TRUE(std::any_of(log.begin(), log.end(),
+                          [&](const std::string& line) {
+                            return line.rfind(diagnostic, 0) == 0;
+                          }))
+      << "no line starts with: " << diagnostic;
 }
 
 // ------------------------------------------------------------- robustness
