@@ -9,12 +9,11 @@
 #include <cstdio>
 #include <iostream>
 
-#include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace pns;
-  const soc::Platform board = soc::Platform::odroid_xu4();
 
   std::printf("Ablation: transition ordering under live full-sun "
               "harvesting (15 min x 3 seeds; supply always sufficient, so\n"
@@ -29,18 +28,15 @@ int main() {
       std::size_t brownouts = 0;
       double band = 0.0, instr = 0.0;
       for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
-        sim::SolarScenario scenario;
-        scenario.condition = trace::WeatherCondition::kFullSun;
-        scenario.t_start = 12.0 * 3600.0;
-        scenario.t_end = scenario.t_start + 900.0;
-        scenario.seed = seed;
-        auto cfg = sim::solar_sim_config(scenario);
-        cfg.capacitance_f = cap_mf * 1e-3;
-        cfg.record_series = false;
+        sweep::ScenarioSpec spec;  // full sun
+        spec.t_start = 12.0 * 3600.0;
+        spec.t_end = spec.t_start + 900.0;
+        spec.seed = seed;
+        spec.capacitance_f = cap_mf * 1e-3;
         ctl::ControllerConfig ctl_cfg;
         ctl_cfg.ordering = ordering;
-        const auto r =
-            sim::run_solar_power_neutral(board, scenario, cfg, ctl_cfg);
+        spec.control = sweep::ControlSpec::power_neutral(ctl_cfg);
+        const auto r = sweep::run_scenario(spec);
         brownouts += r.metrics.brownouts;
         band += r.metrics.fraction_in_band() / 3.0;
         instr += r.metrics.instructions / 3.0;

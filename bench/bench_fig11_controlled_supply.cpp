@@ -47,7 +47,13 @@ int main() {
   std::printf(
       "Fig. 11: controlled variable supply, Vwidth=335 mV Vq=190 mV "
       "alpha=0.238 beta=0.633\n\n");
-  const auto r = run_controlled_supply(board, profile, 0.45, cfg, ctl_cfg);
+  // The bench supply sits behind 0.45 ohm of series resistance.
+  const ehsim::ControlledSupply supply(profile.as_function(), 0.45);
+  const auto r =
+      sim::make_pv_engine(board, supply,
+                          sim::ControlSelection::power_neutral(ctl_cfg), cfg,
+                          /*warm_start=*/false)
+          .engine->run();
 
   ConsoleTable traj({"t (s)", "Vsupply (V)", "VC (V)", "f (MHz)",
                      "LITTLE", "total cores"});

@@ -8,32 +8,28 @@
 #include <cstdio>
 #include <iostream>
 
-#include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace pns;
-  const soc::Platform board = soc::Platform::odroid_xu4();
 
-  sim::SolarScenario scenario;
-  scenario.condition = trace::WeatherCondition::kFullSun;
-  scenario.t_start = 10.5 * 3600.0;
-  scenario.t_end = 16.5 * 3600.0;
-  scenario.seed = 403155;  // the paper's dataset DOI suffix, for fun
-
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_interval_s = 5.0;
+  sweep::ScenarioSpec spec;  // full sun, 10:30-16:30, 47 mF, 5.3 V target
+  spec.seed = 403155;  // the paper's dataset DOI suffix, for fun
+  spec.record_series = true;
+  spec.record_interval_s = 5.0;
   // The paper's recording starts mid-day on an already-running system;
   // begin at a near-balanced OPP instead of cold-starting at the bottom.
-  cfg.initial_opp = soc::OperatingPoint{5, {4, 2}};
+  spec.initial_opp = soc::OperatingPoint{5, {4, 2}};
 
+  const auto r = sweep::run_scenario(spec);
+  const double v_target = r.metrics.v_target;
   std::printf("Fig. 12: VC under full sun, 10:30-16:30, 47 mF buffer, "
-              "target %.1f V +/- 5%%\n\n", cfg.v_target);
-  const auto r = sim::run_solar_power_neutral(board, scenario, cfg);
+              "target %.1f V +/- 5%%\n\n", v_target);
 
   ConsoleTable traj({"time", "VC (V)", "in band?"});
-  const double lo = cfg.v_target * 0.95, hi = cfg.v_target * 1.05;
-  for (double t = scenario.t_start; t <= scenario.t_end; t += 1800.0) {
+  const double lo = v_target * 0.95, hi = v_target * 1.05;
+  for (double t = spec.t_start; t <= spec.t_end; t += 1800.0) {
     const double v = r.series.vc.at(t);
     traj.add_row({fmt_hhmm(t), fmt_double(v, 3),
                   (v >= lo && v <= hi) ? "yes" : "NO"});

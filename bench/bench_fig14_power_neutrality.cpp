@@ -11,29 +11,25 @@
 #include <cstdio>
 #include <iostream>
 
-#include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace pns;
-  const soc::Platform board = soc::Platform::odroid_xu4();
 
-  sim::SolarScenario scenario;
-  scenario.condition = trace::WeatherCondition::kFullSun;
-  scenario.t_start = 10.5 * 3600.0;
-  scenario.t_end = 16.5 * 3600.0;
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_interval_s = 5.0;
+  sweep::ScenarioSpec spec;  // full sun, 10:30-16:30
+  spec.record_series = true;
+  spec.record_interval_s = 5.0;
 
   std::printf("Fig. 14: available vs consumed power, full-sun day\n\n");
-  const auto r = sim::run_solar_power_neutral(board, scenario, cfg);
+  const auto r = sweep::run_scenario(spec);
 
   ConsoleTable table({"time", "available (W)", "consumed (W)",
                       "utilised (%)"});
   RunningStats utilisation;
-  for (double t = scenario.t_start; t < scenario.t_end; t += 1800.0) {
+  for (double t = spec.t_start; t < spec.t_end; t += 1800.0) {
     // Average both series over the half-hour bucket.
-    const double t_hi = std::min(t + 1800.0, scenario.t_end);
+    const double t_hi = std::min(t + 1800.0, spec.t_end);
     const double avail =
         r.series.p_available.integral(t, t_hi) / (t_hi - t);
     const double cons = r.series.p_consumed.integral(t, t_hi) / (t_hi - t);

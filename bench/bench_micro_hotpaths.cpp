@@ -18,7 +18,6 @@
 #include "hw/monitor.hpp"
 #include "sim/experiment.hpp"
 #include "sweep/assets.hpp"
-#include "sweep/registry.hpp"
 #include "sweep/scenario.hpp"
 
 namespace {
@@ -268,26 +267,21 @@ void BM_MonitorThresholdProgramming(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorThresholdProgramming);
 
-/// Applies the registered `rk23pi` kind's default tuning, so these
-/// benches always measure exactly what `--integrator rk23pi` runs.
-void apply_rk23pi(sim::SimConfig& cfg) {
-  sweep::ScenarioSpec spec;
-  spec.integrator = sweep::IntegratorSpec::parse("rk23pi");
-  sweep::resolve_integrator(spec, cfg);
-}
-
+/// One simulated minute of midday partial sun under the power-neutral
+/// controller, through sweep::run_scenario (weather synthesis included).
+/// The integrator is a registry kind, so these benches always measure
+/// exactly what `--integrator <kind>` runs.
 void bench_end_to_end(benchmark::State& state,
-                      ehsim::PvSource::Mode pv_mode, bool pi = false) {
+                      ehsim::PvSource::Mode pv_mode,
+                      const char* integrator = "rk23") {
+  sweep::ScenarioSpec spec;
+  spec.condition = trace::WeatherCondition::kPartialSun;
+  spec.t_start = 12.0 * 3600.0;
+  spec.t_end = spec.t_start + 60.0;
+  spec.pv_mode = pv_mode;
+  spec.integrator = sweep::IntegratorSpec::parse(integrator);
   for (auto _ : state) {
-    sim::SolarScenario scenario;
-    scenario.condition = trace::WeatherCondition::kPartialSun;
-    scenario.t_start = 12.0 * 3600.0;
-    scenario.t_end = scenario.t_start + 60.0;
-    scenario.pv_mode = pv_mode;
-    auto cfg = sim::solar_sim_config(scenario);
-    cfg.record_series = false;
-    if (pi) apply_rk23pi(cfg);
-    const auto r = sim::run_solar_power_neutral(xu4(), scenario, cfg);
+    const auto r = sweep::run_scenario(spec);
     benchmark::DoNotOptimize(r.metrics.instructions);
   }
 }
@@ -304,7 +298,7 @@ BENCHMARK(BM_EndToEndSimulatedMinuteTabulated)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndSimulatedMinuteRk23Pi(benchmark::State& state) {
-  bench_end_to_end(state, ehsim::PvSource::Mode::kExact, /*pi=*/true);
+  bench_end_to_end(state, ehsim::PvSource::Mode::kExact, "rk23pi");
 }
 BENCHMARK(BM_EndToEndSimulatedMinuteRk23Pi)->Unit(benchmark::kMillisecond);
 
@@ -322,17 +316,17 @@ void bench_quiescent_hour(benchmark::State& state, bool coast) {
   source.set_irradiance_hold(
       [](double) { return std::numeric_limits<double>::infinity(); });
   const auto opp = sim::balanced_opp(xu4(), source.available_power(0.0));
-  sim::SolarScenario scenario;  // only used for the config shape
-  scenario.t_start = 0.0;
-  scenario.t_end = 3600.0;
+  sweep::ScenarioSpec spec;  // only used for the config shape
+  spec.t_start = 0.0;
+  spec.t_end = 3600.0;
+  spec.integrator = sweep::IntegratorSpec::parse("rk23pi");
+  sim::SimConfig cfg = sweep::make_sim_config(spec);
+  cfg.coast = coast;
   for (auto _ : state) {
-    auto cfg = sim::solar_sim_config(scenario);
-    cfg.record_series = false;
-    apply_rk23pi(cfg);
-    cfg.coast = coast;
-    auto r = sim::run_pv_control(xu4(), source,
+    auto r = sim::make_pv_engine(xu4(), source,
                                  sim::ControlSelection::pinned(opp), cfg,
-                                 /*warm_start=*/true);
+                                 /*warm_start=*/true)
+                 .engine->run();
     benchmark::DoNotOptimize(r.metrics.instructions);
   }
 }

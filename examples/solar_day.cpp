@@ -11,50 +11,42 @@
 #include <iostream>
 #include <string>
 
-#include "sim/experiment.hpp"
+#include "sweep/scenario.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-pns::trace::WeatherCondition parse_condition(const std::string& s) {
-  using pns::trace::WeatherCondition;
-  if (s == "full-sun") return WeatherCondition::kFullSun;
-  if (s == "partial-sun") return WeatherCondition::kPartialSun;
-  if (s == "cloud") return WeatherCondition::kCloud;
-  if (s == "hail") return WeatherCondition::kHail;
-  std::fprintf(stderr,
-               "unknown condition '%s' (want full-sun|partial-sun|cloud|"
-               "hail)\n",
-               s.c_str());
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace pns;
 
-  sim::SolarScenario scenario;
-  if (argc > 1) scenario.condition = parse_condition(argv[1]);
+  sweep::ScenarioSpec spec;
+  if (argc > 1) {
+    const auto condition = trace::weather_condition_from_string(argv[1]);
+    if (!condition) {
+      std::fprintf(stderr, "unknown condition '%s' (valid:", argv[1]);
+      for (auto c : trace::all_weather_conditions())
+        std::fprintf(stderr, " %s", trace::to_string(c));
+      std::fprintf(stderr, ")\n");
+      return 2;
+    }
+    spec.condition = *condition;
+  }
   const double hours = argc > 2 ? std::atof(argv[2]) : 6.0;
   const double start_hour = argc > 5 ? std::atof(argv[5]) : 10.5;
-  scenario.t_start = start_hour * 3600.0;
-  scenario.t_end = scenario.t_start + hours * 3600.0;
-  if (argc > 3) scenario.seed = std::strtoull(argv[3], nullptr, 10);
+  spec.t_start = start_hour * 3600.0;
+  spec.t_end = spec.t_start + hours * 3600.0;
+  if (argc > 3) spec.seed = std::strtoull(argv[3], nullptr, 10);
+  spec.record_series = true;
+  spec.record_interval_s = 1.0;
 
-  const soc::Platform board = soc::Platform::odroid_xu4();
-  auto cfg = sim::solar_sim_config(scenario);
-  cfg.record_interval_s = 1.0;
-
-  std::printf("simulating %s, %.1f h from 10:30, seed %llu...\n",
-              to_string(scenario.condition), hours,
-              static_cast<unsigned long long>(scenario.seed));
-  const auto r = sim::run_solar_power_neutral(board, scenario, cfg);
+  std::printf("simulating %s, %.1f h from %s, seed %llu...\n",
+              to_string(spec.condition), hours,
+              fmt_hhmm(spec.t_start).c_str(),
+              static_cast<unsigned long long>(spec.seed));
+  const auto r = sweep::run_scenario(spec);
   const auto& m = r.metrics;
 
   ConsoleTable table({"metric", "value"});
-  table.add_row({"condition", to_string(scenario.condition)});
+  table.add_row({"condition", to_string(spec.condition)});
   table.add_row({"window", fmt_hhmm(m.t_start) + " - " + fmt_hhmm(m.t_end)});
   table.add_row({"brownouts", std::to_string(m.brownouts)});
   table.add_row({"lifetime", fmt_mmss(m.lifetime_s)});

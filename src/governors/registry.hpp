@@ -1,8 +1,8 @@
 // Governor factory keyed by cpufreq-style name.
 //
 // Lets benches and examples iterate "all stock governors" (Table II),
-// construct one from a command-line string, and -- via the ParamMap
-// overload -- tune a governor's sysfs-style knobs without recompiling
+// construct one from a command-line string, and -- via its ParamMap --
+// tune a governor's sysfs-style knobs without recompiling
 // ("gov:ondemand:period=0.05,up_threshold=0.9" in sweep spec strings).
 #pragma once
 
@@ -28,16 +28,12 @@ std::vector<std::string> available_governors();
 /// std::invalid_argument listing the valid names for an unknown one.
 std::vector<pns::ParamInfo> governor_params(const std::string& name);
 
-/// Constructs a governor by name with its default tuning. Throws
-/// std::invalid_argument listing the valid names for an unknown one.
-std::unique_ptr<Governor> make_governor(const std::string& name,
-                                        const soc::Platform& platform);
-
 /// Constructs a governor by name with spec-string tunables applied over
-/// the defaults. Unknown keys and malformed values throw ParamError
-/// naming the valid keys (see governor_params).
+/// its default tuning. Throws std::invalid_argument listing the valid
+/// names for an unknown one; unknown keys and malformed values throw
+/// ParamError naming the valid keys (see governor_params).
 std::unique_ptr<Governor> make_governor(const std::string& name,
                                         const soc::Platform& platform,
-                                        const pns::ParamMap& params);
+                                        const pns::ParamMap& params = {});
 
 }  // namespace pns::gov

@@ -13,9 +13,8 @@ SweepStabilityObjective::SweepStabilityObjective(
 SweepStabilityObjective SweepStabilityObjective::standard(
     const soc::Platform& platform, std::uint64_t seed,
     SweepObjectiveOptions options) {
-  // The ScenarioSpec defaults (47 mF, 5 % band around 5.3 V, vc0 =
-  // 5.3 V, no recording) already match solar_sim_config with
-  // record_series = false.
+  // The ScenarioSpec defaults supply the rest of the paper setup (47 mF,
+  // 5 % band around 5.3 V, vc0 = 5.3 V, no recording).
   sweep::ScenarioSpec base;
   base.platform = platform;
   base.condition = trace::WeatherCondition::kPartialSun;

@@ -53,8 +53,8 @@ struct SweepObjectiveOptions {
 /// sweep::SweepRunner: every candidate tuning becomes a power-neutral
 /// ScenarioSpec over a shared base scenario, the batch fans out across the
 /// runner's thread pool, and each score is the scenario's fraction of time
-/// in the voltage band -- bit-identical to sim::run_solar_power_neutral
-/// on the same scenario (deterministic engine), so parameter search
+/// in the voltage band -- bit-identical to one direct sweep::run_scenario
+/// of the same spec (deterministic engine), so parameter search
 /// simply inherits the sweep service's parallelism, checkpointing and
 /// sharding.
 ///

@@ -24,17 +24,7 @@ void BatchEngine::finish_scalar(std::size_t i) {
   // SimEngine::run() would: the lane has left the batch, not the
   // contract.
   SimEngine& e = *lanes_[i];
-  while (!e.finished()) {
-    SimEngine::SegmentPlan plan = e.plan_segment();
-    ehsim::IntegrationResult res;
-    if (plan.coasted) {
-      res = plan.coast_result;
-    } else {
-      res = e.integrator().advance(plan.t_stop, e.events());
-    }
-    e.commit_segment(res);
-  }
-  results_[i] = e.finish();
+  results_[i] = e.run_remaining();
   state_.observe(i, e.integrator());
   state_.status[i] = ehsim::LaneStatus::kDone;
 }

@@ -75,7 +75,7 @@ class BatchEngine {
   const BatchRunStats& stats() const { return stats_; }
 
  private:
-  /// Finishes lane `i` independently with the scalar run() loop (used
+  /// Finishes lane `i` independently with SimEngine::run_remaining() (used
   /// after a coast retires it from lockstep).
   void finish_scalar(std::size_t i);
 

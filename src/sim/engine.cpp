@@ -230,6 +230,10 @@ void SimEngine::kick_if_outside(double vc, double t) {
 
 SimResult SimEngine::run() {
   begin();
+  return run_remaining();
+}
+
+SimResult SimEngine::run_remaining() {
   while (!finished()) {
     SegmentPlan plan = plan_segment();
     ehsim::IntegrationResult res;

@@ -142,8 +142,8 @@ class SimEngine {
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
-  /// Runs [t_start, t_end] to completion and returns the result.
-  /// Callable once.
+  /// Runs [t_start, t_end] to completion and returns the result:
+  /// begin() + run_remaining(). Callable once.
   SimResult run();
 
   // --- stepped-run API --------------------------------------------------
@@ -157,8 +157,9 @@ class SimEngine {
   //     commit_segment(res);
   //   }
   //   SimResult r = finish();
-  // run() is exactly this loop (with advance() optionally replaced by a
-  // begin_window/step_window sequence, which is itself bit-identical), so
+  // The loop and finish() are run_remaining(), and run() is begin() +
+  // run_remaining(). A driver may replace advance() by a
+  // begin_window/step_window sequence, which is itself bit-identical, so
   // a stepped run produces bit-identical results to run().
 
   /// What plan_segment() decided for the next segment. When `coasted` the
@@ -186,6 +187,10 @@ class SimEngine {
   /// Closes metrics and returns the result. Callable once, after
   /// finished().
   SimResult finish();
+  /// Runs every remaining segment (plan, advance or coast, commit) and
+  /// finishes: the tail of run(), and how an external driver completes a
+  /// lane it stops interleaving. Callable once, after begin().
+  SimResult run_remaining();
 
   double time() const { return cur_t_; }
   double voltage() const { return cur_vc_; }

@@ -1,8 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include "governors/registry.hpp"
-#include "governors/static_governor.hpp"
-
 namespace pns::sim {
 
 namespace {
@@ -47,17 +44,6 @@ trace::ClearSky paper_clear_sky() {
   return trace::ClearSky(p);
 }
 
-SimConfig solar_sim_config(const SolarScenario& scenario) {
-  SimConfig cfg;
-  cfg.t_start = scenario.t_start;
-  cfg.t_end = scenario.t_end;
-  cfg.capacitance_f = 47e-3;  // the paper's buffer
-  cfg.v_target = 5.3;         // calibrated MPP voltage (Fig. 12)
-  cfg.band_fraction = 0.05;
-  cfg.vc0 = 5.3;
-  return cfg;
-}
-
 soc::OperatingPoint balanced_opp(const soc::Platform& platform,
                                  double watts) {
   soc::OperatingPoint best = platform.lowest_opp();
@@ -80,41 +66,6 @@ soc::OperatingPoint balanced_opp(const soc::Platform& platform,
   return best;
 }
 
-pns::PiecewiseLinear solar_weather_trace(const SolarScenario& scenario) {
-  return trace::synthesize_irradiance(
-      paper_clear_sky(), scenario.condition, scenario.t_start - 60.0,
-      scenario.t_end + 60.0, scenario.trace_dt_s, scenario.seed);
-}
-
-/// The returned source shares the (immutable) trace via the closures; the
-/// mutable hint turns the integrator's near-monotone sampling of the long
-/// trace into O(1) lookups (bit-identical to the plain binary-search
-/// evaluation).
-ehsim::PvSource make_solar_source(
-    const SolarScenario& scenario,
-    std::shared_ptr<const pns::PiecewiseLinear> trace) {
-  auto sample = [trace, hint = std::size_t{0}](double t) mutable {
-    return trace->eval_hinted(t, hint);
-  };
-  ehsim::PvSource source =
-      scenario.pv_mode == ehsim::PvSource::Mode::kTabulated
-          ? ehsim::PvSource(paper_pv_array(), std::move(sample),
-                            paper_pv_table())
-          : ehsim::PvSource(paper_pv_array(), std::move(sample));
-  source.set_irradiance_hold(
-      [trace = std::move(trace), hint = std::size_t{0}](double t) mutable {
-        return trace->flat_until_hinted(t, hint);
-      });
-  return source;
-}
-
-ehsim::PvSource make_solar_source(const SolarScenario& scenario) {
-  return make_solar_source(
-      scenario,
-      std::make_shared<const pns::PiecewiseLinear>(
-          solar_weather_trace(scenario)));
-}
-
 ControlSelection ControlSelection::power_neutral(
     ctl::ControllerConfig config) {
   return ControlSelection{config};
@@ -128,15 +79,6 @@ ControlSelection ControlSelection::governed(
 ControlSelection ControlSelection::pinned(
     std::optional<soc::OperatingPoint> opp) {
   return ControlSelection{opp};
-}
-
-SimResult run_pv_control(const soc::Platform& platform,
-                         const ehsim::CurrentSource& source,
-                         ControlSelection control, SimConfig sim_config,
-                         bool warm_start) {
-  EngineBundle bundle = make_pv_engine(platform, source, std::move(control),
-                                       std::move(sim_config), warm_start);
-  return bundle.engine->run();
 }
 
 EngineBundle make_pv_engine(const soc::Platform& platform,
@@ -187,47 +129,6 @@ EngineBundle make_pv_engine(const soc::Platform& platform,
       },
       control.scheme);
   return bundle;
-}
-
-SimResult run_solar_power_neutral(const soc::Platform& platform,
-                                  const SolarScenario& scenario,
-                                  SimConfig sim_config,
-                                  ctl::ControllerConfig controller) {
-  const auto source = make_solar_source(scenario);
-  return run_pv_control(platform, source,
-                        ControlSelection::power_neutral(controller),
-                        std::move(sim_config), /*warm_start=*/true);
-}
-
-SimResult run_solar_governor(const soc::Platform& platform,
-                             const SolarScenario& scenario,
-                             const std::string& governor_name,
-                             SimConfig sim_config) {
-  const auto source = make_solar_source(scenario);
-  return run_pv_control(
-      platform, source,
-      ControlSelection::governed(gov::make_governor(governor_name, platform)),
-      std::move(sim_config), /*warm_start=*/true);
-}
-
-SimResult run_solar_static(const soc::Platform& platform,
-                           const SolarScenario& scenario,
-                           const soc::OperatingPoint& opp,
-                           SimConfig sim_config) {
-  const auto source = make_solar_source(scenario);
-  return run_pv_control(platform, source, ControlSelection::pinned(opp),
-                        std::move(sim_config), /*warm_start=*/true);
-}
-
-SimResult run_controlled_supply(const soc::Platform& platform,
-                                const trace::SupplyProfile& profile,
-                                double r_series, SimConfig sim_config,
-                                ctl::ControllerConfig controller) {
-  ehsim::ControlledSupply source(profile.as_function(), r_series);
-  soc::RaytraceWorkload workload(platform.perf.params().instr_per_frame);
-  SimEngine engine(platform, source, workload, std::move(sim_config),
-                   controller);
-  return engine.run();
 }
 
 }  // namespace pns::sim

@@ -1,11 +1,12 @@
-// High-level experiment scenarios shared by the benches and examples.
+// The paper's experimental setup and the one engine assembly.
 //
-// Each helper assembles the standard pieces (calibrated PV array, weather
-// trace or supply profile, raytrace workload, engine) for one family of
-// the paper's experiments so that benches stay focused on *reporting*.
+// The constants (calibrated PV array, clear-sky day) describe the paper's
+// validation rig; make_pv_engine turns a platform, a current source and a
+// control scheme into a ready SimEngine. Scenarios are declared with
+// sweep::ScenarioSpec and run by sweep::run_scenario, which resolves the
+// source and control through the registries and assembles here.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <variant>
@@ -16,9 +17,6 @@
 #include "governors/governor.hpp"
 #include "sim/engine.hpp"
 #include "trace/irradiance.hpp"
-#include "trace/supply_profiles.hpp"
-#include "trace/weather.hpp"
-#include "util/interp.hpp"
 
 namespace pns::sim {
 
@@ -34,24 +32,11 @@ ehsim::SolarCell fig1_pv_cell();
 
 /// Process-wide shared interpolation table for paper_pv_array() (built on
 /// first use; immutable, safe to share across sweep workers). Tabulated
-/// experiment helpers use this instead of rebuilding the table per run.
+/// PV sources share this instead of rebuilding the table per run.
 std::shared_ptr<const ehsim::PvTable> paper_pv_table();
 
 /// Default clear-sky model for the paper's test days (UK summer day).
 trace::ClearSky paper_clear_sky();
-
-/// What drives a solar experiment.
-struct SolarScenario {
-  trace::WeatherCondition condition = trace::WeatherCondition::kFullSun;
-  double t_start = 10.5 * 3600.0;  ///< 10:30, as in Figs. 12/14
-  double t_end = 16.5 * 3600.0;    ///< 16:30
-  std::uint64_t seed = 42;
-  double trace_dt_s = 0.1;         ///< weather sampling grid
-  /// PV evaluation mode: kExact reproduces the Newton solve bit for bit;
-  /// kTabulated answers from a measured-error interpolation table (see
-  /// ehsim::PvSource).
-  ehsim::PvSource::Mode pv_mode = ehsim::PvSource::Mode::kExact;
-};
 
 /// A fully resolved control scheme, ready to drive one engine: the
 /// controller tuning for power-neutral control, a constructed governor,
@@ -70,24 +55,6 @@ struct ControlSelection {
   static ControlSelection pinned(std::optional<soc::OperatingPoint> opp);
 };
 
-/// Shared final assembly behind the run_solar_* helpers and the sweep's
-/// run_scenario: builds the standard raytrace workload, applies the
-/// control scheme's warm-start defaults (only when `warm_start`; the
-/// shadowing scenarios start from the spec's explicit operating point)
-/// and runs one engine over `source`:
-///   * power-neutral + warm_start: anchors controller.v_ceiling just
-///     above the regulation target and starts at the best OPP the opening
-///     harvest can sustain (balanced_opp) -- the paper records systems
-///     already in regulation.
-///   * governor + warm_start: starts at the lowest frequency with every
-///     core online (stock Linux never hot-plugs).
-///   * pinned: sets config.initial_opp to the pinned point when one is
-///     given.
-SimResult run_pv_control(const soc::Platform& platform,
-                         const ehsim::CurrentSource& source,
-                         ControlSelection control, SimConfig sim_config,
-                         bool warm_start);
-
 /// A constructed-but-not-yet-run engine together with the runtime pieces
 /// it references and the sweep layer cannot otherwise keep alive (the
 /// workload). The platform and source stay owned by the caller and must
@@ -97,65 +64,24 @@ struct EngineBundle {
   std::unique_ptr<SimEngine> engine;
 };
 
-/// run_pv_control's assembly without the run: builds the standard
-/// raytrace workload, applies the same warm-start defaults, and returns
-/// the ready engine instead of running it. run_pv_control is exactly
-/// make_pv_engine + engine->run(); external drivers that interleave
-/// several engines (sim/batch_engine.hpp) construct lanes through this.
+/// The one engine assembly (behind sweep::run_scenario and every lockstep
+/// lane of sim/batch_engine.hpp): builds the standard raytrace workload,
+/// applies the control scheme's warm-start defaults (only when
+/// `warm_start`; the shadowing scenarios start from the spec's explicit
+/// operating point) and returns the ready, not yet run, engine over
+/// `source`:
+///   * power-neutral + warm_start: anchors controller.v_ceiling just
+///     above the regulation target and starts at the best OPP the opening
+///     harvest can sustain (balanced_opp) -- the paper records systems
+///     already in regulation.
+///   * governor + warm_start: starts at the lowest frequency with every
+///     core online (stock Linux never hot-plugs).
+///   * pinned: sets config.initial_opp to the pinned point when one is
+///     given.
 EngineBundle make_pv_engine(const soc::Platform& platform,
                             const ehsim::CurrentSource& source,
                             ControlSelection control, SimConfig sim_config,
                             bool warm_start);
-
-/// The irradiance-driven PV source of a solar scenario: calibrated paper
-/// array + seeded weather trace (synthesised over [t_start - 60,
-/// t_end + 60] on the scenario's dt grid), honouring the scenario's PV
-/// evaluation mode. Exposed so registry source factories compose the
-/// exact source the experiment helpers use.
-ehsim::PvSource make_solar_source(const SolarScenario& scenario);
-
-/// The weather trace make_solar_source synthesises, exposed on its own so
-/// sweep workers can build it once and share it across the rows of an
-/// expansion (sweep/assets.hpp). Pure function of the scenario's
-/// condition, window, dt grid and seed.
-pns::PiecewiseLinear solar_weather_trace(const SolarScenario& scenario);
-
-/// make_solar_source over a prebuilt, shared weather trace -- bit-
-/// identical to make_solar_source(scenario) when `trace` came from
-/// solar_weather_trace(scenario). The source keeps the trace alive.
-ehsim::PvSource make_solar_source(
-    const SolarScenario& scenario,
-    std::shared_ptr<const pns::PiecewiseLinear> trace);
-
-/// Runs a solar-harvesting experiment with the power-neutral controller.
-SimResult run_solar_power_neutral(const soc::Platform& platform,
-                                  const SolarScenario& scenario,
-                                  SimConfig sim_config = {},
-                                  ctl::ControllerConfig controller = {});
-
-/// Runs a solar-harvesting experiment under a named Linux governor.
-SimResult run_solar_governor(const soc::Platform& platform,
-                             const SolarScenario& scenario,
-                             const std::string& governor_name,
-                             SimConfig sim_config = {});
-
-/// Runs a solar-harvesting experiment with a fixed operating point.
-SimResult run_solar_static(const soc::Platform& platform,
-                           const SolarScenario& scenario,
-                           const soc::OperatingPoint& opp,
-                           SimConfig sim_config = {});
-
-/// Runs the bench-supply experiment (Fig. 11): a programmable source
-/// behind `r_series` ohms drives the node.
-SimResult run_controlled_supply(const soc::Platform& platform,
-                                const trace::SupplyProfile& profile,
-                                double r_series, SimConfig sim_config = {},
-                                ctl::ControllerConfig controller = {});
-
-/// Baseline SimConfig for solar runs: 47 mF buffer, MPP-centred 5 % band,
-/// starting at the scenario's start time with the node pre-charged to the
-/// array's open-circuit point.
-SimConfig solar_sim_config(const SolarScenario& scenario);
 
 /// Highest-throughput operating point whose board power fits within
 /// `watts` (the platform's lowest OPP when even that does not fit). Used

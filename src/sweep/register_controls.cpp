@@ -4,8 +4,8 @@
 // power-neutral controller ("pns", tunables decoded by
 // ctl::controller_config_from_params) and the fixed-OPP baseline
 // ("static"); governors/ supplies every stock cpufreq governor as a
-// "gov:<name>" kind whose parameters flow through the widened
-// gov::make_governor overload. A new policy registers the same way:
+// "gov:<name>" kind whose parameters flow through
+// gov::make_governor's ParamMap. A new policy registers the same way:
 // ControlRegistry::instance().add({kind, summary, params, factory}).
 #include <memory>
 #include <string>

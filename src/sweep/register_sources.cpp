@@ -28,8 +28,7 @@ namespace pns::sweep {
 namespace {
 
 /// Single site for the mode dispatch: an irradiance callable over the
-/// paper array, sharing the process-wide table in tabulated mode (as
-/// sim::make_solar_source does).
+/// paper array, sharing the process-wide table in tabulated mode.
 ehsim::PvSource pv_source_from_sample(std::function<double(double)> sample,
                                       ehsim::PvSource::Mode mode) {
   if (mode == ehsim::PvSource::Mode::kTabulated)
@@ -38,10 +37,12 @@ ehsim::PvSource pv_source_from_sample(std::function<double(double)> sample,
   return ehsim::PvSource(sim::paper_pv_array(), std::move(sample));
 }
 
-/// Wraps a shared irradiance trace with the hinted-evaluation closure
+/// Wraps a shared irradiance trace with the hinted-evaluation closures
 /// (bit-identical to binary search, O(1) for the integrator's
-/// near-monotone access) and declares the trace's flat spans so the
-/// coasting fast path can jump across them.
+/// near-monotone access): one samples the irradiance, the other declares
+/// the trace's flat spans so the coasting fast path can jump across
+/// them. Each closure keeps its own hint; the source keeps the trace
+/// alive.
 ehsim::PvSource pv_source_from_trace(
     std::shared_ptr<const pns::PiecewiseLinear> trace,
     ehsim::PvSource::Mode mode) {
@@ -51,7 +52,9 @@ ehsim::PvSource pv_source_from_trace(
       },
       mode);
   source.set_irradiance_hold(
-      [trace = std::move(trace)](double t) { return trace->flat_until(t); });
+      [trace = std::move(trace), hint = std::size_t{0}](double t) mutable {
+        return trace->flat_until_hinted(t, hint);
+      });
   return source;
 }
 
@@ -84,27 +87,24 @@ std::string asset_key(std::initializer_list<std::pair<const char*, double>>
 
 ehsim::PvSource make_solar(const ScenarioSpec& spec, const ParamMap& params,
                            ScenarioAssets& assets) {
-  sim::SolarScenario scenario;
-  scenario.condition = effective_condition(spec, params);
-  scenario.t_start = spec.t_start;
-  scenario.t_end = spec.t_end;
-  scenario.seed = spec.seed;
-  scenario.trace_dt_s = spec.trace_dt_s;
-  scenario.pv_mode = spec.pv_mode;
+  const trace::WeatherCondition condition = effective_condition(spec, params);
   // The weather trace is the expensive part (tens of thousands of PRNG
   // knots); every row of an expansion that shares
   // (condition, window, dt, seed) shares one immutable instance. The
   // seed rides in the prefix as its exact decimal form -- a double
   // round-trip would collide distinct seeds above 2^53.
   auto trace = assets.trace(
-      asset_key({{"t0", scenario.t_start},
-                 {"t1", scenario.t_end},
-                 {"dt", scenario.trace_dt_s}},
-                std::string("solar/") +
-                    trace::to_string(scenario.condition) + "/seed=" +
-                    std::to_string(scenario.seed)),
-      [&] { return sim::solar_weather_trace(scenario); });
-  return sim::make_solar_source(scenario, std::move(trace));
+      asset_key({{"t0", spec.t_start},
+                 {"t1", spec.t_end},
+                 {"dt", spec.trace_dt_s}},
+                std::string("solar/") + trace::to_string(condition) +
+                    "/seed=" + std::to_string(spec.seed)),
+      [&] {
+        return trace::synthesize_irradiance(
+            sim::paper_clear_sky(), condition, spec.t_start - 60.0,
+            spec.t_end + 60.0, spec.trace_dt_s, spec.seed);
+      });
+  return pv_source_from_trace(std::move(trace), spec.pv_mode);
 }
 
 ehsim::PvSource make_shadow(const ScenarioSpec& spec, const ParamMap& params,

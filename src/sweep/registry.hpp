@@ -48,7 +48,7 @@ struct SourceEntry {
   std::string summary;
   std::vector<ParamInfo> params;
   /// Daylight semantics: v_target defaults to the array MPP (5.3 V) and
-  /// the warm-start rules of sim::run_pv_control apply. False for the
+  /// the warm-start rules of sim::make_pv_engine apply. False for the
   /// shadowing stress scenarios, which start from the spec's explicit
   /// operating point with the band disabled.
   bool solar_defaults = true;

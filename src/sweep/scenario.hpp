@@ -2,8 +2,10 @@
 //
 // Every headline result of the paper is a *sweep* -- governors x weather x
 // capacitances x operating points (Figs. 6-15, Tables I-II). A
-// ScenarioSpec names one fully determined simulation point as plain data;
-// a SweepSpec expands a cartesian product of axes into a vector of specs.
+// ScenarioSpec names one fully determined simulation point as plain data
+// (the one way to declare a PV scenario: sweeps and paper benches alike
+// run it through run_scenario); a SweepSpec expands a cartesian product
+// of axes into a vector of specs.
 // Because specs are data, a sweep can be executed serially, across a
 // thread pool (sweep/runner.hpp), or sharded across machines, without the
 // experiment code changing.
@@ -14,7 +16,7 @@
 // "pns:v_q=0.04", "gov:ondemand:period=0.05", "static:opp=4",
 // "shadow:depth=0.2,hold=5", "trace:file=day.csv", "flicker:period=30".
 // New policies and supply shapes register a factory instead of editing
-// this file, the experiment helpers and the CLI in lockstep.
+// this file, the engine assembly and the CLI in lockstep.
 #pragma once
 
 #include <concepts>
@@ -194,8 +196,8 @@ struct ScenarioSpec {
   bool enable_reboot = true;
   bool record_series = false;
   double record_interval_s = 0.25;
-  /// Initial operating point; the experiment helpers' warm-start defaults
-  /// apply when unset (see sim/experiment.hpp).
+  /// Initial operating point; the warm-start defaults of
+  /// sim::make_pv_engine apply when unset.
   std::optional<soc::OperatingPoint> initial_opp;
 
   double duration() const { return t_end - t_start; }

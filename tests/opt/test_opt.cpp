@@ -13,8 +13,8 @@
 #include "opt/grid_search.hpp"
 #include "opt/objective.hpp"
 #include "opt/random_search.hpp"
-#include "sim/experiment.hpp"
 #include "sweep/journal.hpp"
+#include "sweep/scenario.hpp"
 #include "util/contracts.hpp"
 
 namespace pns::opt {
@@ -122,28 +122,27 @@ TEST(BatchSearch, GridExpandIsCanonicalOrder) {
 }
 
 TEST(SweepStabilityObjective, BitIdenticalToPointwiseObjective) {
-  // The sweep-backed batch objective drives the same experiment entry
-  // point with the same configuration, so its scores are bit-identical to
-  // a direct run_solar_power_neutral -- parallel search changes nothing
-  // but wall-clock.
+  // The sweep-backed batch objective runs each candidate's scenario
+  // through the thread-pooled runner, so its scores are bit-identical to
+  // one direct run_scenario per candidate -- no runner, no batching;
+  // parallel search changes nothing but wall-clock.
   static soc::Platform platform = soc::Platform::odroid_xu4();
   const std::uint64_t seed = 5;
   const auto batch = SweepStabilityObjective::standard(platform, seed);
   auto pointwise = [&](const ParamSet& p) {
-    sim::SolarScenario scenario;
-    scenario.condition = trace::WeatherCondition::kPartialSun;
-    scenario.t_start = 12.0 * 3600.0;
-    scenario.t_end = 12.25 * 3600.0;
-    scenario.seed = seed;
-    sim::SimConfig cfg = sim::solar_sim_config(scenario);
-    cfg.record_series = false;
+    sweep::ScenarioSpec spec;
+    spec.platform = platform;
+    spec.condition = trace::WeatherCondition::kPartialSun;
+    spec.t_start = 12.0 * 3600.0;
+    spec.t_end = 12.25 * 3600.0;
+    spec.seed = seed;
     ctl::ControllerConfig cc;
     cc.v_width = p.v_width;
     cc.v_q = p.v_q;
     cc.alpha = p.alpha;
     cc.beta = p.beta;
-    return sim::run_solar_power_neutral(platform, scenario, cfg, cc)
-        .metrics.fraction_in_band();
+    spec.control = sweep::ControlSpec::power_neutral(cc);
+    return sweep::run_scenario(spec).metrics.fraction_in_band();
   };
 
   const std::vector<ParamSet> candidates = {

@@ -484,8 +484,9 @@ TEST(SimEngine, CoastingDoesNotSkipControllerLimitCycle) {
     // Warm start (regulation-anchored window + balanced OPP), as the
     // paper's recordings: this is the configuration whose limit cycle
     // ticks ~2 interrupts per second at constant sun.
-    return run_pv_control(xu4(), source, ControlSelection::power_neutral(),
-                          rk23pi_config(cfg, coast), /*warm_start=*/true);
+    return make_pv_engine(xu4(), source, ControlSelection::power_neutral(),
+                          rk23pi_config(cfg, coast), /*warm_start=*/true)
+        .engine->run();
   };
   const auto coasted = run(true);
   const auto stepped = run(false);

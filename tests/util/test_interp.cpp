@@ -69,9 +69,29 @@ TEST(PiecewiseLinear, IntegrateRejectsInvertedRange) {
 }
 
 TEST(PiecewiseLinear, EvalHintedBitIdenticalToOperator) {
-  // Build an irregular function and compare hinted vs plain evaluation for
-  // forward sweeps, backward sweeps, random jumps and out-of-range points.
-  // The contract is bit-identity, so EXPECT_EQ on the doubles.
+  // Compare hinted vs plain evaluation -- eval_hinted against operator()
+  // and flat_until_hinted against flat_until -- for forward sweeps,
+  // backward sweeps, random jumps, exact knots and a stale hint. The
+  // contract is bit-identity, so EXPECT_EQ on the doubles.
+  auto sweep_all = [](const std::vector<double>& xs,
+                      const std::vector<double>& ys) {
+    const PiecewiseLinear f(xs, ys);
+    const double x_end = xs.back();
+    std::size_t hint = 0, hint2 = 0;
+    auto check = [&](double q) {
+      EXPECT_EQ(f.eval_hinted(q, hint), f(q));
+      EXPECT_EQ(f.flat_until_hinted(q, hint2), f.flat_until(q));
+    };
+    for (double q = -0.5; q < x_end + 0.5; q += 0.0137) check(q);  // fwd
+    for (double q = x_end + 0.5; q > -0.5; q -= 0.0213) check(q);  // back
+    for (int i = 0; i < 200; ++i)                                  // jumps
+      check(std::fmod(i * 2.718281828, x_end));
+    for (double q : xs) check(q);                                  // knots
+    hint = hint2 = 9999;                                           // stale
+    check(1.0);
+  };
+
+  // An irregular function with no level segments...
   std::vector<double> xs, ys;
   double x = 0.0;
   for (int i = 0; i < 64; ++i) {
@@ -79,16 +99,18 @@ TEST(PiecewiseLinear, EvalHintedBitIdenticalToOperator) {
     ys.push_back(std::sin(0.7 * i) + 0.01 * i);
     x += 0.1 + 0.03 * (i % 5);
   }
-  const PiecewiseLinear f(xs, ys);
-  std::size_t hint = 0;
-  auto check = [&](double q) { EXPECT_EQ(f.eval_hinted(q, hint), f(q)); };
-  for (double q = -0.5; q < x + 0.5; q += 0.0137) check(q);   // forward
-  for (double q = x + 0.5; q > -0.5; q -= 0.0213) check(q);   // backward
-  for (int i = 0; i < 200; ++i)                               // jumps
-    check(std::fmod(i * 2.718281828, x));
-  for (double q : xs) check(q);                               // exact knots
-  hint = 9999;                                                // stale hint
-  check(1.0);
+  sweep_all(xs, ys);
+
+  // ...and one of level runs of uneven length joined by single-segment
+  // ramps, starting and ending level, so flat_until has runs to end
+  // (and an unbounded last run).
+  ys.clear();
+  int level = 0;
+  for (int i = 0; i < 64; ++i) {
+    if (i % 7 == 3 || i % 11 == 0) ++level;
+    ys.push_back(static_cast<double>(level % 4));
+  }
+  sweep_all(xs, ys);
 }
 
 TEST(PiecewiseLinear, FromPairsSorts) {
