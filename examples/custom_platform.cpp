@@ -63,6 +63,7 @@ int main() {
       .off_power_w = 0.5e-3,
       .hotplug_stall = 0.3,
       .dvfs_stall = 0.05,
+      .domains = {},
   };
 
   // --- a 60 cm^2 panel and broken clouds --------------------------------

@@ -92,6 +92,7 @@ Platform Platform::odroid_xu4() {
       .off_power_w = 0.012,
       .hotplug_stall = 0.5,
       .dvfs_stall = 0.15,
+      .domains = {},
   };
 }
 

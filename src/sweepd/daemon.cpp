@@ -310,11 +310,16 @@ struct Daemon::Impl {
       // Two waves per connected worker keeps everyone busy while
       // leaving enough granularity to rebalance around a slow worker
       // (cf. Gupta et al.'s online dispatch for heterogeneous speeds).
-      // The size comes from the whole job, not from what is left of it:
-      // dividing the shrinking pending pool instead would shrink every
-      // later lease geometrically toward one row.
+      // The work divided into waves is the larger of the whole job and
+      // the backlog of every job (guided self-scheduling, Polychronopoulos
+      // & Kuck): a deep queue is dealt a job at a time, and leases shrink
+      // only as the queue drains. The job's own size is the floor, so a
+      // lone job's shrinking pending pool never shrinks its leases
+      // geometrically toward one row.
+      std::size_t backlog = 0;
+      for (const auto& queued : job_list) backlog += queued->pending.size();
       const std::size_t waves = 2 * std::max<std::size_t>(worker_count(), 1);
-      lease_rows = (job.specs.size() + waves - 1) / waves;
+      lease_rows = (std::max(job.specs.size(), backlog) + waves - 1) / waves;
     }
     std::size_t parts = (pending.size() + lease_rows - 1) / lease_rows;
     parts = std::max<std::size_t>(

@@ -52,9 +52,11 @@ struct DaemonOptions {
   /// result arrived for this long -- the crashed-worker recovery path.
   double lease_timeout_s = 120.0;
   /// Rows per lease; 0 sizes leases automatically as
-  /// ceil(job rows / (2 x connected workers)) -- two waves per worker,
-  /// fixed by the job's size rather than by its shrinking pending pool
-  /// (smaller leases = finer rebalancing, more round trips).
+  /// ceil(max(job rows, pending rows of all jobs) / (2 x connected
+  /// workers)), capped by the job's pending pool -- two waves per worker
+  /// over the whole queue: a deep queue is leased a job at a time, and a
+  /// lone job in leases sized by the job rather than by its shrinking
+  /// pending pool (smaller leases = finer rebalancing, more round trips).
   std::size_t lease_rows = 0;
   /// Poll-again hint sent to idle workers.
   double idle_poll_s = 0.5;

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -59,9 +60,11 @@ void JsonWriter::key(const std::string& k) {
   if (style_ == JsonStyle::kPretty) {
     (*os_) << '\n';
     indent();
-    (*os_) << json_escape(k) << ": ";
+    write_string(k);
+    (*os_) << ": ";
   } else {
-    (*os_) << json_escape(k) << ':';
+    write_string(k);
+    (*os_) << ':';
   }
   key_pending_ = true;
 }
@@ -72,7 +75,9 @@ void JsonWriter::value(double v) {
     (*os_) << "null";
     return;
   }
-  (*os_) << shortest_double(v);
+  char buf[40];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  os_->write(buf, res.ptr - buf);
 }
 
 void JsonWriter::value(std::int64_t v) {
@@ -92,7 +97,7 @@ void JsonWriter::value(bool v) {
 
 void JsonWriter::value(const std::string& v) {
   before_value();
-  (*os_) << json_escape(v);
+  write_string(v);
 }
 
 void JsonWriter::null() {
@@ -124,6 +129,21 @@ void JsonWriter::before_value() {
     (*os_) << '\n';
     indent();
   }
+}
+
+void JsonWriter::write_string(const std::string& s) {
+  // Most keys and values need no escaping: write them straight through
+  // instead of building json_escape's temporary.
+  const bool plain = std::none_of(s.begin(), s.end(), [](unsigned char c) {
+    return c == '"' || c == '\\' || c < 0x20;
+  });
+  if (!plain) {
+    (*os_) << json_escape(s);
+    return;
+  }
+  os_->put('"');
+  os_->write(s.data(), static_cast<std::streamsize>(s.size()));
+  os_->put('"');
 }
 
 void JsonWriter::indent() {

@@ -68,6 +68,7 @@ class JsonWriter {
   enum class Scope { kObject, kArray };
 
   void before_value();  ///< comma/indent bookkeeping shared by all values
+  void write_string(const std::string& s);  ///< quoted, escaped if needed
   void indent();
 
   std::ostream* os_;

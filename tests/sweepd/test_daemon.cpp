@@ -243,6 +243,52 @@ TEST(Daemon, AutoLeasesAreSizedFromTheJob) {
   expect_distributed_equals_local(ep, submitted.job, spec);
 }
 
+TEST(Daemon, QueuedJobsAreLeasedWhole) {
+  TempDir state("pns-sweepd-queued");
+  std::mutex log_mu;
+  std::vector<std::size_t> lease_sizes;  // rows per grant, in grant order
+  TestDaemon td(state.path(), 30.0, /*lease_rows=*/0,
+                [&](const std::string& line) {
+                  // "lease <id>: <job> rows <n> -> fd <fd>"
+                  const auto rows = line.find(" rows ");
+                  if (line.rfind("lease ", 0) != 0 ||
+                      line.find(" -> fd ") == std::string::npos ||
+                      rows == std::string::npos)
+                    return;
+                  const std::lock_guard<std::mutex> lock(log_mu);
+                  lease_sizes.push_back(std::stoul(line.substr(rows + 6)));
+                });
+  const net::Endpoint ep = td.endpoint();
+  const std::size_t jobs = 6;
+  std::vector<std::string> ids;
+  for (std::size_t j = 0; j < jobs; ++j) {
+    const SubmitResult submitted = submit_job(ep, table2_job());
+    ASSERT_EQ(submitted.total, 18u);
+    ids.push_back(submitted.job);
+  }
+
+  WorkerReport r1, r2;
+  std::thread w1([&] { r1 = run_worker(worker_options(ep)); });
+  std::thread w2([&] { r2 = run_worker(worker_options(ep)); });
+  w1.join();
+  w2.join();
+  EXPECT_EQ(r1.rows + r2.rows, jobs * 18);
+  // Leases are sized from the backlog of all 108 queued rows, so the
+  // first jobs go out whole and only the tail of the queue is split:
+  // 18 18 18 9 9 9 and then six leases of 4-5 rows, 12 in all with both
+  // workers counted (fewer while only one is). Sizing each lease from
+  // its own job deals every job in four leases, 24 in all.
+  const std::lock_guard<std::mutex> lock(log_mu);
+  ASSERT_FALSE(lease_sizes.empty());
+  EXPECT_EQ(lease_sizes.front(), 18u);
+  EXPECT_EQ(lease_sizes.size(), r1.leases + r2.leases);
+  EXPECT_LE(r1.leases + r2.leases, 2 * jobs)
+      << ::testing::PrintToString(lease_sizes);
+
+  for (const std::string& id : ids)
+    expect_distributed_equals_local(ep, id, table2_job());
+}
+
 TEST(Daemon, WorkerKeepsAssetsForTheJobAndDropsThemOnAJobSwitch) {
   TempDir state("pns-sweepd-assets");
   // One-row leases: a cache that lived for one lease would miss on

@@ -1,6 +1,7 @@
 // Tests for util/json: compact-style emission and the parser that reads
 // the repo's own formats (checkpoint journals, bench reports) back.
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -41,6 +42,44 @@ TEST(JsonWriterPretty, UnchangedByStyleParameterDefault) {
   }
   EXPECT_EQ(a.str(), b.str());
   EXPECT_EQ(a.str(), "{\n  \"k\": 1\n}");
+}
+
+TEST(JsonWriter, MatchesJsonEscapeAndShortestDouble) {
+  // The writer streams plain strings and doubles without going through
+  // json_escape / shortest_double; its bytes must still be theirs.
+  const std::string strings[] = {
+      "",         "plain_key", "q\"uote", "back\\slash", "new\nline",
+      "ctl\x01x", "tab\t",    "caf\xc3\xa9 \xe2\x82\xac"};
+  for (const std::string& s : strings) {
+    for (const JsonStyle style : {JsonStyle::kCompact, JsonStyle::kPretty}) {
+      std::ostringstream os;
+      JsonWriter w(os, style);
+      w.begin_object();
+      w.kv(s, s);
+      w.end_object();
+      const std::string sep = style == JsonStyle::kCompact ? ":" : ": ";
+      const std::string member = json_escape(s) + sep + json_escape(s);
+      EXPECT_EQ(os.str(), style == JsonStyle::kCompact
+                              ? "{" + member + "}"
+                              : "{\n  " + member + "\n}");
+    }
+  }
+
+  const double doubles[] = {-0.0,   0.1,     1.0 / 3.0, 4.9e-324,
+                            1e300, -2.5e-8, 42.0};
+  for (const double d : doubles) {
+    std::ostringstream os;
+    JsonWriter w(os, JsonStyle::kCompact);
+    w.value(d);
+    EXPECT_EQ(os.str(), shortest_double(d));
+  }
+  for (const double d : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    std::ostringstream os;
+    JsonWriter w(os, JsonStyle::kCompact);
+    w.value(d);
+    EXPECT_EQ(os.str(), "null");
+  }
 }
 
 TEST(JsonParse, Scalars) {

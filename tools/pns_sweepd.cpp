@@ -47,9 +47,10 @@ void usage(const char* argv0) {
       "                     per row\n"
       "  --lease-timeout S  re-lease a worker's rows when no result arrived\n"
       "                     for S seconds (default 120)\n"
-      "  --lease-rows N     rows per lease; 0 = job rows / (2 x connected\n"
-      "                     workers), rounded up: two waves per worker\n"
-      "                     (default)\n"
+      "  --lease-rows N     rows per lease; 0 = the larger of the job's rows\n"
+      "                     and all jobs' pending rows / (2 x connected\n"
+      "                     workers), rounded up: two waves per worker,\n"
+      "                     whole jobs while the queue is deep (default)\n"
       "  --idle-poll S      poll-again hint sent to idle workers\n"
       "                     (default 0.5)\n"
       "  --fault SPEC       deterministic fault injection for chaos runs\n"
