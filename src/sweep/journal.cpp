@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -13,7 +12,6 @@
 #include <system_error>
 #include <utility>
 
-#include "sweep/registry.hpp"
 #include "util/crc32.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
@@ -144,14 +142,6 @@ JournalWriter JournalWriter::create(
   JournalWriter writer(out, durability, std::move(fault));
   writer.write_line(header_line(header));
   return writer;
-}
-
-JournalWriter JournalWriter::append_to(
-    const std::string& path, JournalDurability durability,
-    std::shared_ptr<fault::FaultInjector> fault) {
-  std::FILE* out = std::fopen(path.c_str(), "ab");
-  if (!out) throw JournalError("cannot open journal for append: " + path);
-  return JournalWriter(out, durability, std::move(fault));
 }
 
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
@@ -416,45 +406,6 @@ void write_canonical_journal(
       });
 }
 
-std::string sweep_identity(const std::string& sweep_name, double minutes,
-                           ehsim::PvSource::Mode pv_mode,
-                           const std::vector<ControlSpec>& controls,
-                           const std::vector<SourceSpec>& sources,
-                           const IntegratorSpec& integrator,
-                           const PlatformSpec& platform) {
-  std::string id = sweep_name + "?minutes=" + shortest_double(minutes) +
-                   "&pv=" +
-                   (pv_mode == ehsim::PvSource::Mode::kExact ? "exact"
-                                                             : "tabulated");
-  for (const auto& c : controls) id += "&control=" + c.spec_string();
-  for (const auto& s : sources) id += "&source=" + s.spec_string();
-  // The default integrator is omitted (it computes identically whether
-  // spelled out or not), so pre-existing journal identities stay valid.
-  // Execution-only keys (IntegratorEntry::execution_only, e.g.
-  // rk23simd's "width") select a scheduling strategy, not numerics:
-  // they are stripped so journals written under different widths stay
-  // interchangeable on resume.
-  IntegratorSpec canonical{integrator.kind, {}};
-  if (const IntegratorEntry* entry =
-          IntegratorRegistry::instance().find(integrator.kind)) {
-    for (const auto& [key, value] : integrator.params.entries()) {
-      if (std::find(entry->execution_only.begin(),
-                    entry->execution_only.end(),
-                    key) == entry->execution_only.end())
-        canonical.params.set(key, value);
-    }
-  } else {
-    canonical.params = integrator.params;
-  }
-  if (canonical != IntegratorSpec{})
-    id += "&integrator=" + canonical.spec_string();
-  // The default "mono" platform is likewise omitted, keeping every
-  // pre-existing journal identity valid; any other topology changes the
-  // computed bytes, so its full spec string pins the identity.
-  if (platform != PlatformSpec{}) id += "&platform=" + platform.spec_string();
-  return id;
-}
-
 JournalContents read_journal(const std::string& path,
                              const JournalHeader& expected) {
   JournalContents contents = read_journal(path);
@@ -469,15 +420,27 @@ JournalContents read_journal(const std::string& path,
   return contents;
 }
 
-void check_journal_rows(const std::string& path,
-                        const std::map<std::size_t, SummaryRow>& rows,
-                        const std::vector<ScenarioSpec>& specs) {
-  for (const auto& [i, row] : rows) {
+CheckpointJournal CheckpointJournal::open(
+    const std::string& path, const JournalHeader& header,
+    const std::vector<ScenarioSpec>& specs, JournalDurability durability,
+    std::shared_ptr<fault::FaultInjector> fault) {
+  if (!std::filesystem::exists(path)) {
+    JournalContents fresh;
+    fresh.header = header;
+    return {std::move(fresh), JournalWriter::create(path, header, durability,
+                                                    std::move(fault))};
+  }
+  JournalContents recorded = read_journal(path, header);
+  for (const auto& [i, row] : recorded.rows) {
     if (i >= specs.size() || row.label != specs[i].label)
       throw JournalError(path + ": journaled row does not match scenario " +
                          std::to_string(i) +
                          " -- delete the journal to start over");
   }
+  std::FILE* out = std::fopen(path.c_str(), "ab");
+  if (!out) throw JournalError("cannot open journal for append: " + path);
+  return {std::move(recorded),
+          JournalWriter(out, durability, std::move(fault))};
 }
 
 }  // namespace pns::sweep

@@ -106,13 +106,6 @@ class JournalWriter {
       JournalDurability durability = JournalDurability::kFlush,
       std::shared_ptr<fault::FaultInjector> fault = nullptr);
 
-  /// Opens `path` for appending without touching existing contents. The
-  /// caller is expected to have validated the header via read_journal.
-  static JournalWriter append_to(
-      const std::string& path,
-      JournalDurability durability = JournalDurability::kFlush,
-      std::shared_ptr<fault::FaultInjector> fault = nullptr);
-
   JournalWriter(JournalWriter&& other) noexcept;
   JournalWriter& operator=(JournalWriter&& other) noexcept;
   JournalWriter(const JournalWriter&) = delete;
@@ -136,6 +129,8 @@ class JournalWriter {
   bool probe();
 
  private:
+  friend struct CheckpointJournal;
+
   JournalWriter(std::FILE* out, JournalDurability durability,
                 std::shared_ptr<fault::FaultInjector> fault)
       : out_(out), durability_(durability), fault_(std::move(fault)) {}
@@ -151,6 +146,26 @@ class JournalWriter {
   bool maybe_torn_ = false;
 };
 
+/// A checkpoint journal opened for a run (SweepRunner::run_checkpointed,
+/// the sweep daemon's jobs): the rows recorded so far and the writer
+/// that appends the rest.
+struct CheckpointJournal {
+  JournalContents recorded;  ///< no rows for a new file
+  JournalWriter writer;
+
+  /// Opens `path` for a run of `specs` under `header`. An existing file
+  /// must match `header`, and each recorded row must carry the label of
+  /// the scenario at its index (else it belongs to a differently
+  /// parameterised sweep of the same name and size); it is then reopened
+  /// for append. A missing file is created. Throws JournalError naming
+  /// `path` on a mismatch or an IO failure.
+  static CheckpointJournal open(
+      const std::string& path, const JournalHeader& header,
+      const std::vector<ScenarioSpec>& specs,
+      JournalDurability durability = JournalDurability::kFlush,
+      std::shared_ptr<fault::FaultInjector> fault = nullptr);
+};
+
 /// Reads a journal back. Torn or unparseable lines are dropped and
 /// counted; lines whose CRC-32 check fails are quarantined (counted
 /// separately, rows not folded in) -- both leave a per-line note in
@@ -164,15 +179,6 @@ JournalContents read_journal(const std::string& path);
 /// Reads and validates against an expected identity in one step.
 JournalContents read_journal(const std::string& path,
                              const JournalHeader& expected);
-
-/// The rule for reusing journalled rows: each must carry the label of
-/// the scenario at its index. Anything else means the journal belongs to
-/// a differently parameterised sweep (same name and size, different
-/// axes), whose rows would corrupt the merge. Throws JournalError naming
-/// `path` and the first offending index.
-void check_journal_rows(const std::string& path,
-                        const std::map<std::size_t, SummaryRow>& rows,
-                        const std::vector<ScenarioSpec>& specs);
 
 /// Rewrites the journal at `in_path` as its header plus ONE aggregate
 /// "rows" block holding every completed row (and recorded cost) -- the
@@ -199,23 +205,5 @@ std::size_t compact_journal(const std::string& in_path,
 void write_canonical_journal(const std::string& path,
                              const JournalHeader& header,
                              const std::map<std::size_t, SummaryRow>& rows);
-
-/// Canonical identity string of a sweep invocation, used as
-/// JournalHeader::sweep by the pns_sweep CLI: the preset name plus every
-/// knob that changes what the scenarios compute -- the window length, the
-/// PV mode, the full spec strings of any --control/--source overrides,
-/// and the integrator (appended only when it differs from the default
-/// "rk23", which computes identically whether spelled or omitted;
-/// execution-only keys like rk23simd's "width" are stripped, since any
-/// width computes the same bytes) and the platform (appended only when
-/// it differs from the default "mono", for the same reason). A resume
-/// whose overrides differ therefore fails the header match instead of
-/// silently mixing differently-parameterised rows.
-std::string sweep_identity(const std::string& sweep_name, double minutes,
-                           ehsim::PvSource::Mode pv_mode,
-                           const std::vector<ControlSpec>& controls,
-                           const std::vector<SourceSpec>& sources,
-                           const IntegratorSpec& integrator = {},
-                           const PlatformSpec& platform = {});
 
 }  // namespace pns::sweep

@@ -83,9 +83,9 @@ struct IntegratorEntry {
       apply;
   /// Parameter keys that select *execution strategy*, not numerics: two
   /// specs of this kind that differ only in these keys integrate
-  /// bit-identical trajectories. sweep_identity() strips them (journals
-  /// stay interchangeable across them) and the apply hook must ignore
-  /// them.
+  /// bit-identical trajectories. The journal identity
+  /// (sweepd::JobSpec::identity) strips them, so journals stay
+  /// interchangeable across them, and the apply hook must ignore them.
   std::vector<std::string> execution_only;
   /// Lockstep-batchable: the runner may group compatible adjacent rows
   /// of this kind into one sim::BatchEngine per worker, up to the kind's

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <filesystem>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -221,17 +220,15 @@ ResumeReport SweepRunner::run_checkpointed(
     PNS_EXPECTS(indices[j] < specs.size());
     PNS_EXPECTS(j == 0 || indices[j] > indices[j - 1]);  // sorted, unique
   }
-  const JournalHeader header{sweep_name, specs.size()};
-
   // Load whatever a previous (possibly killed) invocation recorded.
   std::map<std::size_t, SummaryRow> done;
-  const bool journalled = !journal_path.empty();
-  const bool journal_exists =
-      journalled && std::filesystem::exists(journal_path);
-  if (journal_exists) {
-    JournalContents contents = read_journal(journal_path, header);
-    done = std::move(contents.rows);
-    check_journal_rows(journal_path, done, specs);
+  std::optional<JournalWriter> journal;
+  if (!journal_path.empty()) {
+    CheckpointJournal checkpoint = CheckpointJournal::open(
+        journal_path, JournalHeader{sweep_name, specs.size()}, specs,
+        options_.journal_durability);
+    done = std::move(checkpoint.recorded.rows);
+    journal.emplace(std::move(checkpoint.writer));
   }
 
   // Gather the shard's pending specs (journal misses), keeping their
@@ -243,15 +240,6 @@ ResumeReport SweepRunner::run_checkpointed(
       pending.push_back(specs[i]);
       global_index.push_back(i);
     }
-  }
-
-  std::optional<JournalWriter> journal;
-  if (journalled) {
-    journal = journal_exists
-                  ? JournalWriter::append_to(journal_path,
-                                             options_.journal_durability)
-                  : JournalWriter::create(journal_path, header,
-                                          options_.journal_durability);
   }
 
   ResumeReport report;

@@ -49,11 +49,21 @@ std::optional<std::uint64_t> job_number(const std::string& id) {
 
 struct Daemon::Impl {
   struct Job {
+    /// Expands `job_spec` and marks every row pending. Throws JobError
+    /// on an invalid spec or one that expands to zero scenarios.
+    Job(std::string job_id, JobSpec job_spec)
+        : id(std::move(job_id)),
+          spec(std::move(job_spec)),
+          specs(spec.expand()),
+          header{spec.identity(), specs.size()} {
+      if (specs.empty()) throw JobError("job expands to zero scenarios");
+      for (std::size_t i = 0; i < specs.size(); ++i) pending.insert(i);
+    }
+
     std::string id;
     JobSpec spec;
-    std::string identity;
     std::vector<sweep::ScenarioSpec> specs;
-    sweep::JournalHeader header;
+    sweep::JournalHeader header;  ///< header.sweep is the job's identity
 
     std::map<std::size_t, sweep::SummaryRow> done;
     std::map<std::size_t, double> costs;
@@ -156,16 +166,8 @@ struct Daemon::Impl {
   /// spec sidecar and opens a fresh journal. Throws JobError /
   /// JournalError on invalid specs or unwritable state.
   Job& create_job(JobSpec spec) {
-    auto job = std::make_unique<Job>();
-    job->id = "job-" + std::to_string(next_job);
-    job->spec = std::move(spec);
-    job->identity = job->spec.identity();
-    job->specs = job->spec.expand();  // JobError on unknown preset
-    if (job->specs.empty()) throw JobError("job expands to zero scenarios");
-    job->header = sweep::JournalHeader{
-        job->identity, job->specs.size()};
-    for (std::size_t i = 0; i < job->specs.size(); ++i)
-      job->pending.insert(i);
+    auto job = std::make_unique<Job>("job-" + std::to_string(next_job),
+                                     std::move(spec));
 
     // Spec sidecar first, then the journal: a crash between the two
     // resurfaces as an empty job on restart, never an orphan journal.
@@ -188,7 +190,7 @@ struct Daemon::Impl {
         state_path(journal_filename(job->id)), job->header, durability(),
         options.fault);
 
-    log("job " + job->id + ": submitted '" + job->identity + "', " +
+    log("job " + job->id + ": submitted '" + job->header.sweep + "', " +
         std::to_string(job->specs.size()) + " scenarios");
     return install_job(std::move(job));
   }
@@ -210,36 +212,23 @@ struct Daemon::Impl {
                      "the job or restore the file from a backup (" +
                      e.what() + ")");
     }
-    auto job = std::make_unique<Job>();
-    job->id = doc.at("job").as_string();
-    job->spec = JobSpec::from_json(doc.at("spec"));
-    job->identity = job->spec.identity();
-    job->specs = job->spec.expand();
-    job->header = sweep::JournalHeader{job->identity, job->specs.size()};
-
-    const std::string jpath = state_path(journal_filename(job->id));
-    if (std::filesystem::exists(jpath)) {
-      sweep::JournalContents contents =
-          sweep::read_journal(jpath, job->header);
-      for (const std::string& note : contents.notes) log(note);
-      if (contents.quarantined_lines > 0)
-        log("job " + job->id + ": " +
-            std::to_string(contents.quarantined_lines) +
-            " corrupt row(s) quarantined; their scenarios re-run");
-      sweep::check_journal_rows(jpath, contents.rows, job->specs);
-      job->done = std::move(contents.rows);
-      job->costs = std::move(contents.costs);
-      for (const auto& [i, row] : job->done)
-        if (!row.ok) ++job->failed;
-      job->journal = sweep::JournalWriter::append_to(jpath, durability(),
-                                                     options.fault);
-    } else {
-      job->journal = sweep::JournalWriter::create(jpath, job->header,
-                                                  durability(),
-                                                  options.fault);
+    auto job = std::make_unique<Job>(doc.at("job").as_string(),
+                                     JobSpec::from_json(doc.at("spec")));
+    sweep::CheckpointJournal checkpoint = sweep::CheckpointJournal::open(
+        state_path(journal_filename(job->id)), job->header, job->specs,
+        durability(), options.fault);
+    for (const std::string& note : checkpoint.recorded.notes) log(note);
+    if (checkpoint.recorded.quarantined_lines > 0)
+      log("job " + job->id + ": " +
+          std::to_string(checkpoint.recorded.quarantined_lines) +
+          " corrupt row(s) quarantined; their scenarios re-run");
+    job->done = std::move(checkpoint.recorded.rows);
+    job->costs = std::move(checkpoint.recorded.costs);
+    job->journal.emplace(std::move(checkpoint.writer));
+    for (const auto& [i, row] : job->done) {
+      job->pending.erase(i);
+      if (!row.ok) ++job->failed;
     }
-    for (std::size_t i = 0; i < job->specs.size(); ++i)
-      if (!job->done.count(i)) job->pending.insert(i);
 
     log("job " + job->id + ": reloaded, " +
         std::to_string(job->done.size()) + "/" +
@@ -573,7 +562,7 @@ struct Daemon::Impl {
   JobStatus status_of(const Job& job) const {
     JobStatus s;
     s.job = job.id;
-    s.identity = job.identity;
+    s.identity = job.header.sweep;
     s.total = job.specs.size();
     s.done = job.done.size();
     s.failed = job.failed;
@@ -658,7 +647,7 @@ struct Daemon::Impl {
   void reply_results(Conn& conn, const std::string& job_id) {
     Job* job = find_job(job_id);
     if (!job) throw ProtocolError("unknown job '" + job_id + "'");
-    send(conn, make_results_begin(job->id, job->identity,
+    send(conn, make_results_begin(job->id, job->header.sweep,
                                   job->specs.size(), job->done.size(),
                                   job->complete()));
     // Global spec order: the client can append rows straight into the
@@ -697,7 +686,7 @@ struct Daemon::Impl {
     } else if (type == "submit") {
       JobSpec spec = JobSpec::from_json(msg.at("spec"));
       Job& job = create_job(std::move(spec));
-      send(conn, make_submitted(job.id, job.identity, job.specs.size()));
+      send(conn, make_submitted(job.id, job.header.sweep, job.specs.size()));
     } else if (type == "lease_request") {
       grant_lease(conn);
     } else if (type == "row") {

@@ -1,6 +1,10 @@
 #include "sweepd/job.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "sweep/presets.hpp"
+#include "sweep/registry.hpp"
 
 namespace pns::sweepd {
 
@@ -20,8 +24,36 @@ ehsim::PvSource::Mode pv_mode_from_name(const std::string& name) {
 }  // namespace
 
 std::string JobSpec::identity() const {
-  return sweep::sweep_identity(preset, minutes, pv_mode, controls, sources,
-                               integrator, platform);
+  std::string id = preset + "?minutes=" + shortest_double(minutes) +
+                   "&pv=" + pv_mode_name(pv_mode);
+  for (const auto& c : controls) id += "&control=" + c.spec_string();
+  for (const auto& s : sources) id += "&source=" + s.spec_string();
+  // The default integrator is omitted (it computes identically whether
+  // spelled out or not), so pre-existing journal identities stay valid.
+  // Execution-only keys (IntegratorEntry::execution_only, e.g.
+  // rk23simd's "width") select a scheduling strategy, not numerics:
+  // they are stripped so journals written under different widths stay
+  // interchangeable on resume.
+  sweep::IntegratorSpec canonical{integrator.kind, {}};
+  if (const sweep::IntegratorEntry* entry =
+          sweep::IntegratorRegistry::instance().find(integrator.kind)) {
+    for (const auto& [key, value] : integrator.params.entries()) {
+      if (std::find(entry->execution_only.begin(),
+                    entry->execution_only.end(),
+                    key) == entry->execution_only.end())
+        canonical.params.set(key, value);
+    }
+  } else {
+    canonical.params = integrator.params;
+  }
+  if (canonical != sweep::IntegratorSpec{})
+    id += "&integrator=" + canonical.spec_string();
+  // The default "mono" platform is likewise omitted, keeping every
+  // pre-existing journal identity valid; any other topology changes the
+  // computed bytes, so its full spec string pins the identity.
+  if (platform != sweep::PlatformSpec{})
+    id += "&platform=" + platform.spec_string();
+  return id;
 }
 
 std::vector<sweep::ScenarioSpec> JobSpec::expand() const {
@@ -33,6 +65,11 @@ std::vector<sweep::ScenarioSpec> JobSpec::expand() const {
     msg += ")";
     throw JobError(msg);
   }
+  // Every scenario of a non-positive window fails its precondition, so
+  // such a job is refused whole -- for local runs and submissions alike.
+  if (!std::isfinite(minutes) || minutes <= 0.0)
+    throw JobError("invalid minutes " + shortest_double(minutes) +
+                   ": the simulated window must be finite and > 0");
   sweep::SweepSpec sw = p->make(minutes);
   if (!controls.empty()) sw.controls = controls;
   if (!sources.empty()) sw.sources = sources;
@@ -48,7 +85,7 @@ std::vector<sweep::ScenarioSpec> JobSpec::expand() const {
 void JobSpec::write_json(JsonWriter& w) const {
   // Spec strings (not exploded param objects): round-trippable through
   // the same parse() the CLI flags use, and identical to what
-  // sweep_identity pins.
+  // identity() pins.
   w.begin_object();
   w.kv("preset", preset);
   w.kv("minutes", minutes);

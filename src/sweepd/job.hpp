@@ -1,27 +1,29 @@
-// Serializable sweep-job description shared by daemon, worker and client.
+// Serializable sweep-job description: one `pns_sweep` invocation.
 //
 // A JobSpec is exactly the knob set of a `pns_sweep <preset>` invocation
-// -- preset name, window length, PV mode, control/source/integrator spec
-// strings -- no more, no less. Both the daemon and every worker expand
-// it through the same preset + registry code that the local CLI uses, so
-// a job means the *same* vector of ScenarioSpecs on every machine, and
-// the daemon's journal identity (sweep_identity) pins that meaning: a
-// worker built from different code fails the row-label check instead of
-// silently corrupting the aggregate.
+// -- preset name, window length, PV mode, control/source/integrator/
+// platform spec strings -- no more, no less. A local or sharded
+// `pns_sweep` run, the daemon and every worker all expand it through
+// expand() and journal it under identity(), so a job means the *same*
+// vector of ScenarioSpecs on every machine and every checkpoint journal
+// header says exactly what its rows computed: a worker built from
+// different code fails the row-label check instead of silently
+// corrupting the aggregate.
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "sweep/journal.hpp"
 #include "sweep/scenario.hpp"
 #include "util/json.hpp"
 
 namespace pns::sweepd {
 
-/// Error raised for an invalid job: unknown preset, malformed spec
-/// strings, or a malformed JSON encoding.
+/// Error raised for an invalid job: unknown preset, a window that is not
+/// a finite number of minutes > 0, malformed spec strings, or a
+/// malformed JSON encoding.
 class JobError : public std::runtime_error {
  public:
   explicit JobError(const std::string& what) : std::runtime_error(what) {}
@@ -41,13 +43,19 @@ struct JobSpec {
   /// changes every row's bytes, so it is part of the identity).
   sweep::PlatformSpec platform;
 
-  /// The canonical sweep identity (sweep/journal.hpp sweep_identity):
-  /// journal headers of this job's checkpoints carry exactly this.
+  /// The canonical sweep identity, JournalHeader::sweep of every journal
+  /// of this job: the preset plus every knob that changes what the rows
+  /// compute -- window, PV mode, control/source overrides, and the
+  /// integrator and platform unless they are the defaults (which compute
+  /// the same bytes spelled or not). Execution-only integrator keys such
+  /// as rk23simd's "width" are stripped. A resume under other knobs thus
+  /// fails the header match instead of mixing rows.
   std::string identity() const;
 
   /// Expands to the concrete scenario vector via the preset registry +
-  /// axis overrides -- identical on daemon and workers. Throws JobError
-  /// on an unknown preset (spec strings were validated at parse time).
+  /// axis overrides -- identical for local runs, the daemon and workers.
+  /// Throws JobError on an unknown preset or a `minutes` that is not
+  /// finite and > 0 (spec strings were validated at parse time).
   std::vector<sweep::ScenarioSpec> expand() const;
 
   /// Emits the JSON object form carried in submit/lease messages.

@@ -39,6 +39,20 @@ double parse_double(const std::string& key, const std::string& text) {
   return v;
 }
 
+std::uint64_t parse_uint(const std::string& key, const std::string& text) {
+  // strtoull negates a signed text (even after leading blanks) instead of
+  // failing, so any '-' is refused up front.
+  if (text.empty() || text.find('-') != std::string::npos)
+    bad_value(key, "a non-negative integer", text);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+  if (end != text.c_str() + text.size())
+    bad_value(key, "a non-negative integer", text);
+  if (errno == ERANGE) bad_value(key, "a representable integer", text);
+  return parsed;
+}
+
 }  // namespace
 
 ParamMap ParamMap::parse(std::string_view text) {
@@ -140,16 +154,7 @@ int ParamMap::get_int32(const std::string& key, int fallback) const {
 std::uint64_t ParamMap::get_uint(const std::string& key,
                                  std::uint64_t fallback) const {
   const std::string* v = find(key);
-  if (!v) return fallback;
-  if (v->empty() || (*v)[0] == '-')
-    bad_value(key, "a non-negative integer", *v);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-  if (end != v->c_str() + v->size())
-    bad_value(key, "a non-negative integer", *v);
-  if (errno == ERANGE) bad_value(key, "a representable integer", *v);
-  return parsed;
+  return v ? parse_uint(key, *v) : fallback;
 }
 
 bool ParamMap::get_bool(const std::string& key, bool fallback) const {
@@ -195,6 +200,36 @@ void ParamMap::validate_types(const std::vector<ParamInfo>& valid) const {
       (void)get_bool(info.key, false);
     }
   }
+}
+
+double parse_number(const std::string& name, const std::string& text,
+                    NumberSign sign) {
+  double v = NAN;
+  try {
+    v = parse_double(name, text);
+  } catch (const ParamError&) {
+    // reported below, with the accepted range
+  }
+  if (std::isfinite(v) && (sign != NumberSign::kPositive || v > 0.0) &&
+      (sign != NumberSign::kNonNegative || v >= 0.0))
+    return v;
+  throw ParamError("invalid " + name + " '" + text +
+                   "': expected a finite number" +
+                   (sign == NumberSign::kPositive      ? " > 0"
+                    : sign == NumberSign::kNonNegative ? " >= 0"
+                                                       : ""));
+}
+
+std::uint64_t parse_count(const std::string& name, const std::string& text,
+                          std::uint64_t max) {
+  try {
+    if (const std::uint64_t v = parse_uint(name, text); v <= max) return v;
+  } catch (const ParamError&) {
+    // reported below, with the accepted range
+  }
+  throw ParamError("invalid " + name + " '" + text +
+                   "': expected a whole number from 0 to " +
+                   std::to_string(max));
 }
 
 SpecParts split_spec_string(std::string_view text) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -120,6 +121,21 @@ struct SpecParts {
   std::string params;
 };
 SpecParts split_spec_string(std::string_view text);
+
+/// Lower bound that parse_number enforces.
+enum class NumberSign { kAny, kNonNegative, kPositive };
+
+/// Numeric text outside a ParamMap (CLI flag values such as `--minutes
+/// 2`), held to the whole-string rule the typed getters apply to spec
+/// values: all of `text` is one number, nothing before or after it.
+/// parse_number also requires a finite value of the given sign;
+/// parse_count a non-negative integer <= `max`. Both throw ParamError
+/// "invalid <name> '<text>': expected ...".
+double parse_number(const std::string& name, const std::string& text,
+                    NumberSign sign = NumberSign::kAny);
+std::uint64_t parse_count(
+    const std::string& name, const std::string& text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Renders a ParamInfo list as "key=<type> (default), ..." for error
 /// messages and `pns_sweep list`.

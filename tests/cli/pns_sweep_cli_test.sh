@@ -42,6 +42,26 @@ grep -q "valid: exact, tabulated" err.txt || \
 
 "$BIN" --help >/dev/null 2>&1 || fail "--help exited non-zero"
 
+# --- numeric flags: whole, finite, in range, or exit 2 naming the flag
+# (before this check, `--minutes abc` ran every row into a precondition
+# failure and `--threads x` silently meant hardware concurrency)
+for bad in "--minutes abc" "--minutes 2x" "--minutes nan" "--minutes inf" \
+           "--minutes 0" "--minutes -1" "--threads x" "--threads -2" \
+           "--threads 1.5" "--threads 99999999999" "--refine-tol abc" \
+           "--refine-tol -0.1" "--refine-depth 2.5" "--refine-depth -1" \
+           "--max-reconnects x" "--max-reconnects -1"; do
+  flag=${bad%% *}
+  status=0
+  # shellcheck disable=SC2086 # split "--flag value" into two words
+  "$BIN" quick --quiet $bad >out.txt 2>err.txt || status=$?
+  [ "$status" -eq 2 ] || fail "'$bad' exited $status, not 2"
+  grep -q -- "${flag#--}" err.txt || \
+    fail "'$bad': flag not named in diagnostics"
+  [ -s out.txt ] && fail "'$bad' ran the sweep"
+done
+"$BIN" quick --quiet --minutes 1e-2 --threads 2 --csv tiny.csv >/dev/null || \
+  fail "well-formed --minutes 1e-2 --threads 2 refused"
+
 # --- refused flag combinations
 "$BIN" quick --shard 0/2 --quiet 2>/dev/null && fail "--shard without --journal accepted"
 "$BIN" quick --resume --quiet 2>/dev/null && fail "--resume without --journal accepted"
@@ -51,6 +71,20 @@ grep -q "valid: exact, tabulated" err.txt || \
   fail "--shard with --csv accepted (partial aggregate)"
 "$BIN" quick --refine --refine-metric bogus --quiet 2>/dev/null && \
   fail "unknown --refine-metric accepted"
+
+# --- submit refuses the flags only a local run honours (the daemon
+# journals the job; `results` publishes it) before contacting anyone
+for flag in "--journal j.jsonl" "--csv s.csv" "--json s.json" \
+            "--shard 0/2" "--cost-journal c.jsonl" "--resume" "--refine" \
+            "--fsync"; do
+  status=0
+  # shellcheck disable=SC2086
+  "$BIN" submit quick --connect tcp:127.0.0.1:1 $flag >out.txt 2>err.txt || \
+    status=$?
+  [ "$status" -eq 2 ] || fail "submit with $flag exited $status, not 2"
+  grep -q -- "${flag%% *} does not apply to submit" err.txt || \
+    fail "submit with $flag: flag not named"
+done
 
 # --- the list subcommand is generated from the registries
 "$BIN" list >list.txt 2>&1 || fail "list exited non-zero"

@@ -61,6 +61,20 @@ if "$DAEMON" --listen bogus-endpoint >out.txt 2>err.txt; then
 fi
 grep -q "unix:" err.txt || fail "bad --listen: accepted forms not named"
 
+# Numeric flags: whole, finite, in range, or exit 2 naming the flag
+# (before this check, `--lease-timeout abc` expired every lease at once).
+for bad in "--lease-timeout abc" "--lease-timeout 0" "--lease-timeout -5" \
+           "--lease-timeout inf" "--lease-rows x" "--lease-rows -1" \
+           "--lease-rows 2.5" "--idle-poll abc" "--idle-poll 0"; do
+  status=0
+  # shellcheck disable=SC2086 # split "--flag value" into two words
+  "$DAEMON" --listen tcp:0 --state-dir nostate $bad >out.txt 2>err.txt || \
+    status=$?
+  [ "$status" -eq 2 ] || fail "pns_sweepd '$bad' exited $status, not 2"
+  grep -q -- "${bad%% *}" err.txt || fail "pns_sweepd '$bad': flag not named"
+done
+[ -e nostate ] && fail "a refused pns_sweepd flag still created its state dir"
+
 "$BIN" worker >out.txt 2>err.txt && fail "worker without --connect exited 0"
 grep -q -- "--connect" err.txt || fail "worker: --connect not named"
 "$BIN" submit --connect tcp:1 >out.txt 2>err.txt && \
@@ -84,7 +98,8 @@ start_daemon --listen tcp:0 --state-dir state --fsync --idle-poll 0.05 || \
 grep -q "job-1" submit.txt || fail "submit: no job id reported"
 grep -q "12 scenarios" submit.txt || fail "submit: scenario count missing"
 
-# An unknown preset is rejected daemon-side, naming the valid choices.
+# An unknown preset is refused before submission, naming the valid choices
+# (tests/sweepd covers the daemon-side rejection of a wire submit).
 if "$BIN" submit no-such-sweep --connect "$ADDR" >out.txt 2>err.txt; then
   fail "submit of unknown preset exited 0"
 fi

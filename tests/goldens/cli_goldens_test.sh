@@ -1,0 +1,80 @@
+#!/bin/sh
+# Byte-for-byte goldens of `pns_sweep` outputs, registered with ctest as
+# `cli_goldens`.
+#
+#   cli_goldens_test.sh PNS_SWEEP [OUT_DIR]
+#
+# Runs each pinned sweep with --csv/--json (and, for the journalled
+# cases, --journal folded through `merge --journal` into the canonical
+# journal, whose header pins the sweep identity bytes), writes the files
+# to OUT_DIR (default: a temporary directory) and `cmp`s each against
+# tests/goldens/cli/. Sweeps are deterministic across thread counts, so
+# any difference is an output change.
+#
+# Regenerate (from the repo root, after building into build/; only for an
+# intended output change, which CHANGES.md must name):
+#
+#   sh tests/goldens/cli_goldens_test.sh "$PWD/build/pns_sweep" tests/goldens/cli
+set -eu
+
+BIN=$1
+GOLDEN_DIR=$(cd "$(dirname "$0")" && pwd)/cli
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+if [ $# -ge 2 ]; then
+  mkdir -p "$2"
+  OUT_DIR=$(cd "$2" && pwd)
+else
+  OUT_DIR=$WORK
+fi
+
+fails=0
+check() {
+  if ! cmp -s "$OUT_DIR/$1" "$GOLDEN_DIR/$1"; then
+    diff "$GOLDEN_DIR/$1" "$OUT_DIR/$1" || true
+    echo "FAIL: $1 differs from tests/goldens/cli/$1"
+    fails=$((fails + 1))
+  fi
+}
+
+# golden NAME ARGS...: `pns_sweep ARGS` writes NAME.csv and NAME.json.
+golden() {
+  name=$1
+  shift
+  if ! "$BIN" "$@" --quiet --csv "$OUT_DIR/$name.csv" \
+      --json "$OUT_DIR/$name.json" >/dev/null; then
+    echo "FAIL: pns_sweep $* exited non-zero"
+    fails=$((fails + 1))
+    return
+  fi
+  check "$name.csv"
+  check "$name.json"
+}
+
+# journalled NAME ARGS...: as golden, plus NAME.canon.jsonl, the run's
+# journal canonicalised by `merge --journal`.
+journalled() {
+  name=$1
+  shift
+  golden "$name" "$@" --journal "$WORK/$name.jsonl"
+  if ! "$BIN" merge --quiet --journal "$OUT_DIR/$name.canon.jsonl" \
+      "$WORK/$name.jsonl" >/dev/null; then
+    echo "FAIL: merge --journal of $name exited non-zero"
+    fails=$((fails + 1))
+    return
+  fi
+  check "$name.canon.jsonl"
+}
+
+golden table2_rk23 table2 --minutes 2
+golden table2_rk23pi table2 --minutes 2 --integrator rk23pi
+# width is execution-only: the identity in the header drops it.
+journalled table2_rk23simd table2 --minutes 2 --integrator rk23simd:width=4
+journalled quick quick
+golden fig6 fig6
+golden capacitance capacitance --minutes 2
+# one multi-domain run: JSON-only per-domain arrays, platform identity.
+journalled table2_biglittle table2 --minutes 2 --platform biglittle
+
+[ "$fails" -eq 0 ] || { echo "$fails golden(s) failed"; exit 1; }
+echo "cli goldens: all match"

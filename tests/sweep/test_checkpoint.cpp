@@ -10,6 +10,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "sweep/journal.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/scenario.hpp"
+#include "sweepd/job.hpp"
 #include "util/contracts.hpp"
 #include "util/fault.hpp"
 
@@ -54,6 +56,21 @@ SweepSpec small_sweep() {
                  ControlSpec::linux_governor("ondemand")};
   sw.seeds = {11, 12};
   return sw;
+}
+
+// The journal identity of a `pns_sweep PRESET --minutes M ...` run with
+// the default PV mode, as the CLI and the daemon compute it.
+std::string identity_of(const std::string& preset, double minutes,
+                        std::vector<ControlSpec> controls,
+                        std::vector<SourceSpec> sources,
+                        IntegratorSpec integrator = {}) {
+  sweepd::JobSpec job;
+  job.preset = preset;
+  job.minutes = minutes;
+  job.controls = std::move(controls);
+  job.sources = std::move(sources);
+  job.integrator = std::move(integrator);
+  return job.identity();
 }
 
 SweepRunner runner_with(unsigned threads) {
@@ -485,26 +502,23 @@ TEST(SweepRunnerResume, KilledMidAppendReRunsTheTornScenario) {
 }
 
 TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
-  // The CLI journals under sweep_identity(...), which embeds the full
+  // The CLI journals under JobSpec::identity(), which embeds the full
   // --control/--source spec strings: resuming with a different tuning of
   // the *same* control kind must fail the header match with a message
   // naming both identities.
   const auto specs = small_sweep().expand();
-  const auto mode = ehsim::PvSource::Mode::kExact;
-  const std::string original = sweep_identity(
-      "quick", 2.0, mode,
-      {ControlSpec::parse("gov:ondemand:period=0.05")},
+  const std::string original = identity_of(
+      "quick", 2.0, {ControlSpec::parse("gov:ondemand:period=0.05")},
       {SourceSpec::parse("flicker:period=30,depth=0.5")});
   EXPECT_EQ(original,
             "quick?minutes=2&pv=exact&control=gov:ondemand:period=0.05"
             "&source=flicker:period=30,depth=0.5");
   // The default integrator is omitted (identical computation); any other
   // integrator spec is pinned.
-  EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23")),
+  EXPECT_EQ(identity_of("quick", 2.0, {}, {}, IntegratorSpec::parse("rk23")),
             "quick?minutes=2&pv=exact");
-  EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23pi:rtol=0.001")),
+  EXPECT_EQ(identity_of("quick", 2.0, {}, {},
+                        IntegratorSpec::parse("rk23pi:rtol=0.001")),
             "quick?minutes=2&pv=exact&integrator=rk23pi:rtol=0.001");
 
   TempFile file("pns-identity-specs");
@@ -512,8 +526,8 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
   // Same invocation resumes...
   EXPECT_NO_THROW(runner_with(1).resume(specs, file.path(), original));
   // ...a different governor period does not.
-  const std::string retuned = sweep_identity(
-      "quick", 2.0, mode, {ControlSpec::parse("gov:ondemand:period=0.1")},
+  const std::string retuned = identity_of(
+      "quick", 2.0, {ControlSpec::parse("gov:ondemand:period=0.1")},
       {SourceSpec::parse("flicker:period=30,depth=0.5")});
   try {
     runner_with(1).resume(specs, file.path(), retuned);
@@ -524,8 +538,8 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
     EXPECT_NE(what.find("gov:ondemand:period=0.1"), std::string::npos);
   }
   // Dropping the source override fails too.
-  const std::string no_source = sweep_identity(
-      "quick", 2.0, mode, {ControlSpec::parse("gov:ondemand:period=0.05")},
+  const std::string no_source = identity_of(
+      "quick", 2.0, {ControlSpec::parse("gov:ondemand:period=0.05")},
       {});
   EXPECT_THROW(runner_with(1).resume(specs, file.path(), no_source),
                JournalError);
@@ -533,20 +547,19 @@ TEST(SweepRunnerResume, IdentityPinsControlAndSourceSpecStrings) {
 
 TEST(SweepRunnerResume, BatchWidthIsExecutionOnlyInTheIdentity) {
   // rk23simd's `width` shapes execution, not results (the batched
-  // engine is bit-identical at every width), so sweep_identity strips
+  // engine is bit-identical at every width), so JobSpec::identity strips
   // it: journals written at one width are interchangeable with runs at
   // any other. Result-shaping params (rtol, ...) still pin.
-  const auto mode = ehsim::PvSource::Mode::kExact;
-  EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23simd:width=4")),
+  EXPECT_EQ(identity_of("quick", 2.0, {}, {},
+                        IntegratorSpec::parse("rk23simd:width=4")),
             "quick?minutes=2&pv=exact&integrator=rk23simd");
-  EXPECT_EQ(sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23simd:width=8")),
-            sweep_identity("quick", 2.0, mode, {}, {},
-                           IntegratorSpec::parse("rk23simd")));
+  EXPECT_EQ(identity_of("quick", 2.0, {}, {},
+                        IntegratorSpec::parse("rk23simd:width=8")),
+            identity_of("quick", 2.0, {}, {},
+                        IntegratorSpec::parse("rk23simd")));
   EXPECT_EQ(
-      sweep_identity("quick", 2.0, mode, {}, {},
-                     IntegratorSpec::parse("rk23simd:width=4,rtol=0.001")),
+      identity_of("quick", 2.0, {}, {},
+                  IntegratorSpec::parse("rk23simd:width=4,rtol=0.001")),
       "quick?minutes=2&pv=exact&integrator=rk23simd:rtol=0.001");
 }
 
@@ -556,16 +569,15 @@ TEST(SweepRunnerResume, RetiredRk23BatchJournalResumesUnderItsOldIdentity) {
   // wrote into journal headers -- `width` stripped as before -- and a
   // journal fully written under width=4 resumes under width=8 with every
   // row reused.
-  const auto mode = ehsim::PvSource::Mode::kExact;
   EXPECT_EQ(
-      sweep_identity("quick", 2.0, mode, {}, {},
-                     IntegratorSpec::parse("rk23batch:width=4,rtol=0.001")),
+      identity_of("quick", 2.0, {}, {},
+                  IntegratorSpec::parse("rk23batch:width=4,rtol=0.001")),
       "quick?minutes=2&pv=exact&integrator=rk23batch:rtol=0.001");
 
   auto sw4 = small_sweep();
   sw4.base.integrator = IntegratorSpec::parse("rk23batch:width=4");
-  const std::string id4 = sweep_identity("small", 0.5, mode, {}, {},
-                                         sw4.base.integrator);
+  const std::string id4 =
+      identity_of("small", 0.5, {}, {}, sw4.base.integrator);
   EXPECT_EQ(id4, "small?minutes=0.5&pv=exact&integrator=rk23batch");
   TempFile file("pns-batch-width");
   runner_with(1).resume(sw4.expand(), file.path(), id4);
@@ -573,8 +585,8 @@ TEST(SweepRunnerResume, RetiredRk23BatchJournalResumesUnderItsOldIdentity) {
   auto sw8 = small_sweep();
   sw8.base.integrator = IntegratorSpec::parse("rk23batch:width=8");
   const auto specs8 = sw8.expand();
-  const std::string id8 = sweep_identity("small", 0.5, mode, {}, {},
-                                         sw8.base.integrator);
+  const std::string id8 =
+      identity_of("small", 0.5, {}, {}, sw8.base.integrator);
   EXPECT_EQ(id4, id8);
   const auto report = runner_with(1).resume(specs8, file.path(), id8);
   EXPECT_EQ(report.reused, specs8.size());

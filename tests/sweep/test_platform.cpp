@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,9 +22,9 @@
 #include "soc/topology.hpp"
 #include "sweep/aggregate.hpp"
 #include "sweep/assets.hpp"
-#include "sweep/journal.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/scenario.hpp"
+#include "sweepd/job.hpp"
 #include "util/json.hpp"
 #include "util/params.hpp"
 
@@ -94,30 +95,29 @@ TEST(ResolvePlatform, CompilesRegisteredMultiDomainKinds) {
 
 // --------------------------------------------------- journal identity
 
+// The journal identity of `pns_sweep table2 --minutes 15 [--platform P]`.
+std::string table2_identity(PlatformSpec platform) {
+  sweepd::JobSpec job;
+  job.preset = "table2";
+  job.minutes = 15.0;
+  job.platform = std::move(platform);
+  return job.identity();
+}
+
 TEST(SweepIdentity, DefaultPlatformIsOmitted) {
-  const std::string id =
-      sweep_identity("table2", 15.0, ehsim::PvSource::Mode::kExact, {},
-                     {}, IntegratorSpec{}, PlatformSpec{});
+  const std::string id = table2_identity(PlatformSpec{});
   EXPECT_EQ(id.find("platform="), std::string::npos) << id;
   // Spelling "mono" out loud must not perturb pre-platform identities.
-  EXPECT_EQ(sweep_identity("table2", 15.0, ehsim::PvSource::Mode::kExact,
-                           {}, {}, IntegratorSpec{},
-                           PlatformSpec::parse("mono")),
-            id);
+  EXPECT_EQ(table2_identity(PlatformSpec::parse("mono")), id);
 }
 
 TEST(SweepIdentity, NonDefaultPlatformIsPinned) {
-  const PlatformSpec bl = PlatformSpec::parse("biglittle:big_cores=2");
-  const std::string id = sweep_identity(
-      "table2", 15.0, ehsim::PvSource::Mode::kExact, {}, {},
-      IntegratorSpec{}, bl);
+  const std::string id =
+      table2_identity(PlatformSpec::parse("biglittle:big_cores=2"));
   EXPECT_NE(id.find("platform=biglittle:big_cores=2"), std::string::npos)
       << id;
   // Different topology -> different identity (resume-mixing guard).
-  EXPECT_NE(id, sweep_identity("table2", 15.0,
-                               ehsim::PvSource::Mode::kExact, {}, {},
-                               IntegratorSpec{},
-                               PlatformSpec::parse("biglittle")));
+  EXPECT_NE(id, table2_identity(PlatformSpec::parse("biglittle")));
 }
 
 // ------------------------------------------------- default neutrality

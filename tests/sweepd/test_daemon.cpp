@@ -618,6 +618,32 @@ TEST(Daemon, BadSubmissionsAreReportedWithoutDroppingTheConnection) {
   EXPECT_EQ(message_type(conn.recv()), "submitted");
 }
 
+TEST(Daemon, SubmitOfANonPositiveWindowIsRefused) {
+  // Every row of such a job would fail its precondition, so the submit
+  // itself is refused, before any state is written.
+  TempDir state("pns-sweepd-minutes");
+  TestDaemon td(state.path());
+  const net::Endpoint ep = td.endpoint();
+  RawConn conn(ep);
+  for (const double minutes : {-1.0, 0.0}) {
+    JobSpec bad = quick_job();
+    bad.minutes = minutes;
+    conn.send(make_submit(bad));
+    const JsonValue reply = conn.recv();
+    ASSERT_EQ(message_type(reply), "error") << minutes;
+    EXPECT_NE(reply.at("error").as_string().find("minutes"),
+              std::string::npos);
+  }
+  EXPECT_TRUE(fetch_status(ep).jobs.empty());
+  EXPECT_FALSE(fs::exists(state.path() + "/job-1.spec.json"));
+
+  // The daemon keeps serving: the next valid job is job-1 and completes.
+  const SubmitResult submitted = submit_job(ep, quick_job());
+  EXPECT_EQ(submitted.job, "job-1");
+  run_worker(worker_options(ep));
+  expect_distributed_equals_local(ep, submitted.job, quick_job());
+}
+
 TEST(Daemon, WatchStreamsReplayAndLiveRows) {
   TempDir state("pns-sweepd-watch");
   TestDaemon td(state.path());

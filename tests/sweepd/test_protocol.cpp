@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -140,6 +141,17 @@ TEST(JobSpec, RejectsBadSpecs) {
   } catch (const JobError& e) {
     // The rejection must name the valid choices.
     EXPECT_NE(std::string(e.what()).find("quick"), std::string::npos);
+  }
+
+  // A window that is not finite and > 0 fails every row, so expansion
+  // refuses it -- the one check local runs and submissions share.
+  for (const double minutes :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    JobSpec bad_window;
+    bad_window.preset = "quick";
+    bad_window.minutes = minutes;
+    EXPECT_THROW(bad_window.expand(), JobError) << minutes;
   }
 
   EXPECT_THROW(JobSpec::from_json(parse_json("{\"preset\":\"quick\"}")),

@@ -79,6 +79,42 @@ TEST(ParamMap, BadTypedValuesThrowNamingKeyAndType) {
   EXPECT_THROW(map.get_uint("a", 0), ParamError);
 }
 
+TEST(FlagNumbers, WholeFiniteAndInRangeOrNamedError) {
+  EXPECT_EQ(parse_number("--minutes", "2.5"), 2.5);
+  EXPECT_EQ(parse_number("--minutes", "-3"), -3.0);  // kAny: sign is free
+  EXPECT_EQ(parse_number("--tol", "0", NumberSign::kNonNegative), 0.0);
+  EXPECT_EQ(parse_number("--poll", "1e-3", NumberSign::kPositive), 1e-3);
+  for (const char* bad : {"", "abc", "2x", "nan", "inf", "1e999"})
+    EXPECT_THROW(parse_number("--minutes", bad), ParamError) << bad;
+  EXPECT_THROW(parse_number("--tol", "-0.1", NumberSign::kNonNegative),
+               ParamError);
+  EXPECT_THROW(parse_number("--poll", "0", NumberSign::kPositive),
+               ParamError);
+
+  EXPECT_EQ(parse_count("--threads", "0"), 0u);
+  EXPECT_EQ(parse_count("--threads", "12", 12), 12u);
+  for (const char* bad : {"", "x", "-1", " -1", "1.5", "3 ",
+                          "99999999999999999999"})
+    EXPECT_THROW(parse_count("--threads", bad), ParamError) << bad;
+  EXPECT_THROW(parse_count("--threads", "13", 12), ParamError);
+
+  try {
+    parse_count("--lease-rows", "2.5");
+    FAIL() << "expected ParamError";
+  } catch (const ParamError& e) {
+    EXPECT_STREQ(e.what(),
+                 "invalid --lease-rows '2.5': expected a whole number from "
+                 "0 to 18446744073709551615");
+  }
+  try {
+    parse_number("--idle-poll", "abc", NumberSign::kPositive);
+    FAIL() << "expected ParamError";
+  } catch (const ParamError& e) {
+    EXPECT_STREQ(e.what(),
+                 "invalid --idle-poll 'abc': expected a finite number > 0");
+  }
+}
+
 TEST(ParamMap, ValidateKeysListsValidChoices) {
   const std::vector<ParamInfo> valid = {
       {"period", "double", "0.1", "sampling period"},

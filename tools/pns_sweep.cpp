@@ -71,23 +71,13 @@ namespace {
 using namespace pns;
 
 struct Options {
-  std::string sweep_name;
+  /// The sweep: preset, window, PV mode, axis overrides, integrator and
+  /// platform -- the same description a `submit` hands the daemon.
+  sweepd::JobSpec job;
   unsigned threads = 0;  // 0 = hardware_concurrency
-  double minutes = 60.0;
   std::string csv_path;
   std::string json_path;
   bool quiet = false;
-  ehsim::PvSource::Mode pv_mode = ehsim::PvSource::Mode::kExact;
-
-  // Control/source overrides (spec strings, repeatable -> axes).
-  std::vector<sweep::ControlSpec> controls;
-  std::vector<sweep::SourceSpec> sources;
-
-  // Integration engine (whole-sweep knob, like --pv-mode).
-  sweep::IntegratorSpec integrator;
-
-  // Platform topology (whole-sweep knob, like --pv-mode).
-  sweep::PlatformSpec platform;
 
   // Checkpointing / sharding.
   std::string journal_path;
@@ -266,57 +256,64 @@ bool write_outputs(const sweep::Aggregator& agg, const Options& opt) {
   return ok;
 }
 
+/// Publishes a complete row set the way merge and results both do: the
+/// canonical --journal, then (unless --quiet) `title` and the console
+/// table, then --csv/--json. True when every row is ok and every file
+/// was written. Throws JournalError when the journal cannot be written.
+bool publish(const Options& opt, const sweep::JournalHeader& header,
+             const std::map<std::size_t, sweep::SummaryRow>& rows,
+             const std::string& title) {
+  // --journal: the canonical (index-ordered, timing-free) journal -- the
+  // byte-comparable form shared by merge and results (docs/sweepd.md).
+  if (!opt.journal_path.empty())
+    sweep::write_canonical_journal(opt.journal_path, header, rows);
+  std::vector<sweep::SummaryRow> ordered;
+  ordered.reserve(rows.size());
+  for (const auto& [index, row] : rows) ordered.push_back(row);
+  sweep::Aggregator agg(std::move(ordered));
+  if (!opt.quiet) {
+    std::printf("%s\n\n", title.c_str());
+    agg.console_table().print(std::cout);
+    std::printf("\n");
+  }
+  if (!opt.journal_path.empty())
+    std::printf("wrote %s\n", opt.journal_path.c_str());
+  const bool wrote = write_outputs(agg, opt);
+  return agg.failed_count() == 0 && wrote;
+}
+
+// The subcommands below report a failure by throwing; main prints it as
+// "<subcommand>: <what>" and exits 1. Usage errors return 2 directly.
+
 /// Folds shard journals back into the canonical aggregate.
 int run_merge(const std::vector<std::string>& journals, const Options& opt) {
   if (journals.empty()) {
     std::fprintf(stderr, "merge: no journal files given\n");
     return 2;
   }
-  try {
-    sweep::JournalContents first = sweep::read_journal(journals[0]);
-    std::map<std::size_t, sweep::SummaryRow> rows = std::move(first.rows);
-    for (std::size_t i = 1; i < journals.size(); ++i) {
-      sweep::JournalContents part =
-          sweep::read_journal(journals[i], first.header);
-      // insert (not assign): on an index collision the earlier journal
-      // wins, but completed rows of a deterministic sweep are identical
-      // anyway.
-      rows.insert(part.rows.begin(), part.rows.end());
-    }
-    if (rows.size() != first.header.total) {
-      std::fprintf(stderr,
-                   "merge: journals cover %zu of %zu scenarios of sweep "
-                   "'%s' -- missing shards or an interrupted worker\n",
-                   rows.size(), first.header.total,
-                   first.header.sweep.c_str());
-      return 1;
-    }
-    // --journal: the canonical (index-ordered, timing-free) journal of
-    // the merged sweep -- the byte-comparable form shared with
-    // `pns_sweep results --journal` (docs/sweepd.md).
-    if (!opt.journal_path.empty())
-      sweep::write_canonical_journal(opt.journal_path, first.header, rows);
-
-    std::vector<sweep::SummaryRow> ordered;
-    ordered.reserve(rows.size());
-    for (auto& [index, row] : rows) ordered.push_back(std::move(row));
-
-    sweep::Aggregator agg(std::move(ordered));
-    if (!opt.quiet) {
-      std::printf("merged %zu journal(s): sweep '%s', %zu scenarios\n\n",
-                  journals.size(), first.header.sweep.c_str(),
-                  first.header.total);
-      agg.console_table().print(std::cout);
-      std::printf("\n");
-    }
-    if (!opt.journal_path.empty())
-      std::printf("wrote %s\n", opt.journal_path.c_str());
-    const bool wrote = write_outputs(agg, opt);
-    return agg.failed_count() == 0 && wrote ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "merge: %s\n", e.what());
+  sweep::JournalContents first = sweep::read_journal(journals[0]);
+  std::map<std::size_t, sweep::SummaryRow> rows = std::move(first.rows);
+  for (std::size_t i = 1; i < journals.size(); ++i) {
+    sweep::JournalContents part =
+        sweep::read_journal(journals[i], first.header);
+    // insert (not assign): on an index collision the earlier journal
+    // wins, but completed rows of a deterministic sweep are identical
+    // anyway.
+    rows.insert(part.rows.begin(), part.rows.end());
+  }
+  if (rows.size() != first.header.total) {
+    std::fprintf(stderr,
+                 "merge: journals cover %zu of %zu scenarios of sweep "
+                 "'%s' -- missing shards or an interrupted worker\n",
+                 rows.size(), first.header.total,
+                 first.header.sweep.c_str());
     return 1;
   }
+  const std::string title = "merged " + std::to_string(journals.size()) +
+                            " journal(s): sweep '" + first.header.sweep +
+                            "', " + std::to_string(first.header.total) +
+                            " scenarios";
+  return publish(opt, first.header, rows, title) ? 0 : 1;
 }
 
 /// The `compact` subcommand: rewrites a journal as header + one
@@ -329,16 +326,11 @@ int run_compact(const std::vector<std::string>& journals,
   }
   const std::string& in = journals[0];
   const std::string out = opt.out_path.empty() ? in : opt.out_path;
-  try {
-    const std::size_t rows = sweep::compact_journal(in, out);
-    if (!opt.quiet)
-      std::printf("compacted %s -> %s (%zu rows)\n", in.c_str(),
-                  out.c_str(), rows);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "compact: %s\n", e.what());
-    return 1;
-  }
+  const std::size_t rows = sweep::compact_journal(in, out);
+  if (!opt.quiet)
+    std::printf("compacted %s -> %s (%zu rows)\n", in.c_str(), out.c_str(),
+                rows);
+  return 0;
 }
 
 /// Parses --connect (required for every daemon-mode subcommand).
@@ -358,19 +350,6 @@ net::Endpoint daemon_endpoint(const Options& opt, const char* subcommand) {
                  opt.connect.c_str(), e.what());
     std::exit(2);
   }
-}
-
-/// The sweep selection of a `submit`, as a daemon JobSpec.
-sweepd::JobSpec job_spec_from(const Options& opt) {
-  sweepd::JobSpec spec;
-  spec.preset = opt.sweep_name;
-  spec.minutes = opt.minutes;
-  spec.pv_mode = opt.pv_mode;
-  spec.controls = opt.controls;
-  spec.sources = opt.sources;
-  spec.integrator = opt.integrator;
-  spec.platform = opt.platform;
-  return spec;
 }
 
 /// `worker --connect EP`: pull and execute leases until the daemon says
@@ -399,38 +378,11 @@ int run_worker_cmd(const Options& opt) {
       std::fprintf(stderr, "worker: %s\n", line.c_str());
     };
   }
-  try {
-    const sweepd::WorkerReport report = sweepd::run_worker(wopt);
-    std::printf(
-        "worker: %zu lease(s), %zu row(s), %zu failed, %zu reconnect(s)\n",
-        report.leases, report.rows, report.failed, report.reconnects);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "worker: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// `submit <sweep> --connect EP [sweep options]`.
-int run_submit(const Options& opt,
-               const std::vector<std::string>& positional) {
-  if (positional.size() != 1) {
-    std::fprintf(stderr, "submit: expected exactly one sweep name\n");
-    list_sweeps(stderr);
-    return 2;
-  }
-  Options sub = opt;
-  sub.sweep_name = positional[0];
-  try {
-    const sweepd::SubmitResult result = sweepd::submit_job(
-        daemon_endpoint(opt, "submit"), job_spec_from(sub));
-    std::printf("submitted %s: '%s', %zu scenarios\n", result.job.c_str(),
-                result.identity.c_str(), result.total);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "submit: %s\n", e.what());
-    return 1;
-  }
+  const sweepd::WorkerReport report = sweepd::run_worker(wopt);
+  std::printf(
+      "worker: %zu lease(s), %zu row(s), %zu failed, %zu reconnect(s)\n",
+      report.leases, report.rows, report.failed, report.reconnects);
+  return 0;
 }
 
 /// `status [JOB] --connect EP`.
@@ -440,35 +392,29 @@ int run_status_cmd(const Options& opt,
     std::fprintf(stderr, "status: expected at most one job id\n");
     return 2;
   }
-  try {
-    const sweepd::StatusReport report = sweepd::fetch_status(
-        daemon_endpoint(opt, "status"),
-        positional.empty() ? "" : positional[0]);
-    std::printf("%zu worker(s) connected, %zu job(s)%s\n", report.workers,
-                report.jobs.size(),
-                report.degraded ? "  [DEGRADED: leasing paused]" : "");
-    if (report.degraded && !report.degraded_reason.empty())
-      std::printf("  degraded: %s\n", report.degraded_reason.c_str());
-    for (const auto& w : report.worker_info) {
-      std::printf(
-          "  worker %-3zu %u thread(s), %zu lease(s) held, %zu row(s), "
-          "%zu duplicate(s), %zu retry(ies), last seen %.1fs ago\n",
-          w.worker, w.threads, w.leases, w.rows, w.duplicates, w.retries,
-          w.last_seen_s);
-    }
-    for (const auto& j : report.jobs) {
-      std::printf(
-          "  %-8s %4zu/%-4zu done, %zu pending, %zu leased, %zu failed, "
-          "%zu duplicate(s)%s  [%s]\n",
-          j.job.c_str(), j.done, j.total, j.pending, j.leased, j.failed,
-          j.duplicates, j.complete ? ", complete" : "",
-          j.identity.c_str());
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "status: %s\n", e.what());
-    return 1;
+  const sweepd::StatusReport report =
+      sweepd::fetch_status(daemon_endpoint(opt, "status"),
+                           positional.empty() ? "" : positional[0]);
+  std::printf("%zu worker(s) connected, %zu job(s)%s\n", report.workers,
+              report.jobs.size(),
+              report.degraded ? "  [DEGRADED: leasing paused]" : "");
+  if (report.degraded && !report.degraded_reason.empty())
+    std::printf("  degraded: %s\n", report.degraded_reason.c_str());
+  for (const auto& w : report.worker_info) {
+    std::printf(
+        "  worker %-3zu %u thread(s), %zu lease(s) held, %zu row(s), "
+        "%zu duplicate(s), %zu retry(ies), last seen %.1fs ago\n",
+        w.worker, w.threads, w.leases, w.rows, w.duplicates, w.retries,
+        w.last_seen_s);
   }
+  for (const auto& j : report.jobs) {
+    std::printf(
+        "  %-8s %4zu/%-4zu done, %zu pending, %zu leased, %zu failed, "
+        "%zu duplicate(s)%s  [%s]\n",
+        j.job.c_str(), j.done, j.total, j.pending, j.leased, j.failed,
+        j.duplicates, j.complete ? ", complete" : "", j.identity.c_str());
+  }
+  return 0;
 }
 
 /// `results JOB --connect EP [--csv/--json/--journal PATH]`: fetch the
@@ -479,45 +425,28 @@ int run_results_cmd(const Options& opt,
     std::fprintf(stderr, "results: expected exactly one job id\n");
     return 2;
   }
-  try {
-    const sweepd::ResultsReport report = sweepd::fetch_results(
-        daemon_endpoint(opt, "results"), positional[0]);
-    const bool wants_files = !opt.csv_path.empty() ||
-                             !opt.json_path.empty() ||
-                             !opt.journal_path.empty();
-    if (!report.complete && wants_files) {
-      // Publishing a partial aggregate would silently break the
-      // byte-identity contract with the local run.
-      std::fprintf(stderr,
-                   "results: %s has %zu of %zu rows; wait for completion "
-                   "before writing --csv/--json/--journal\n",
-                   report.job.c_str(), report.rows.size(), report.total);
-      return 1;
-    }
-    if (!opt.journal_path.empty())
-      sweep::write_canonical_journal(
-          opt.journal_path,
-          sweep::JournalHeader{report.identity, report.total},
-          report.rows);
-    std::vector<sweep::SummaryRow> ordered;
-    ordered.reserve(report.rows.size());
-    for (const auto& [index, row] : report.rows) ordered.push_back(row);
-    sweep::Aggregator agg(std::move(ordered));
-    if (!opt.quiet) {
-      std::printf("%s: sweep '%s', %zu/%zu rows%s\n\n", report.job.c_str(),
-                  report.identity.c_str(), report.rows.size(),
-                  report.total, report.complete ? "" : " (incomplete)");
-      agg.console_table().print(std::cout);
-      std::printf("\n");
-    }
-    if (!opt.journal_path.empty())
-      std::printf("wrote %s\n", opt.journal_path.c_str());
-    const bool wrote = write_outputs(agg, opt);
-    return report.complete && report.failed == 0 && wrote ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "results: %s\n", e.what());
+  const sweepd::ResultsReport report = sweepd::fetch_results(
+      daemon_endpoint(opt, "results"), positional[0]);
+  const bool wants_files = !opt.csv_path.empty() ||
+                           !opt.json_path.empty() ||
+                           !opt.journal_path.empty();
+  if (!report.complete && wants_files) {
+    // Publishing a partial aggregate would silently break the
+    // byte-identity contract with the local run.
+    std::fprintf(stderr,
+                 "results: %s has %zu of %zu rows; wait for completion "
+                 "before writing --csv/--json/--journal\n",
+                 report.job.c_str(), report.rows.size(), report.total);
     return 1;
   }
+  const std::string title = report.job + ": sweep '" + report.identity +
+                            "', " + std::to_string(report.rows.size()) +
+                            "/" + std::to_string(report.total) + " rows" +
+                            (report.complete ? "" : " (incomplete)");
+  const bool published =
+      publish(opt, sweep::JournalHeader{report.identity, report.total},
+              report.rows, title);
+  return report.complete && report.failed == 0 && published ? 0 : 1;
 }
 
 /// `watch JOB --connect EP`: subscribe and print each row as it lands.
@@ -527,35 +456,18 @@ int run_watch_cmd(const Options& opt,
     std::fprintf(stderr, "watch: expected exactly one job id\n");
     return 2;
   }
-  try {
-    std::size_t seen = 0;
-    const std::size_t failed = sweepd::watch_job(
-        daemon_endpoint(opt, "watch"), positional[0],
-        [&](std::size_t index, const sweep::SummaryRow& row) {
-          ++seen;
-          if (!opt.quiet)
-            std::printf("row %4zu  %-40s %s\n", index, row.label.c_str(),
-                        row.ok ? "ok" : row.error.c_str());
-        });
-    std::printf("%s complete: %zu row(s) streamed, %zu failed\n",
-                positional[0].c_str(), seen, failed);
-    return failed == 0 ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "watch: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// `shutdown --connect EP`.
-int run_shutdown_cmd(const Options& opt) {
-  try {
-    sweepd::shutdown_daemon(daemon_endpoint(opt, "shutdown"));
-    std::printf("daemon shut down\n");
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "shutdown: %s\n", e.what());
-    return 1;
-  }
+  std::size_t seen = 0;
+  const std::size_t failed = sweepd::watch_job(
+      daemon_endpoint(opt, "watch"), positional[0],
+      [&](std::size_t index, const sweep::SummaryRow& row) {
+        ++seen;
+        if (!opt.quiet)
+          std::printf("row %4zu  %-40s %s\n", index, row.label.c_str(),
+                      row.ok ? "ok" : row.error.c_str());
+      });
+  std::printf("%s complete: %zu row(s) streamed, %zu failed\n",
+              positional[0].c_str(), seen, failed);
+  return failed == 0 ? 0 : 1;
 }
 
 bool parse_shard(const std::string& text, Options& opt) {
@@ -590,121 +502,131 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 0;
   }
-  Options opt;
-  opt.sweep_name = argv[1];
+  const std::string command = argv[1];
+  if (command == "list") return run_list();
 
-  if (opt.sweep_name == "list") return run_list();
-
-  const bool merging = opt.sweep_name == "merge";
-  const bool compacting = opt.sweep_name == "compact";
+  const bool merging = command == "merge";
+  const bool compacting = command == "compact";
+  const bool submitting = command == "submit";
   // Daemon-mode subcommands (docs/sweepd.md): positionals are job ids or
   // (for submit) the sweep name.
-  const bool daemon_cmd =
-      opt.sweep_name == "worker" || opt.sweep_name == "submit" ||
-      opt.sweep_name == "status" || opt.sweep_name == "results" ||
-      opt.sweep_name == "watch" || opt.sweep_name == "shutdown";
-  std::vector<std::string> positional_journals;
+  const bool daemon_cmd = submitting || command == "worker" ||
+                          command == "status" || command == "results" ||
+                          command == "watch" || command == "shutdown";
+  Options opt;
+  std::vector<std::string> positionals;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--control" || arg == "--source" || arg == "--integrator" ||
-        arg == "--platform") {
-      // Spec strings are validated against the registries up front so a
-      // typo fails in milliseconds, not after the sweep ran.
-      const std::string spec = next();
-      try {
-        if (arg == "--control")
-          opt.controls.push_back(sweep::ControlSpec::parse(spec));
-        else if (arg == "--source")
-          opt.sources.push_back(sweep::SourceSpec::parse(spec));
-        else if (arg == "--integrator")
-          opt.integrator = sweep::IntegratorSpec::parse(spec);
-        else
-          opt.platform = sweep::PlatformSpec::parse(spec);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "invalid %s '%s': %s\n", arg.c_str(),
-                     spec.c_str(), e.what());
-        std::fprintf(stderr,
-                     "run '%s list' for every registered kind and its "
-                     "parameters\n",
-                     argv[0]);
-        return 2;
-      }
-    } else if (arg == "--threads")
-      opt.threads = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--minutes")
-      opt.minutes = std::atof(next());
-    else if (arg == "--csv")
-      opt.csv_path = next();
-    else if (arg == "--json")
-      opt.json_path = next();
-    else if (arg == "--pv-mode") {
-      const std::string mode = next();
-      if (mode == "exact") {
-        opt.pv_mode = ehsim::PvSource::Mode::kExact;
-      } else if (mode == "tabulated") {
-        opt.pv_mode = ehsim::PvSource::Mode::kTabulated;
+  // Numeric flag values follow util/params' whole-string rule; a
+  // malformed or out-of-range one exits 2 naming the flag.
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "%s requires a value\n", arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--control" || arg == "--source" || arg == "--integrator" ||
+          arg == "--platform") {
+        // Spec strings are validated against the registries up front so
+        // a typo fails in milliseconds, not after the sweep ran.
+        const std::string spec = next();
+        try {
+          if (arg == "--control")
+            opt.job.controls.push_back(sweep::ControlSpec::parse(spec));
+          else if (arg == "--source")
+            opt.job.sources.push_back(sweep::SourceSpec::parse(spec));
+          else if (arg == "--integrator")
+            opt.job.integrator = sweep::IntegratorSpec::parse(spec);
+          else
+            opt.job.platform = sweep::PlatformSpec::parse(spec);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "invalid %s '%s': %s\n", arg.c_str(),
+                       spec.c_str(), e.what());
+          std::fprintf(stderr,
+                       "run '%s list' for every registered kind and its "
+                       "parameters\n",
+                       argv[0]);
+          return 2;
+        }
+      } else if (arg == "--threads")
+        opt.threads = static_cast<unsigned>(
+            parse_count(arg, next(), std::numeric_limits<unsigned>::max()));
+      else if (arg == "--minutes")
+        opt.job.minutes = parse_number(arg, next());  // > 0: JobSpec
+      else if (arg == "--csv")
+        opt.csv_path = next();
+      else if (arg == "--json")
+        opt.json_path = next();
+      else if (arg == "--pv-mode") {
+        const std::string mode = next();
+        if (mode == "exact") {
+          opt.job.pv_mode = ehsim::PvSource::Mode::kExact;
+        } else if (mode == "tabulated") {
+          opt.job.pv_mode = ehsim::PvSource::Mode::kTabulated;
+        } else {
+          std::fprintf(stderr,
+                       "unknown --pv-mode: %s (valid: exact, tabulated)\n",
+                       mode.c_str());
+          return 2;
+        }
+      } else if (arg == "--journal")
+        opt.journal_path = next();
+      else if (arg == "--cost-journal")
+        opt.cost_journal_path = next();
+      else if (arg == "--out")
+        opt.out_path = next();
+      else if (arg == "--resume")
+        opt.resume = true;
+      else if (arg == "--shard") {
+        const std::string spec = next();
+        if (!parse_shard(spec, opt)) {
+          std::fprintf(stderr,
+                       "invalid --shard '%s': expected K/N with 0 <= K < N "
+                       "(e.g. --shard 0/4)\n",
+                       spec.c_str());
+          return 2;
+        }
+      } else if (arg == "--refine")
+        opt.refine = true;
+      else if (arg == "--refine-metric")
+        opt.refine_options.metric = next();
+      else if (arg == "--refine-tol")
+        opt.refine_options.tolerance =
+            parse_number(arg, next(), NumberSign::kNonNegative);
+      else if (arg == "--refine-depth")
+        opt.refine_options.max_depth = static_cast<int>(
+            parse_count(arg, next(), std::numeric_limits<int>::max()));
+      else if (arg == "--quiet")
+        opt.quiet = true;
+      else if (arg == "--connect")
+        opt.connect = next();
+      else if (arg == "--once")
+        opt.once = true;
+      else if (arg == "--fault")
+        opt.fault_spec = next();
+      else if (arg == "--max-reconnects")
+        opt.max_reconnects = static_cast<long>(
+            parse_count(arg, next(), std::numeric_limits<long>::max()));
+      else if (arg == "--fsync")
+        opt.fsync = true;
+      else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else if ((merging || compacting || daemon_cmd) &&
+                 arg.rfind("--", 0) != 0) {
+        positionals.push_back(arg);
       } else {
-        std::fprintf(stderr,
-                     "unknown --pv-mode: %s (valid: exact, tabulated)\n",
-                     mode.c_str());
+        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+        usage(argv[0]);
         return 2;
       }
-    } else if (arg == "--journal")
-      opt.journal_path = next();
-    else if (arg == "--cost-journal")
-      opt.cost_journal_path = next();
-    else if (arg == "--out")
-      opt.out_path = next();
-    else if (arg == "--resume")
-      opt.resume = true;
-    else if (arg == "--shard") {
-      const std::string spec = next();
-      if (!parse_shard(spec, opt)) {
-        std::fprintf(stderr,
-                     "invalid --shard '%s': expected K/N with 0 <= K < N "
-                     "(e.g. --shard 0/4)\n",
-                     spec.c_str());
-        return 2;
-      }
-    } else if (arg == "--refine")
-      opt.refine = true;
-    else if (arg == "--refine-metric")
-      opt.refine_options.metric = next();
-    else if (arg == "--refine-tol")
-      opt.refine_options.tolerance = std::atof(next());
-    else if (arg == "--refine-depth")
-      opt.refine_options.max_depth = std::atoi(next());
-    else if (arg == "--quiet")
-      opt.quiet = true;
-    else if (arg == "--connect")
-      opt.connect = next();
-    else if (arg == "--once")
-      opt.once = true;
-    else if (arg == "--fault")
-      opt.fault_spec = next();
-    else if (arg == "--max-reconnects")
-      opt.max_reconnects = std::atol(next());
-    else if (arg == "--fsync")
-      opt.fsync = true;
-    else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if ((merging || compacting || daemon_cmd) &&
-               arg.rfind("--", 0) != 0) {
-      positional_journals.push_back(arg);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
     }
+  } catch (const ParamError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
 
   if (!compacting && !opt.out_path.empty()) {
@@ -717,37 +639,83 @@ int main(int argc, char** argv) {
                  "results/watch/shutdown subcommands\n");
     return 2;
   }
-  if (daemon_cmd) {
-    if (opt.sweep_name == "worker") return run_worker_cmd(opt);
-    if (opt.sweep_name == "submit")
-      return run_submit(opt, positional_journals);
-    if (opt.sweep_name == "status")
-      return run_status_cmd(opt, positional_journals);
-    if (opt.sweep_name == "results")
-      return run_results_cmd(opt, positional_journals);
-    if (opt.sweep_name == "watch")
-      return run_watch_cmd(opt, positional_journals);
-    return run_shutdown_cmd(opt);
+  try {
+    if (command == "worker") return run_worker_cmd(opt);
+    if (command == "status") return run_status_cmd(opt, positionals);
+    if (command == "results") return run_results_cmd(opt, positionals);
+    if (command == "watch") return run_watch_cmd(opt, positionals);
+    if (merging) return run_merge(positionals, opt);
+    if (compacting) return run_compact(positionals, opt);
+    if (command == "shutdown") {
+      sweepd::shutdown_daemon(daemon_endpoint(opt, "shutdown"));
+      std::printf("daemon shut down\n");
+      return 0;
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", command.c_str(), e.what());
+    return 1;
   }
-  if (merging) return run_merge(positional_journals, opt);
-  if (compacting) return run_compact(positional_journals, opt);
+
+  // A sweep run or a submission: either way the JobSpec below is the
+  // whole description of the sweep, expanded and identified once.
+  if (submitting) {
+    // The daemon journals the job itself, and `results` publishes it.
+    const std::pair<bool, const char*> local_only[] = {
+        {!opt.journal_path.empty(), "--journal"},
+        {!opt.csv_path.empty(), "--csv"},
+        {!opt.json_path.empty(), "--json"},
+        {opt.sharded, "--shard"},
+        {!opt.cost_journal_path.empty(), "--cost-journal"},
+        {opt.resume, "--resume"},
+        {opt.refine, "--refine"},
+        {opt.fsync, "--fsync"}};
+    for (const auto& [given, flag] : local_only) {
+      if (given) {
+        std::fprintf(stderr,
+                     "%s does not apply to submit (the daemon journals the "
+                     "job; fetch it with 'pns_sweep results')\n",
+                     flag);
+        return 2;
+      }
+    }
+    if (positionals.size() != 1) {
+      std::fprintf(stderr, "submit: expected exactly one sweep name\n");
+      list_sweeps(stderr);
+      return 2;
+    }
+    opt.job.preset = positionals[0];
+  } else {
+    opt.job.preset = command;
+  }
+  if (!sweep::find_sweep_preset(opt.job.preset)) {
+    std::fprintf(stderr, "unknown sweep: %s\n", opt.job.preset.c_str());
+    list_sweeps(stderr);
+    return 2;
+  }
+  std::vector<sweep::ScenarioSpec> specs;
+  try {
+    specs = opt.job.expand();
+  } catch (const sweepd::JobError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  if (submitting) {
+    try {
+      const sweepd::SubmitResult result =
+          sweepd::submit_job(daemon_endpoint(opt, "submit"), opt.job);
+      std::printf("submitted %s: '%s', %zu scenarios\n", result.job.c_str(),
+                  result.identity.c_str(), result.total);
+      return 0;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "submit: %s\n", e.what());
+      return 1;
+    }
+  }
+
   if (opt.fsync && opt.journal_path.empty()) {
     std::fprintf(stderr, "--fsync requires --journal\n");
     return 2;
   }
-
-  const sweep::SweepPreset* preset =
-      sweep::find_sweep_preset(opt.sweep_name);
-  if (!preset) {
-    std::fprintf(stderr, "unknown sweep: %s\n", opt.sweep_name.c_str());
-    list_sweeps(stderr);
-    return 2;
-  }
-  sweep::SweepSpec sw = preset->make(opt.minutes);
-  // --control/--source replace the preset's corresponding axis wholesale;
-  // repeating a flag sweeps over the given specs.
-  if (!opt.controls.empty()) sw.controls = opt.controls;
-  if (!opt.sources.empty()) sw.sources = opt.sources;
 
   // Flag consistency: refuse combinations whose output would be partial
   // or ambiguous instead of silently producing the wrong aggregate.
@@ -788,20 +756,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  sw.base.pv_mode = opt.pv_mode;
-  sw.base.integrator = opt.integrator;
-  sw.base.platform_spec = opt.platform;
-
   // The journal identity pins every knob that changes what the scenarios
-  // compute (window length, PV mode, control/source/integrator/platform
-  // overrides) -- labels alone would not catch a --minutes mismatch
-  // between the original run and the resume.
-  const std::string journal_name =
-      sweep::sweep_identity(opt.sweep_name, opt.minutes, opt.pv_mode,
-                            opt.controls, opt.sources, opt.integrator,
-                            opt.platform);
-
-  const auto specs = sw.expand();
+  // compute -- labels alone would not catch a --minutes mismatch between
+  // the original run and the resume.
+  const std::string journal_name = opt.job.identity();
 
   // The shard's index set: contiguous by default; balanced by the prior
   // journal's measured costs when one is given (falls back to contiguous
@@ -854,7 +812,7 @@ int main(int argc, char** argv) {
   }
   sweep::SweepRunner runner(ropt);
 
-  std::printf("sweep '%s': %zu scenarios", opt.sweep_name.c_str(),
+  std::printf("sweep '%s': %zu scenarios", opt.job.preset.c_str(),
               specs.size());
   if (opt.sharded) {
     std::printf(", shard %zu/%zu -> %zu spec(s)", opt.shard_k, opt.shard_n,

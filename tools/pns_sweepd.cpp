@@ -24,6 +24,7 @@
 #include <string>
 
 #include "sweepd/daemon.hpp"
+#include "util/params.hpp"
 
 namespace {
 
@@ -73,54 +74,61 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool have_listen = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--listen") {
-      const std::string spec = next();
-      try {
-        opt.endpoint = net::Endpoint::parse(spec);
-        have_listen = true;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "invalid --listen '%s': %s\n", spec.c_str(),
-                     e.what());
+  // Numeric flag values follow util/params' whole-string rule; a
+  // malformed or out-of-range one exits 2 naming the flag.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "%s requires a value\n", arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--listen") {
+        const std::string spec = next();
+        try {
+          opt.endpoint = net::Endpoint::parse(spec);
+          have_listen = true;
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "invalid --listen '%s': %s\n", spec.c_str(),
+                       e.what());
+          return 2;
+        }
+      } else if (arg == "--state-dir")
+        opt.state_dir = next();
+      else if (arg == "--fsync")
+        opt.fsync_journal = true;
+      else if (arg == "--lease-timeout")
+        opt.lease_timeout_s = parse_number(arg, next(), NumberSign::kPositive);
+      else if (arg == "--lease-rows")
+        opt.lease_rows = parse_count(arg, next());
+      else if (arg == "--idle-poll")
+        opt.idle_poll_s = parse_number(arg, next(), NumberSign::kPositive);
+      else if (arg == "--fault") {
+        const std::string spec = next();
+        try {
+          opt.fault = fault::make_injector(spec);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "invalid --fault '%s': %s\n", spec.c_str(),
+                       e.what());
+          return 2;
+        }
+      } else if (arg == "--quiet")
+        quiet = true;
+      else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+        usage(argv[0]);
         return 2;
       }
-    } else if (arg == "--state-dir")
-      opt.state_dir = next();
-    else if (arg == "--fsync")
-      opt.fsync_journal = true;
-    else if (arg == "--lease-timeout")
-      opt.lease_timeout_s = std::atof(next());
-    else if (arg == "--lease-rows")
-      opt.lease_rows = static_cast<std::size_t>(std::atoll(next()));
-    else if (arg == "--idle-poll")
-      opt.idle_poll_s = std::atof(next());
-    else if (arg == "--fault") {
-      const std::string spec = next();
-      try {
-        opt.fault = fault::make_injector(spec);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "invalid --fault '%s': %s\n", spec.c_str(),
-                     e.what());
-        return 2;
-      }
-    } else if (arg == "--quiet")
-      quiet = true;
-    else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
     }
+  } catch (const ParamError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
   if (!have_listen) {
     usage(argv[0]);
