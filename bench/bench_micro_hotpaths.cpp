@@ -2,10 +2,12 @@
 // the implicit PV solve, adaptive integrator stepping, power-model
 // evaluation, controller ISR, monitor programming, and an end-to-end
 // simulated second. These bound the cost of the co-simulation loop and
-// document the sim/realtime ratio.
+// document the sim/realtime ratio. The row-frame and journal benches
+// bound what the sweep daemon pays per row on top of the simulation.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,8 +19,11 @@
 #include "ehsim/sources.hpp"
 #include "hw/monitor.hpp"
 #include "sim/experiment.hpp"
+#include "sweep/aggregate.hpp"
 #include "sweep/assets.hpp"
+#include "sweep/journal.hpp"
 #include "sweep/scenario.hpp"
+#include "sweepd/protocol.hpp"
 
 namespace {
 
@@ -374,6 +379,73 @@ void BM_QuiescentHourNoCoast(benchmark::State& state) {
   bench_quiescent_hour(state, /*coast=*/false);
 }
 BENCHMARK(BM_QuiescentHourNoCoast)->Unit(benchmark::kMillisecond);
+
+/// A real aggregate row: a minute of midday partial sun under the
+/// power-neutral controller, as a worker streams it.
+const sweep::SummaryRow& sample_row() {
+  static const sweep::SummaryRow row = [] {
+    sweep::SweepOutcome outcome;
+    outcome.spec.label = "partial-sun/pns/seed=42";
+    outcome.spec.condition = trace::WeatherCondition::kPartialSun;
+    outcome.spec.t_start = 12.0 * 3600.0;
+    outcome.spec.t_end = outcome.spec.t_start + 60.0;
+    outcome.spec.seed = 42;
+    outcome.result = sweep::run_scenario(outcome.spec);
+    outcome.ok = true;
+    return sweep::summarize(outcome);
+  }();
+  return row;
+}
+
+/// Worker side: one row frame encoded for the daemon.
+void BM_RowFrameEncode(benchmark::State& state) {
+  const sweep::SummaryRow& row = sample_row();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string frame = sweepd::make_row("job-1", 7, 17, 0.0123, row);
+    bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["frame_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_RowFrameEncode);
+
+/// Daemon side: one row frame parsed back into a SummaryRow.
+void BM_RowFrameDecode(benchmark::State& state) {
+  const std::string frame =
+      sweepd::make_row("job-1", 7, 17, 0.0123, sample_row());
+  for (auto _ : state) {
+    const JsonValue msg = sweepd::parse_message(frame);
+    const sweep::SummaryRow row = sweep::summary_row_from_json(msg.at("row"));
+    benchmark::DoNotOptimize(row.vc_mean);
+  }
+  state.counters["frame_bytes"] = static_cast<double>(frame.size());
+}
+BENCHMARK(BM_RowFrameDecode);
+
+/// Daemon side: one row appended to a checkpoint journal (encode, CRC,
+/// write and flush). The file is recreated every 4096 appends so a long
+/// run does not grow it without bound.
+void BM_JournalAppend(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pns-bench-journal.jsonl")
+          .string();
+  const sweep::JournalHeader header{"bench", 1u << 20};
+  const sweep::SummaryRow& row = sample_row();
+  auto journal = sweep::JournalWriter::create(path, header);
+  std::size_t index = 0;
+  for (auto _ : state) {
+    journal.append(index, row, 0.0123);
+    if (++index % 4096 == 0) {
+      state.PauseTiming();
+      journal = sweep::JournalWriter::create(path, header);
+      state.ResumeTiming();
+    }
+  }
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_JournalAppend);
 
 }  // namespace
 

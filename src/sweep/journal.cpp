@@ -8,7 +8,6 @@
 #include <cstring>
 #include <string_view>
 #include <filesystem>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -24,7 +23,7 @@ constexpr const char* kJournalKind = "pns-sweep-journal";
 constexpr int kJournalVersion = 1;
 
 std::string header_line(const JournalHeader& header) {
-  std::ostringstream line;
+  std::string line;
   JsonWriter w(line, JsonStyle::kCompact);
   w.begin_object();
   w.kv("kind", kJournalKind);
@@ -32,12 +31,12 @@ std::string header_line(const JournalHeader& header) {
   w.kv("sweep", header.sweep);
   w.kv("total", static_cast<std::uint64_t>(header.total));
   w.end_object();
-  return line.str();
+  return line;
 }
 
 std::string row_line(std::size_t index, const SummaryRow& row,
                      double wall_s) {
-  std::ostringstream line;
+  std::string line;
   JsonWriter w(line, JsonStyle::kCompact);
   w.begin_object();
   w.kv("kind", "row");
@@ -49,7 +48,7 @@ std::string row_line(std::size_t index, const SummaryRow& row,
   w.key("row");
   write_summary_row_json(w, row);
   w.end_object();
-  return line.str();
+  return line;
 }
 
 // --- per-line CRC framing -----------------------------------------
@@ -65,12 +64,13 @@ constexpr std::string_view kCrcPrefix = ",\"crc\":\"";
 constexpr std::size_t kCrcSuffixLen =
     kCrcPrefix.size() + 8 + 2;  // ,"crc":" + 8 hex + "}
 
-std::string crc_framed(const std::string& line) {
-  std::string out(line, 0, line.size() - 1);  // drop the closing '}'
-  out += kCrcPrefix;
-  out += crc32_hex(crc32(line));
-  out += "\"}";
-  return out;
+std::string crc_framed(std::string line) {
+  const std::string crc = crc32_hex(crc32(line));
+  line.pop_back();  // drop the closing '}'
+  line += kCrcPrefix;
+  line += crc;
+  line += "\"}";
+  return line;
 }
 
 enum class CrcCheck { kLegacy, kOk, kMismatch };
@@ -168,7 +168,7 @@ JournalWriter::~JournalWriter() {
   if (out_) std::fclose(out_);
 }
 
-void JournalWriter::write_line(const std::string& line) {
+void JournalWriter::write_line(std::string line) {
   // One whole line per append, flushed, so a kill can only tear the line
   // being written -- which read_journal drops. With kFsync the line also
   // reaches the platter before append() returns: an acknowledged row
@@ -187,7 +187,7 @@ void JournalWriter::write_line(const std::string& line) {
     if (std::fputc('\n', out_) == EOF) fail("resync");
     maybe_torn_ = false;
   }
-  const std::string framed = crc_framed(line);
+  const std::string framed = crc_framed(std::move(line));
   if (fault_) {
     const std::size_t torn = fault_->tear_append(framed.size());
     if (torn < framed.size()) {
@@ -371,7 +371,7 @@ std::size_t compact_journal(const std::string& in_path,
       out_path, "compacted journal", [&](std::ostream& out) {
         out << crc_framed(header_line(contents.header)) << '\n';
 
-        std::ostringstream block;
+        std::string block;
         JsonWriter w(block, JsonStyle::kCompact);
         w.begin_object();
         w.kv("kind", "rows");
@@ -388,7 +388,7 @@ std::size_t compact_journal(const std::string& in_path,
         }
         w.end_array();
         w.end_object();
-        out << crc_framed(block.str()) << '\n';
+        out << crc_framed(block) << '\n';
       });
   return contents.rows.size();
 }

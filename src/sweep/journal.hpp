@@ -135,7 +135,7 @@ class JournalWriter {
                 std::shared_ptr<fault::FaultInjector> fault)
       : out_(out), durability_(durability), fault_(std::move(fault)) {}
 
-  void write_line(const std::string& line);
+  void write_line(std::string line);
 
   std::FILE* out_ = nullptr;  ///< FILE* (not ofstream) so fsync can reach
                               ///< the fd behind the stream

@@ -145,8 +145,9 @@ ehsim::PvSource make_trace(const ScenarioSpec& spec, const ParamMap& params,
     throw ParamError("source 'trace': missing required param 'file' "
                      "(two-column t,W/m^2 CSV)");
   const double scale = params.get_double("scale", 1.0);
-  // Cached per worker: a sweep treats the file as immutable for its
-  // duration, so rows sharing (file, scale) share one parsed trace.
+  // Cached per worker: a sweep (and a sweepd worker, for its whole
+  // session) treats the file as immutable, so rows sharing (file, scale)
+  // share one parsed trace.
   auto irradiance =
       assets.trace(asset_key({{"scale", scale}}, "tracefile/" + file), [&] {
         pns::PiecewiseLinear loaded = trace::load_trace_csv(file);

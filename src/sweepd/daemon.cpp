@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "sweep/runner.hpp"
@@ -177,14 +176,14 @@ struct Daemon::Impl {
       if (!out)
         throw JobError("cannot write job spec: " +
                        state_path(spec_filename(job->id)));
-      std::ostringstream doc;
+      std::string doc;
       JsonWriter w(doc, JsonStyle::kCompact);
       w.begin_object();
       w.kv("job", job->id);
       w.key("spec");
       job->spec.write_json(w);
       w.end_object();
-      out << doc.str() << '\n';
+      out << doc << '\n';
     }
     job->journal = sweep::JournalWriter::create(
         state_path(journal_filename(job->id)), job->header, durability(),
@@ -532,10 +531,13 @@ struct Daemon::Impl {
         job->complete();
 
     // Stream to watchers (lease 0: the tag is worker-side bookkeeping).
-    const auto& stored = job->done.at(index);
+    // The frame is encoded once, for the first watcher, and shared.
+    std::string frame;
     for (auto& [fd, conn] : conns) {
       if (!conn->watching.count(job->id)) continue;
-      send(*conn, make_row(job->id, 0, index, -1.0, stored));
+      if (frame.empty())
+        frame = make_row(job->id, 0, index, -1.0, job->done.at(index));
+      send(*conn, frame);
       if (completed_job) send(*conn, make_job_done(job->id, job->failed));
     }
     if (completed_job)
@@ -599,7 +601,7 @@ struct Daemon::Impl {
   }
 
   void reply_status(Conn& conn, const std::string& only_job) {
-    std::ostringstream doc;
+    std::string doc;
     JsonWriter w(doc, JsonStyle::kCompact);
     w.begin_object();
     w.kv("type", "status_ok");
@@ -641,7 +643,7 @@ struct Daemon::Impl {
     }
     w.end_array();
     w.end_object();
-    send(conn, doc.str());
+    send(conn, doc);
   }
 
   void reply_results(Conn& conn, const std::string& job_id) {

@@ -1,7 +1,5 @@
 #include "sweepd/protocol.hpp"
 
-#include <sstream>
-
 namespace pns::sweepd {
 
 namespace {
@@ -10,7 +8,7 @@ namespace {
 class MessageWriter {
  public:
   explicit MessageWriter(const char* type)
-      : writer_(stream_, JsonStyle::kCompact) {
+      : writer_(line_, JsonStyle::kCompact) {
     writer_.begin_object();
     writer_.kv("type", type);
   }
@@ -19,11 +17,11 @@ class MessageWriter {
 
   std::string finish() {
     writer_.end_object();
-    return stream_.str();
+    return std::move(line_);
   }
 
  private:
-  std::ostringstream stream_;
+  std::string line_;
   JsonWriter writer_;
 };
 

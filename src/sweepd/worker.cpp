@@ -1,6 +1,5 @@
 #include "sweepd/worker.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -20,10 +19,12 @@ namespace pns::sweepd {
 
 namespace {
 
-/// The job this worker last leased from: its expansion, plus the
-/// per-thread scenario-asset caches (weather traces) every lease of the
-/// job runs with, so they outlive a single lease. Both are dropped
-/// together when a lease of another job arrives.
+/// The job this worker last leased from and its expansion, plus the
+/// per-thread scenario-asset caches (weather traces) every lease runs
+/// with. A lease of another job replaces the identity and the specs
+/// only: cached assets are keyed by every parameter that determines
+/// them, so they stay valid across jobs, and ScenarioAssets' epoch cap
+/// bounds them for a run of many jobs as it does for one large job.
 struct ExpandedJob {
   std::string identity;
   std::vector<sweep::ScenarioSpec> specs;
@@ -59,6 +60,101 @@ struct SessionState {
   std::string pending_done;          ///< lease_done line, "" = none
 };
 
+/// The send side of one daemon connection, shared by the session's
+/// thread, the runner threads streaming rows and the heartbeat thread:
+/// every frame goes through one mutex, and the first failed send marks
+/// the peer lost for the rest of the connection.
+class SessionLink {
+ public:
+  explicit SessionLink(net::LineConn& conn) : conn_(conn) {}
+
+  /// Sends one line; false once the peer is lost. A non-null `keep`
+  /// receives the line first, under the same lock, even when the peer
+  /// is already gone -- the redelivery buffer misses nothing.
+  bool send(const std::string& line,
+            std::vector<std::string>* keep = nullptr) {
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (keep) keep->push_back(line);
+    if (!lost_ && !conn_.send_line_blocking(line)) lost_ = true;
+    return !lost_;
+  }
+
+ private:
+  net::LineConn& conn_;
+  std::mutex mutex_;
+  bool lost_ = false;
+};
+
+/// One heartbeat thread for the life of a connection: it beacons the
+/// lease in flight once per period and sleeps between leases, so a
+/// session starts one thread however many leases it runs.
+class Heartbeat {
+ public:
+  explicit Heartbeat(SessionLink& link)
+      : link_(link), thread_([this] { loop(); }) {}
+
+  ~Heartbeat() {
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
+
+  /// Beats `beat` every `period_s` seconds, the first one period from now.
+  void begin(std::string beat, double period_s) {
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      beat_ = std::move(beat);
+      period_s_ = period_s;
+      ++lease_;
+      active_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Stops beating. Once this returns no beat of the ended lease is
+  /// sent: a beat in progress holds the mutex this waits for.
+  void end() {
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      active_ = false;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lk(mutex_);
+    while (!stop_) {
+      if (!active_) {
+        cv_.wait(lk, [&] { return stop_ || active_; });
+        continue;
+      }
+      const std::uint64_t lease = lease_;
+      if (cv_.wait_for(lk, std::chrono::duration<double>(period_s_), [&] {
+            return stop_ || !active_ || lease_ != lease;
+          }))
+        continue;
+      link_.send(beat_);
+    }
+  }
+
+  SessionLink& link_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::string beat_;
+  double period_s_ = 1.0;
+  std::uint64_t lease_ = 0;  ///< begin() count: a new lease restarts the period
+  bool active_ = false;
+  bool stop_ = false;
+  std::thread thread_;  ///< last: starts once every member above exists
+};
+
 void log_to(const WorkerOptions& options, const std::string& line) {
   if (options.log) options.log(line);
 }
@@ -90,15 +186,17 @@ net::LineConn dial(const WorkerOptions& options, std::size_t reconnects) {
 /// buffered into state.unacked *before* each send, so a drop anywhere --
 /// even mid-frame -- loses nothing: the runner keeps computing into the
 /// buffer and everything is redelivered on reconnect.
-void execute_lease(net::LineConn& conn, const WorkerOptions& options,
-                   WorkerReport& report, SessionState& state,
-                   const JsonValue& msg) {
+void execute_lease(SessionLink& link, Heartbeat& heartbeat,
+                   const WorkerOptions& options, WorkerReport& report,
+                   SessionState& state, const JsonValue& msg) {
   const std::string job = msg.at("job").as_string();
   const std::uint64_t lease = msg.at("lease").as_uint64();
   JobSpec spec = JobSpec::from_json(msg.at("spec"));
-  const std::string identity = spec.identity();
-  if (identity != state.cached.identity)
-    state.cached = ExpandedJob{identity, spec.expand(), {}};
+  std::string identity = spec.identity();
+  if (identity != state.cached.identity) {
+    state.cached.identity = std::move(identity);
+    state.cached.specs = spec.expand();
+  }
 
   std::vector<std::size_t> global;
   std::vector<sweep::ScenarioSpec> subset;
@@ -122,37 +220,16 @@ void execute_lease(net::LineConn& conn, const WorkerOptions& options,
   if (hb_s <= 0.0 && timeout) hb_s = timeout->as_double() / 3.0;
   if (hb_s <= 0.0) hb_s = 1.0;
   hb_s = std::max(hb_s, 0.02);
+  heartbeat.begin(make_heartbeat(job, lease), hb_s);
 
-  // on_outcome runs on runner threads and the heartbeat thread writes
-  // too, so every send (and the unacked buffer) is serialised here.
-  std::mutex send_mutex;
-  std::atomic<bool> peer_lost{false};
-
-  std::mutex hb_mutex;
-  std::condition_variable hb_cv;
-  bool hb_stop = false;
-  std::thread heartbeat([&] {
-    const std::string beat = make_heartbeat(job, lease);
-    std::unique_lock<std::mutex> lk(hb_mutex);
-    while (!hb_cv.wait_for(lk, std::chrono::duration<double>(hb_s),
-                           [&] { return hb_stop; })) {
-      std::lock_guard<std::mutex> send_lk(send_mutex);
-      if (peer_lost.load()) continue;  // keep waiting for hb_stop
-      if (!conn.send_line_blocking(beat)) peer_lost.store(true);
-    }
-  });
-
+  // on_outcome runs on runner threads.
   const auto send_row = [&](std::size_t local,
                             const sweep::SweepOutcome& outcome) {
     const sweep::SummaryRow row = sweep::summarize(outcome);
     if (!row.ok) ++report.failed;
     ++report.rows;
-    const std::string line =
-        make_row(job, lease, global[local], outcome.wall_s, row);
-    std::lock_guard<std::mutex> lk(send_mutex);
-    state.unacked.push_back(line);
-    if (!peer_lost.load() && !conn.send_line_blocking(line))
-      peer_lost.store(true);
+    link.send(make_row(job, lease, global[local], outcome.wall_s, row),
+              &state.unacked);
   };
   sweep::SweepRunnerOptions ropt;
   ropt.threads = options.threads;
@@ -161,16 +238,9 @@ void execute_lease(net::LineConn& conn, const WorkerOptions& options,
   const auto [hits1, misses1] = asset_counts(state.cached.assets);
   report.asset_hits += hits1 - hits0;
   report.asset_misses += misses1 - misses0;
+  heartbeat.end();
 
-  {
-    std::lock_guard<std::mutex> lk(hb_mutex);
-    hb_stop = true;
-  }
-  hb_cv.notify_all();
-  heartbeat.join();
-
-  if (peer_lost.load()) throw ConnLost();
-  if (!conn.send_line_blocking(state.pending_done)) throw ConnLost();
+  if (!link.send(state.pending_done)) throw ConnLost();
   ++report.leases;
 }
 
@@ -179,16 +249,18 @@ void execute_lease(net::LineConn& conn, const WorkerOptions& options,
 /// unfinished jobs); throws ConnLost when the link drops.
 bool run_session(net::LineConn& conn, const WorkerOptions& options,
                  WorkerReport& report, SessionState& state) {
+  SessionLink link(conn);
+  Heartbeat heartbeat(link);
+
   // Redeliver what the previous session left unacknowledged. The
   // daemon journalled some of these already and drops them as
   // duplicates; the rest land now. The buffer itself is cleared only
   // once a daemon reply proves the redelivery was processed.
   if (!state.unacked.empty()) {
     for (const std::string& line : state.unacked)
-      if (!conn.send_line_blocking(line)) throw ConnLost();
+      if (!link.send(line)) throw ConnLost();
     report.redelivered += state.unacked.size();
-    if (!state.pending_done.empty() &&
-        !conn.send_line_blocking(state.pending_done))
+    if (!state.pending_done.empty() && !link.send(state.pending_done))
       throw ConnLost();
     log_to(options,
            "redelivered " + std::to_string(state.unacked.size()) +
@@ -196,7 +268,7 @@ bool run_session(net::LineConn& conn, const WorkerOptions& options,
   }
 
   for (;;) {
-    if (!conn.send_line_blocking(make_lease_request())) throw ConnLost();
+    if (!link.send(make_lease_request())) throw ConnLost();
     const JsonValue msg = parse_message(must_recv(conn));
     // Any reply proves every line sent before the request -- including
     // redelivered rows and lease_done -- was processed (TCP ordering),
@@ -225,7 +297,7 @@ bool run_session(net::LineConn& conn, const WorkerOptions& options,
     if (type != "lease")
       throw ProtocolError("expected lease/idle, got '" + type + "'");
 
-    execute_lease(conn, options, report, state, msg);
+    execute_lease(link, heartbeat, options, report, state, msg);
   }
 }
 

@@ -10,15 +10,17 @@
 // by global index, so worker count, speed and interleaving never show in
 // the output.
 //
-// Job-scoped reuse: the expansion and the runner's per-thread
-// scenario-asset caches are kept for as long as leases keep naming the
-// same job identity, so a job's later leases reuse the weather traces
-// its earlier leases synthesised. A lease of another job drops both;
-// reuse is bit-identical to rebuilding.
+// Reuse: the expansion is kept for as long as leases keep naming the
+// same job identity. The runner's per-thread scenario-asset caches are
+// kept for the whole worker run, across jobs and reconnects, so later
+// leases -- of this job or of a job sharing its weather -- reuse the
+// traces earlier leases synthesised. The caches' epoch cap (32 traces
+// per thread) bounds their memory; reuse is bit-identical to
+// rebuilding.
 //
-// Self-healing: while a lease executes, a heartbeat thread beacons the
-// daemon so a slow-but-alive worker never loses its lease to the
-// liveness timeout. When the connection drops, the worker keeps
+// Self-healing: each connection has one heartbeat thread that beacons
+// the daemon while a lease executes and sleeps between leases, so a
+// slow-but-alive worker never loses its lease to the liveness timeout. When the connection drops, the worker keeps
 // computing, buffers every completed row, reconnects with exponential
 // backoff + deterministic jitter, and redelivers the buffered rows --
 // the daemon drops any it already journalled (idempotent), so a flaky
@@ -76,7 +78,7 @@ struct WorkerReport {
   std::size_t reconnects = 0;   ///< sessions re-established after a drop
   std::size_t redelivered = 0;  ///< buffered rows re-sent on reconnect
   /// Scenario-asset lookups (weather traces) served from / added to the
-  /// worker's job-scoped caches (sweep::ScenarioAssets::hits/misses).
+  /// worker's caches (sweep::ScenarioAssets::hits/misses).
   std::size_t asset_hits = 0;
   std::size_t asset_misses = 0;
 };

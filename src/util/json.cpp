@@ -1,108 +1,147 @@
 #include "util/json.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/contracts.hpp"
 
 namespace pns {
 
+namespace {
+
+/// Appends `s` quoted, escaped per RFC 8259. Runs of characters that need
+/// no escaping -- nearly every key and value -- go in one append.
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c != '"' && c != '\\' && c >= 0x20) continue;
+    out.append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
+    }
+  }
+  out.append(s, run, s.size() - run);
+  out += '"';
+}
+
+template <typename Number>
+void append_number(std::string& out, Number v) {
+  char buf[40];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+}  // namespace
+
+JsonWriter::JsonWriter(std::string& out, JsonStyle style)
+    : out_(&out), style_(style) {}
+
 JsonWriter::JsonWriter(std::ostream& os, JsonStyle style)
-    : os_(&os), style_(style) {}
+    : out_(&buffer_), stream_(&os), style_(style) {}
 
 void JsonWriter::begin_object() {
   before_value();
   stack_.push_back(Scope::kObject);
   has_items_.push_back(false);
-  (*os_) << '{';
+  *out_ += '{';
 }
 
 void JsonWriter::end_object() {
-  PNS_EXPECTS(!stack_.empty() && stack_.back() == Scope::kObject);
   PNS_EXPECTS(!key_pending_);
-  const bool had_items = has_items_.back();
-  stack_.pop_back();
-  has_items_.pop_back();
-  if (had_items && style_ == JsonStyle::kPretty) {
-    (*os_) << '\n';
-    indent();
-  }
-  (*os_) << '}';
+  close(Scope::kObject);
 }
 
 void JsonWriter::begin_array() {
   before_value();
   stack_.push_back(Scope::kArray);
   has_items_.push_back(false);
-  (*os_) << '[';
+  *out_ += '[';
 }
 
-void JsonWriter::end_array() {
-  PNS_EXPECTS(!stack_.empty() && stack_.back() == Scope::kArray);
+void JsonWriter::end_array() { close(Scope::kArray); }
+
+void JsonWriter::close(Scope scope) {
+  PNS_EXPECTS(!stack_.empty() && stack_.back() == scope);
   const bool had_items = has_items_.back();
   stack_.pop_back();
   has_items_.pop_back();
   if (had_items && style_ == JsonStyle::kPretty) {
-    (*os_) << '\n';
+    *out_ += '\n';
     indent();
   }
-  (*os_) << ']';
+  *out_ += scope == Scope::kObject ? '}' : ']';
+  after_value();
 }
 
-void JsonWriter::key(const std::string& k) {
+void JsonWriter::key(std::string_view k) {
   PNS_EXPECTS(!stack_.empty() && stack_.back() == Scope::kObject);
   PNS_EXPECTS(!key_pending_);
-  if (has_items_.back()) (*os_) << ',';
+  if (has_items_.back()) *out_ += ',';
   has_items_.back() = true;
   if (style_ == JsonStyle::kPretty) {
-    (*os_) << '\n';
+    *out_ += '\n';
     indent();
-    write_string(k);
-    (*os_) << ": ";
+    append_quoted(*out_, k);
+    *out_ += ": ";
   } else {
-    write_string(k);
-    (*os_) << ':';
+    append_quoted(*out_, k);
+    *out_ += ':';
   }
   key_pending_ = true;
 }
 
 void JsonWriter::value(double v) {
   before_value();
-  if (!std::isfinite(v)) {
-    (*os_) << "null";
-    return;
-  }
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  os_->write(buf, res.ptr - buf);
+  if (std::isfinite(v))
+    append_number(*out_, v);
+  else
+    *out_ += "null";
+  after_value();
 }
 
 void JsonWriter::value(std::int64_t v) {
   before_value();
-  (*os_) << v;
+  append_number(*out_, v);
+  after_value();
 }
 
 void JsonWriter::value(std::uint64_t v) {
   before_value();
-  (*os_) << v;
+  append_number(*out_, v);
+  after_value();
 }
 
 void JsonWriter::value(bool v) {
   before_value();
-  (*os_) << (v ? "true" : "false");
+  *out_ += v ? "true" : "false";
+  after_value();
 }
 
-void JsonWriter::value(const std::string& v) {
+void JsonWriter::value(std::string_view v) {
   before_value();
-  write_string(v);
+  append_quoted(*out_, v);
+  after_value();
 }
 
 void JsonWriter::null() {
   before_value();
-  (*os_) << "null";
+  *out_ += "null";
+  after_value();
 }
 
 bool JsonWriter::complete() const {
@@ -123,32 +162,23 @@ void JsonWriter::before_value() {
     return;
   }
   // Array element.
-  if (has_items_.back()) (*os_) << ',';
+  if (has_items_.back()) *out_ += ',';
   has_items_.back() = true;
   if (style_ == JsonStyle::kPretty) {
-    (*os_) << '\n';
+    *out_ += '\n';
     indent();
   }
 }
 
-void JsonWriter::write_string(const std::string& s) {
-  // Most keys and values need no escaping: write them straight through
-  // instead of building json_escape's temporary.
-  const bool plain = std::none_of(s.begin(), s.end(), [](unsigned char c) {
-    return c == '"' || c == '\\' || c < 0x20;
-  });
-  if (!plain) {
-    (*os_) << json_escape(s);
-    return;
+void JsonWriter::after_value() {
+  if (stream_ && stack_.empty()) {
+    stream_->write(buffer_.data(),
+                   static_cast<std::streamsize>(buffer_.size()));
+    buffer_.clear();
   }
-  os_->put('"');
-  os_->write(s.data(), static_cast<std::streamsize>(s.size()));
-  os_->put('"');
 }
 
-void JsonWriter::indent() {
-  for (std::size_t i = 0; i < stack_.size(); ++i) (*os_) << "  ";
-}
+void JsonWriter::indent() { out_->append(2 * stack_.size(), ' '); }
 
 std::string shortest_double(double v) {
   char buf[40];
@@ -169,22 +199,34 @@ bool JsonValue::as_bool() const {
 
 double JsonValue::as_double() const {
   if (type_ != Type::kNumber) throw JsonError("json: not a number");
-  // from_chars, not strtod: parsing must be locale-independent to match
-  // the locale-independent shortest_double emission bit for bit.
-  double v = 0.0;
-  std::from_chars(text_.data(), text_.data() + text_.size(), v);
+  return number_;
+}
+
+namespace {
+
+/// The integer a whole number token spells; anything else -- a fraction,
+/// an exponent, a sign the type cannot hold, an out-of-range value --
+/// throws instead of being truncated into some other integer.
+template <typename Int>
+Int parse_integer(const std::string& token) {
+  Int v{};
+  const char* end = token.data() + token.size();
+  const auto res = std::from_chars(token.data(), end, v);
+  if (res.ec != std::errc{} || res.ptr != end)
+    throw JsonError("json: not an integer: " + token);
   return v;
 }
 
+}  // namespace
+
 std::int64_t JsonValue::as_int64() const {
   if (type_ != Type::kNumber) throw JsonError("json: not a number");
-  return static_cast<std::int64_t>(std::strtoll(text_.c_str(), nullptr, 10));
+  return parse_integer<std::int64_t>(text_);
 }
 
 std::uint64_t JsonValue::as_uint64() const {
   if (type_ != Type::kNumber) throw JsonError("json: not a number");
-  return static_cast<std::uint64_t>(
-      std::strtoull(text_.c_str(), nullptr, 10));
+  return parse_integer<std::uint64_t>(text_);
 }
 
 const std::string& JsonValue::as_string() const {
@@ -207,16 +249,16 @@ const std::vector<JsonValue::Member>& JsonValue::members() const {
   return members_;
 }
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
   for (const auto& [k, v] : members_)
     if (k == key) return &v;
   return nullptr;
 }
 
-const JsonValue& JsonValue::at(const std::string& key) const {
+const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* v = find(key);
-  if (!v) throw JsonError("json: missing key \"" + key + "\"");
+  if (!v) throw JsonError("json: missing key \"" + std::string(key) + "\"");
   return *v;
 }
 
@@ -341,15 +383,20 @@ class JsonParser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote, backslash or control
+      // character in one append. An error's offset points just past
+      // the offending character (or at the end of the input).
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       const char c = peek();
       ++pos_;
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       const char esc = peek();
       ++pos_;
       switch (esc) {
@@ -408,16 +455,17 @@ class JsonParser {
     }
     if (pos_ == start || (pos_ == start + 1 && text_[start] == '-'))
       fail("invalid number");
+    // from_chars, not strtod: parsing must be locale-independent to match
+    // the locale-independent shortest_double emission bit for bit. The
+    // token must parse and be consumed entirely.
+    const std::string_view token = text_.substr(start, pos_ - start);
     JsonValue v;
     v.type_ = JsonValue::Type::kNumber;
-    v.text_ = std::string(text_.substr(start, pos_ - start));
-    // Validate with locale-independent from_chars: the token must parse
-    // and be consumed entirely.
-    double parsed = 0.0;
-    const auto res = std::from_chars(
-        v.text_.data(), v.text_.data() + v.text_.size(), parsed);
-    if (res.ec != std::errc{} || res.ptr != v.text_.data() + v.text_.size())
+    const auto res = std::from_chars(token.data(),
+                                     token.data() + token.size(), v.number_);
+    if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
       fail("invalid number");
+    v.text_ = std::string(token);
     return v;
   }
 
@@ -429,28 +477,9 @@ JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse_document();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out = "\"";
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
+std::string json_escape(std::string_view s) {
+  std::string out;
+  append_quoted(out, s);
   return out;
 }
 

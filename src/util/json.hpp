@@ -1,4 +1,4 @@
-// Minimal streaming JSON emission + parsing for experiment outputs.
+// Minimal JSON emission + parsing for experiment outputs.
 //
 // Sweep aggregates are dumped as JSON so downstream analysis (notebooks,
 // dashboards) can ingest them without a CSV dialect guessing game. The
@@ -25,7 +25,10 @@ enum class JsonStyle {
   kCompact,  ///< no whitespace at all -- one document per line (journals)
 };
 
-/// Streams a single JSON document to an std::ostream. Containers are
+/// Writes a single JSON document. The document is built by appending to
+/// one std::string: either the caller's (the string sink) or the
+/// writer's own buffer, which the stream constructor writes to its
+/// stream in one piece when the root value closes. Containers are
 /// opened/closed explicitly; with JsonStyle::kPretty the writer inserts
 /// commas, newlines and two-space indentation, with kCompact it emits no
 /// whitespace so a document fits one journal line. Misuse (a value where
@@ -33,8 +36,17 @@ enum class JsonStyle {
 /// rather than emitting malformed output.
 class JsonWriter {
  public:
-  /// Writes to an externally owned stream (not owned, must outlive this).
+  /// Appends to an externally owned string (not owned, must outlive
+  /// this). Existing contents are kept.
+  explicit JsonWriter(std::string& out, JsonStyle style = JsonStyle::kPretty);
+  /// Writes to an externally owned stream (not owned, must outlive
+  /// this) once the document is complete; an unfinished document is
+  /// never written.
   explicit JsonWriter(std::ostream& os, JsonStyle style = JsonStyle::kPretty);
+
+  // out_ may point at buffer_: a copy would alias the original's buffer.
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
   void begin_object();
   void end_object();
@@ -42,20 +54,21 @@ class JsonWriter {
   void end_array();
 
   /// Emits the key of the next object member. Must be inside an object.
-  void key(const std::string& k);
+  void key(std::string_view k);
 
   void value(double v);  ///< non-finite values are emitted as null
   void value(std::int64_t v);
   void value(std::uint64_t v);  ///< also covers std::size_t
   void value(int v) { value(static_cast<std::int64_t>(v)); }
   void value(bool v);
-  void value(const std::string& v);
-  void value(const char* v) { value(std::string(v)); }
+  void value(std::string_view v);
+  /// Without this overload a string literal would convert to bool.
+  void value(const char* v) { value(std::string_view(v)); }
   void null();
 
   /// Convenience: key(k) followed by value(v).
   template <typename T>
-  void kv(const std::string& k, const T& v) {
+  void kv(std::string_view k, const T& v) {
     key(k);
     value(v);
   }
@@ -68,10 +81,13 @@ class JsonWriter {
   enum class Scope { kObject, kArray };
 
   void before_value();  ///< comma/indent bookkeeping shared by all values
-  void write_string(const std::string& s);  ///< quoted, escaped if needed
+  void after_value();   ///< hands a completed document to the stream
+  void close(Scope scope);
   void indent();
 
-  std::ostream* os_;
+  std::string buffer_;             ///< the document, for the stream sink
+  std::string* out_;               ///< where bytes are appended
+  std::ostream* stream_ = nullptr;  ///< set for the stream sink only
   JsonStyle style_;
   std::vector<Scope> stack_;
   std::vector<bool> has_items_;
@@ -105,6 +121,8 @@ class JsonValue {
 
   bool as_bool() const;
   double as_double() const;        ///< exact for shortest_double() output
+  /// The integer a number token spells exactly: a fraction, exponent,
+  /// sign the type cannot hold or out-of-range value throws JsonError.
   std::int64_t as_int64() const;
   std::uint64_t as_uint64() const;
   const std::string& as_string() const;
@@ -115,16 +133,17 @@ class JsonValue {
   const std::vector<Member>& members() const;   ///< object members, in order
 
   /// Object member lookup; nullptr when absent (or not an object).
-  const JsonValue* find(const std::string& key) const;
+  const JsonValue* find(std::string_view key) const;
   /// Object member lookup; throws JsonError when absent.
-  const JsonValue& at(const std::string& key) const;
+  const JsonValue& at(std::string_view key) const;
 
  private:
   friend class JsonParser;
 
   Type type_ = Type::kNull;
   bool bool_ = false;
-  std::string text_;  ///< string value, or raw number token
+  double number_ = 0.0;  ///< a number's value, parsed once
+  std::string text_;     ///< string value, or raw number token
   std::vector<JsonValue> items_;
   std::vector<Member> members_;
 };
@@ -135,7 +154,7 @@ JsonValue parse_json(std::string_view text);
 
 /// Escapes a string per RFC 8259 (quotes, backslash, control characters)
 /// and wraps it in double quotes.
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
 
 /// Shortest decimal representation that parses back to the exact same
 /// double (std::to_chars). Shared by the JSON writer and the sweep

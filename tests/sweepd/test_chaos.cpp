@@ -9,7 +9,9 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -94,13 +96,15 @@ class ChaosDaemon {
   ChaosDaemon(const std::string& state_dir,
               std::shared_ptr<fault::FaultInjector> fault,
               bool fsync = false, double lease_timeout_s = 30.0,
-              std::size_t lease_rows = 0) {
+              std::size_t lease_rows = 0,
+              std::function<void(const std::string&)> log = {}) {
     options_.endpoint = net::Endpoint::parse("tcp:127.0.0.1:0");
     options_.state_dir = state_dir;
     options_.fault = std::move(fault);
     options_.fsync_journal = fsync;
     options_.lease_timeout_s = lease_timeout_s;
     options_.lease_rows = lease_rows;
+    options_.log = std::move(log);
     options_.idle_poll_s = 0.02;
     daemon_.emplace(options_);
     daemon_->bind();
@@ -312,6 +316,69 @@ TEST(Chaos, HeartbeatsKeepASlowLeaseAlivePastTheTimeout) {
   ASSERT_EQ(status.jobs.size(), 1u);
   EXPECT_TRUE(status.jobs[0].complete);
   EXPECT_EQ(status.jobs[0].duplicates, 0u);
+}
+
+TEST(Chaos, HeartbeatsCoverEveryLeaseOfASession) {
+  TempDir state("pns-chaos-hb-session");
+  // One-row leases of the PNS rows of an hour-long table2 window: each
+  // row takes longer than the lease timeout, so only heartbeats keep
+  // its lease alive, and one worker session runs three leases back to
+  // back on the same connection.
+  const double lease_timeout_s = 0.15;
+  std::mutex log_mu;
+  std::size_t revocations = 0;
+  ChaosDaemon cd(state.path(), nullptr, false, lease_timeout_s,
+                 /*lease_rows=*/1, [&](const std::string& line) {
+                   if (line.find("revoked") == std::string::npos) return;
+                   const std::lock_guard<std::mutex> lock(log_mu);
+                   ++revocations;
+                 });
+  const net::Endpoint ep = cd.endpoint();
+  JobSpec spec;
+  spec.preset = "table2";
+  spec.minutes = 60.0;
+  spec.controls = {sweep::ControlSpec::parse("pns")};
+  const SubmitResult submitted = submit_job(ep, spec);
+  ASSERT_EQ(submitted.total, 3u);
+
+  // Wall time of each lease, from its "leased" log line to the next one
+  // (or the end of the run).
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> lease_starts;
+  WorkerOptions w;
+  w.endpoint = ep;
+  w.threads = 1;
+  w.once = true;
+  w.heartbeat_s = 0.02;
+  w.max_reconnects = 0;
+  w.log = [&](const std::string& line) {
+    if (line.find(": leased ") != std::string::npos)
+      lease_starts.push_back(Clock::now());
+  };
+  const WorkerReport report = run_worker(w);
+  const Clock::time_point end = Clock::now();
+
+  EXPECT_EQ(report.leases, 3u);
+  EXPECT_EQ(report.rows, 3u);
+  EXPECT_EQ(report.reconnects, 0u);
+  ASSERT_EQ(lease_starts.size(), 3u);
+  lease_starts.push_back(end);
+  for (std::size_t k = 0; k + 1 < lease_starts.size(); ++k)
+    EXPECT_GT(std::chrono::duration<double>(lease_starts[k + 1] -
+                                            lease_starts[k])
+                  .count(),
+              lease_timeout_s)
+        << "lease " << k << " finished inside the timeout";
+
+  const StatusReport status = fetch_status(ep);
+  ASSERT_EQ(status.jobs.size(), 1u);
+  EXPECT_TRUE(status.jobs[0].complete);
+  EXPECT_EQ(status.jobs[0].duplicates, 0u);
+  {
+    const std::lock_guard<std::mutex> lock(log_mu);
+    EXPECT_EQ(revocations, 0u);
+  }
+  expect_results_equal_local(ep, submitted.job, spec);
 }
 
 TEST(Chaos, StatusReportsPerWorkerLiveness) {

@@ -289,7 +289,7 @@ TEST(Daemon, QueuedJobsAreLeasedWhole) {
     expect_distributed_equals_local(ep, id, table2_job());
 }
 
-TEST(Daemon, WorkerKeepsAssetsForTheJobAndDropsThemOnAJobSwitch) {
+TEST(Daemon, WorkerKeepsAssetsForTheSession) {
   TempDir state("pns-sweepd-assets");
   // One-row leases: a cache that lived for one lease would miss on
   // every row.
@@ -315,10 +315,9 @@ TEST(Daemon, WorkerKeepsAssetsForTheJobAndDropsThemOnAJobSwitch) {
   EXPECT_EQ(report.rows, total);
   EXPECT_EQ(report.leases, total);
 
-  // Each visit to a job synthesises each of its traces once and every
-  // later lease of that job hits. The return to A misses again: the
-  // switch to B dropped A's cache.
-  const std::size_t misses = 3 + 2 + 3;
+  // Each trace is synthesised once for the whole run: A's three, then
+  // B's two. The return to A hits -- the switch to B kept A's traces.
+  const std::size_t misses = 3 + 2;
   EXPECT_EQ(report.asset_misses, misses);
   EXPECT_EQ(report.asset_hits, total - misses);
   ASSERT_FALSE(log.empty());
@@ -330,6 +329,36 @@ TEST(Daemon, WorkerKeepsAssetsForTheJobAndDropsThemOnAJobSwitch) {
 
   for (std::size_t j = 0; j < specs.size(); ++j)
     expect_distributed_equals_local(ep, ids[j], specs[j]);
+}
+
+TEST(Daemon, WorkerAssetCachesStayBoundedAcrossJobs) {
+  TempDir state("pns-sweepd-asset-cap");
+  TestDaemon td(state.path());
+  const net::Endpoint ep = td.endpoint();
+  // Every table2 window has its own 3 traces. Ten windows and the quick
+  // job (2 traces) fill the 32-trace cache exactly; the eleventh window
+  // evicts them all before it synthesises its own, so the return to the
+  // first window misses again.
+  const auto table2_over = [](double minutes) {
+    JobSpec spec = table2_job();
+    spec.minutes = minutes;
+    return spec;
+  };
+  std::vector<JobSpec> specs;
+  for (int k = 0; k < 10; ++k) specs.push_back(table2_over(0.5 + 0.1 * k));
+  specs.push_back(quick_job());
+  specs.push_back(table2_over(1.5));
+  specs.push_back(table2_over(0.5));
+  std::size_t total = 0;
+  for (const JobSpec& spec : specs) total += submit_job(ep, spec).total;
+
+  WorkerOptions wopt = worker_options(ep);
+  wopt.threads = 1;
+  const WorkerReport report = run_worker(wopt);
+  EXPECT_EQ(report.rows, total);
+  const std::size_t misses = 10 * 3 + 2 + 3 + 3;
+  EXPECT_EQ(report.asset_misses, misses);
+  EXPECT_EQ(report.asset_hits, total - misses);
 }
 
 TEST(Daemon, ServesUnixSockets) {

@@ -1,21 +1,26 @@
 // Protocol-layer tests: message builders round-trip through the parser,
 // malformed frames are rejected with ProtocolError (never accepted,
-// never crash), JobSpecs survive their JSON form with identity intact,
-// and LineConn's newline framing handles split, batched and oversized
-// lines over a real socketpair.
+// never crash), integer fields that are not exact integers earn a
+// daemon error instead of being truncated and routed, JobSpecs survive
+// their JSON form with identity intact, and LineConn's newline framing
+// handles split, batched and oversized lines over a real socketpair.
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sweep/aggregate.hpp"
+#include "sweepd/client.hpp"
+#include "sweepd/daemon.hpp"
 #include "sweepd/job.hpp"
 #include "sweepd/protocol.hpp"
 #include "util/socket.hpp"
@@ -88,6 +93,117 @@ TEST(Protocol, MalformedFramesAreRejected) {
   };
   for (const char* line : bad)
     EXPECT_THROW(parse_message(line), ProtocolError) << line;
+}
+
+// ------------------------------------------------------ integer fields
+
+/// Number tokens that name no exact unsigned integer. Truncating
+/// readers turn each into some other integer ("1.9" and "1e0" into 1,
+/// "-1" into 2^64 - 1), which would route a row to the wrong index or
+/// refresh the wrong lease.
+const char* const kNonIntegerTokens[] = {
+    "1.9", "1e0", "1.0", "-1", "-0", "18446744073709551616"};
+
+/// `line` with its first occurrence of `from` replaced by `to`.
+std::string with_field(std::string line, const std::string& from,
+                       const std::string& to) {
+  const std::size_t at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " in " << line;
+  if (at != std::string::npos) line.replace(at, from.size(), to);
+  return line;
+}
+
+/// An in-process daemon on an ephemeral TCP port with a scratch state
+/// dir, served from a thread.
+class ServedDaemon {
+ public:
+  ServedDaemon() {
+    state_ = (std::filesystem::temp_directory_path() /
+              ("pns-protocol-" + std::to_string(::getpid())))
+                 .string();
+    std::filesystem::remove_all(state_);
+    std::filesystem::create_directories(state_);
+    DaemonOptions options;
+    options.endpoint = net::Endpoint::parse("tcp:127.0.0.1:0");
+    options.state_dir = state_;
+    daemon_.emplace(options);
+    daemon_->bind();
+    thread_ = std::thread([this] { daemon_->run(); });
+  }
+
+  ~ServedDaemon() {
+    daemon_->stop();
+    thread_.join();
+    std::filesystem::remove_all(state_);
+  }
+
+  net::Endpoint endpoint() const {
+    return net::Endpoint::parse("tcp:127.0.0.1:" +
+                                std::to_string(daemon_->port()));
+  }
+
+ private:
+  std::string state_;
+  std::optional<Daemon> daemon_;
+  std::thread thread_;
+};
+
+/// Sends one line and then a status request on a fresh connection, and
+/// returns the first reply's type: "status_ok" when the line itself
+/// earned no reply (an accepted row frame gets none).
+std::string reply_type(const net::Endpoint& ep, const std::string& line) {
+  net::LineConn conn(net::connect_endpoint(ep));
+  EXPECT_TRUE(conn.send_line_blocking(line));
+  EXPECT_TRUE(conn.send_line_blocking(make_status()));
+  const std::optional<std::string> reply = conn.recv_line_blocking();
+  return reply ? message_type(parse_message(*reply)) : "<closed>";
+}
+
+TEST(Protocol, NonIntegerTokensInIntegerFieldsEarnAnError) {
+  ServedDaemon daemon;
+  const net::Endpoint ep = daemon.endpoint();
+  JobSpec spec;
+  spec.preset = "quick";
+  spec.minutes = 1.0;
+  const SubmitResult submitted = submit_job(ep, spec);
+
+  // A row frame the daemon would accept as index 1: its label matches
+  // the scenario, and lease 1 names no live lease (nothing to refresh).
+  sweep::SummaryRow row;
+  row.label = spec.expand()[1].label;
+  row.ok = true;
+  const std::string frame = make_row(submitted.job, 1, 1, 0.1, row);
+
+  for (const std::string token : kNonIntegerTokens) {
+    EXPECT_EQ(reply_type(ep, with_field(frame, "\"i\":1,",
+                                        "\"i\":" + token + ",")),
+              "error")
+        << "i " << token;
+    EXPECT_EQ(reply_type(ep, with_field(frame, "\"lease\":1,",
+                                        "\"lease\":" + token + ",")),
+              "error")
+        << "lease " << token;
+    EXPECT_EQ(reply_type(ep, with_field(make_hello("worker", 4),
+                                        "\"threads\":4",
+                                        "\"threads\":" + token)),
+              "error")
+        << "threads " << token;
+  }
+
+  // None of those frames was routed: the job has no row yet.
+  const StatusReport status = fetch_status(ep, submitted.job);
+  ASSERT_EQ(status.jobs.size(), 1u);
+  EXPECT_EQ(status.jobs[0].done, 0u);
+  // The untampered frame is accepted (status answers after it on the
+  // same connection, so the row has landed by then).
+  net::LineConn conn(net::connect_endpoint(ep));
+  ASSERT_TRUE(conn.send_line_blocking(frame));
+  ASSERT_TRUE(conn.send_line_blocking(make_status(submitted.job)));
+  const std::optional<std::string> reply = conn.recv_line_blocking();
+  ASSERT_TRUE(reply.has_value());
+  const JsonValue jobs = parse_message(*reply).at("jobs");
+  ASSERT_EQ(jobs.items().size(), 1u);
+  EXPECT_EQ(jobs.items()[0].at("done").as_uint64(), 1u);
 }
 
 // ----------------------------------------------------------- JobSpec

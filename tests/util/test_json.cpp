@@ -1,16 +1,37 @@
-// Tests for util/json: compact-style emission and the parser that reads
-// the repo's own formats (checkpoint journals, bench reports) back.
+// Tests for util/json: compact-style emission (through the string and
+// the stream sink alike) and the parser that reads the repo's own
+// formats (checkpoint journals, bench reports) back.
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "sweep/aggregate.hpp"
 #include "util/json.hpp"
 
 namespace pns {
 namespace {
+
+/// Writes one document through both sinks; expects identical bytes and
+/// returns them.
+std::string written(JsonStyle style,
+                    const std::function<void(JsonWriter&)>& write) {
+  std::ostringstream os;
+  {
+    JsonWriter w(os, style);
+    write(w);
+    EXPECT_TRUE(w.complete());
+  }
+  std::string out = "prefix:";  // the string sink appends
+  JsonWriter w(out, style);
+  write(w);
+  EXPECT_EQ(out, "prefix:" + os.str());
+  return os.str();
+}
 
 TEST(JsonWriterCompact, SingleLineNoWhitespace) {
   std::ostringstream os;
@@ -52,34 +73,100 @@ TEST(JsonWriter, MatchesJsonEscapeAndShortestDouble) {
       "ctl\x01x", "tab\t",    "caf\xc3\xa9 \xe2\x82\xac"};
   for (const std::string& s : strings) {
     for (const JsonStyle style : {JsonStyle::kCompact, JsonStyle::kPretty}) {
-      std::ostringstream os;
-      JsonWriter w(os, style);
-      w.begin_object();
-      w.kv(s, s);
-      w.end_object();
+      const std::string bytes = written(style, [&](JsonWriter& w) {
+        w.begin_object();
+        w.kv(s, s);
+        w.end_object();
+      });
       const std::string sep = style == JsonStyle::kCompact ? ":" : ": ";
       const std::string member = json_escape(s) + sep + json_escape(s);
-      EXPECT_EQ(os.str(), style == JsonStyle::kCompact
-                              ? "{" + member + "}"
-                              : "{\n  " + member + "\n}");
+      EXPECT_EQ(bytes, style == JsonStyle::kCompact
+                           ? "{" + member + "}"
+                           : "{\n  " + member + "\n}");
     }
   }
 
   const double doubles[] = {-0.0,   0.1,     1.0 / 3.0, 4.9e-324,
                             1e300, -2.5e-8, 42.0};
   for (const double d : doubles) {
-    std::ostringstream os;
-    JsonWriter w(os, JsonStyle::kCompact);
-    w.value(d);
-    EXPECT_EQ(os.str(), shortest_double(d));
+    EXPECT_EQ(written(JsonStyle::kCompact, [&](JsonWriter& w) { w.value(d); }),
+              shortest_double(d));
   }
   for (const double d : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
                          std::numeric_limits<double>::quiet_NaN()}) {
-    std::ostringstream os;
-    JsonWriter w(os, JsonStyle::kCompact);
-    w.value(d);
-    EXPECT_EQ(os.str(), "null");
+    for (const JsonStyle style : {JsonStyle::kCompact, JsonStyle::kPretty}) {
+      EXPECT_EQ(written(style, [&](JsonWriter& w) { w.value(d); }), "null");
+      EXPECT_EQ(written(style,
+                        [&](JsonWriter& w) {
+                          w.begin_array();
+                          w.value(d);
+                          w.end_array();
+                        }),
+                style == JsonStyle::kCompact ? "[null]" : "[\n  null\n]");
+    }
   }
+}
+
+TEST(JsonWriter, StringAndStreamSinksWriteIdenticalBytes) {
+  // Multi-level documents, each through both sinks in both styles
+  // (written() compares the bytes); the expected text pins the compact
+  // form.
+  sweep::SummaryRow row;
+  row.label = "full-sun/pns/seed=42";
+  row.condition = "full-sun";
+  row.control = "pns";
+  row.ok = false;
+  row.error = "brown-out\n\"at\" t=0";
+  row.domains = {{"big", 1.5, 2e9, 0.75}, {"LITTLE", 0.25, 1e9, 0.25}};
+
+  const std::pair<std::function<void(JsonWriter&)>, std::string> docs[] = {
+      {[](JsonWriter& w) {  // nested arrays, empty containers
+         w.begin_array();
+         w.begin_array();
+         w.value(1);
+         w.begin_array();
+         w.end_array();
+         w.end_array();
+         w.begin_object();
+         w.end_object();
+         w.null();
+         w.end_array();
+       },
+       "[[1,[]],{},null]"},
+      {[](JsonWriter& w) {  // escapes in keys and values, inside arrays
+         w.begin_object();
+         w.key("a\"b");
+         w.begin_array();
+         w.value("tab\tnl\nctl\x1f");
+         w.value(std::string("back\\slash"));
+         w.end_array();
+         w.kv("inf", std::numeric_limits<double>::infinity());
+         w.end_object();
+       },
+       "{\"a\\\"b\":[\"tab\\tnl\\nctl\\u001f\",\"back\\\\slash\"],"
+       "\"inf\":null}"},
+      {[&](JsonWriter& w) { sweep::write_summary_row_json(w, row); }, ""},
+  };
+  for (const auto& [write, compact] : docs) {
+    const std::string bytes = written(JsonStyle::kCompact, write);
+    if (!compact.empty()) {
+      EXPECT_EQ(bytes, compact);
+    }
+    EXPECT_NO_THROW(parse_json(bytes)) << bytes;
+    const std::string pretty = written(JsonStyle::kPretty, write);
+    EXPECT_NO_THROW(parse_json(pretty)) << pretty;
+  }
+  // The domains trailer comes last and carries both domains.
+  const std::string bytes = written(JsonStyle::kCompact, docs[2].first);
+  EXPECT_NE(bytes.find(",\"domains\":[{\"name\":\"big\",\"energy_j\":1.5,"),
+            std::string::npos)
+      << bytes;
+  const sweep::SummaryRow back =
+      sweep::summary_row_from_json(parse_json(bytes));
+  ASSERT_EQ(back.domains.size(), 2u);
+  EXPECT_EQ(back.domains[1].name, "LITTLE");
+  EXPECT_EQ(back.error, row.error);
 }
 
 TEST(JsonParse, Scalars) {
@@ -134,6 +221,52 @@ TEST(JsonParse, MalformedInputThrows) {
         "{\"a\":1,}", "nan", "--1", "{\"a\" 1}"}) {
     EXPECT_THROW(parse_json(bad), JsonError) << bad;
   }
+}
+
+TEST(JsonParse, StringErrorsReportTheirOffset) {
+  // The offset is just past the offending character, whether it opens
+  // the string, ends a run of plain characters or sits between runs.
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"\x01\"", "unescaped control character in string at offset 2"},
+      {"\"ab\x01" "cd\"", "unescaped control character in string at offset 4"},
+      {"{\"k\x1f\":1}", "unescaped control character in string at offset 4"},
+      {"[\"ok\\n\", \"x\ty\"]",
+       "unescaped control character in string at offset 12"},
+      {"\"abc\\ndef\ng\"",
+       "unescaped control character in string at offset 10"},
+      {"\"abc\\qdef\"", "invalid escape at offset 6"},
+      {"\"a\\tb\\xc\"", "invalid escape at offset 7"},
+      {"\"\\u00zz\"", "invalid \\u escape at offset 6"},
+      {"\"abc", "unexpected end of input at offset 4"},
+      {"\"abc\\", "unexpected end of input at offset 5"},
+  };
+  for (const auto& [text, why] : cases) {
+    try {
+      parse_json(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const JsonError& e) {
+      EXPECT_EQ(e.what(), "json: " + why) << text;
+    }
+  }
+}
+
+TEST(JsonParse, IntegerAccessorsRequireAnExactInteger) {
+  EXPECT_EQ(parse_json("-1").as_int64(), -1);
+  EXPECT_EQ(parse_json("0").as_uint64(), 0u);
+  EXPECT_EQ(parse_json("-9223372036854775808").as_int64(),
+            std::numeric_limits<std::int64_t>::min());
+  // A fraction, an exponent or an out-of-range value is not silently
+  // truncated to some other integer.
+  for (const char* token : {"1.9", "1.0", "1e3", "1E0", "0.5", "-0.0",
+                            "9223372036854775808", "1e-3"}) {
+    EXPECT_THROW(parse_json(token).as_int64(), JsonError) << token;
+  }
+  for (const char* token : {"1.9", "1.0", "1e3", "-1", "-0",
+                            "18446744073709551616", "2.5e1"}) {
+    EXPECT_THROW(parse_json(token).as_uint64(), JsonError) << token;
+  }
+  // Non-numbers stay type errors.
+  EXPECT_THROW(parse_json("\"7\"").as_uint64(), JsonError);
 }
 
 TEST(JsonParse, TypeMismatchThrows) {
