@@ -53,14 +53,6 @@ class PvTable {
   std::size_t nv() const { return nv_; }
   std::size_t ng() const { return ng_; }
 
-  // Raw grid access for the packed bilinear kernel
-  // (ehsim/solar_cell_simd.hpp), which replicates current() elementwise
-  // across lanes. Ordinary callers use current().
-  double dv() const { return dv_; }
-  double dg() const { return dg_; }
-  /// Row-major knot currents, [gi * nv() + vi].
-  const std::vector<double>& knots() const { return i_; }
-
  private:
   double v_max_, g_max_;
   double dv_, dg_;

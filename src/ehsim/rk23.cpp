@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "ehsim/dense_output.hpp"
 #include "util/contracts.hpp"
@@ -323,13 +322,6 @@ bool Rk23Integrator::finish_attempt(double h, bool end_capped,
     std::swap(g_prev_, g_curr_);
     return true;
   }
-}
-
-double Rk23Integrator::min_event_margin() const {
-  double m = std::numeric_limits<double>::infinity();
-  for (std::size_t e = 0; e < win_events_.size(); ++e)
-    m = std::min(m, std::abs(g_prev_[e]));
-  return m;
 }
 
 void Rk23Integrator::interpolate(double t, std::span<double> y_out) const {

@@ -94,17 +94,6 @@ class Rk23Integrator {
   double time() const { return t_; }
   std::span<const double> state() const { return y_; }
 
-  /// Step-size hint the next step attempt will start from.
-  double step_size() const { return h_; }
-  /// Whether the FSAL derivative cache is valid for (time(), state()).
-  bool have_fsal() const { return have_f0_; }
-  /// FSAL derivative of component `i`; meaningful only while have_fsal().
-  double fsal_derivative(std::size_t i = 0) const { return f0_[i]; }
-  /// Smallest |g| across the open window's events at the last event
-  /// baseline -- how close the trajectory sits to its nearest watched
-  /// threshold. +infinity when the window watches no events.
-  double min_event_margin() const;
-
   /// Integrates forward until `t_end` or until the first event root,
   /// whichever comes first. Events are tested on every accepted step.
   /// Equivalent to begin_window() + step_window() until completion.

@@ -14,13 +14,14 @@
 // Packed rounds: given a BatchRhs bound to the lanes' circuits, a round
 // with at least two lanes in lockstep opens every lane's attempt
 // (attempt_open), evaluates the four RK stages and the error norm across
-// the whole active set -- stage combinations in width-4 vector chunks,
-// derivative evaluations through the BatchRhs with the PV solves packed
-// (ehsim/solar_cell_simd.hpp) -- and closes each attempt in lane order
-// (attempt_close). A round with one lane in lockstep, or any round
-// without a BatchRhs, steps each lane through step_window(): one lane
-// has nothing to pack across. Both forms replicate the scalar sequence
-// exactly, so the choice changes scheduling, never bits.
+// the whole active set -- the stage arithmetic lane by lane, the
+// derivative evaluations through the BatchRhs with the exact-mode PV
+// Newton solves packed (ehsim/solar_cell_simd.hpp) -- and closes each
+// attempt in lane order (attempt_close). A round with one lane in
+// lockstep, or any round without a BatchRhs, steps each lane through
+// step_window(): one lane has nothing to pack across. Both forms
+// replicate the scalar sequence exactly, so the choice changes
+// scheduling, never bits.
 //
 // Divergence fallback: a lane whose window drags on (its step size
 // collapsed while its peers finished -- e.g. a stiff transient after
@@ -33,16 +34,21 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
-#include "ehsim/batch_state.hpp"
 #include "ehsim/ode.hpp"
 #include "ehsim/rk23.hpp"
-
-#include "ehsim/sources.hpp"
 
 namespace pns::ehsim {
 
 class BatchRhs;
+
+/// Where a lane stands in the batch lifecycle.
+enum class LaneStatus : std::uint8_t {
+  kIdle,      ///< between windows: needs a plan before it can step
+  kLockstep,  ///< window open, stepping in the shared rounds
+  kDone,      ///< reached its end time
+};
 
 struct Rk23BatchOptions {
   /// Step attempts a lane may spend on one window inside the rounds
@@ -59,61 +65,56 @@ struct BatchStepStats {
   std::uint64_t divergences = 0;     ///< lane-windows that left lockstep
   std::uint64_t event_windows = 0;   ///< windows closed by an event root
   std::uint64_t simd_lane_steps = 0; ///< lane attempts staged across lanes
-  PvSolveStats kernel;  ///< packed-kernel solve accounting (BatchRhs)
 };
 
 class Rk23BatchStepper {
  public:
   explicit Rk23BatchStepper(Rk23BatchOptions options = {});
 
-  /// Runs every kLockstep lane of `state` to window completion, packing
-  /// the rounds through `rhs` when it is non-null and at least two lanes
-  /// are in lockstep (see the file comment).
+  /// Runs every kLockstep lane to window completion, packing the rounds
+  /// through `rhs` when it is non-null and at least two lanes are in
+  /// lockstep (see the file comment).
   ///
-  /// Preconditions, per lane i with state.status[i] == kLockstep:
-  /// integrators[i] has an open window (begin_window returned true) whose
-  /// result accumulates into results[i], and state.rounds[i] counts the
-  /// attempts already spent on that window (0 for a fresh window). A
-  /// non-null `rhs` must be bound to the circuits the integrators
-  /// integrate, indexed by lane. Lanes in any other status are left
-  /// untouched.
+  /// Preconditions, per lane i with status[i] == kLockstep:
+  /// integrators[i] has a freshly opened window (begin_window returned
+  /// true) whose result accumulates into results[i]. A non-null `rhs`
+  /// must be bound to the circuits the integrators integrate, indexed by
+  /// lane. Lanes in any other status are left untouched.
   ///
   /// On return every such lane is kIdle: its window completed (results[i]
-  /// is exactly what a scalar advance() would have returned) and its
-  /// mirrored columns in `state` are fresh. Windows that closed on an
-  /// event root leave the integrator stopped at the root, ready for the
-  /// caller to dispatch and re-plan.
+  /// is exactly what a scalar advance() would have returned). Windows
+  /// that closed on an event root leave the integrator stopped at the
+  /// root, ready for the caller to dispatch and re-plan.
   void run_rounds(std::span<Rk23Integrator* const> integrators,
-                  std::span<IntegrationResult> results, BatchState& state,
-                  BatchRhs* rhs);
+                  std::span<IntegrationResult> results,
+                  std::span<LaneStatus> status, BatchRhs* rhs);
 
   const BatchStepStats& stats() const { return stats_; }
-  const Rk23BatchOptions& options() const { return opt_; }
 
  private:
   /// Bookkeeping after lane `i`'s attempt of a round (`more`: its window
   /// is still open): closes a completed window, or finishes a divergent
-  /// one in the scalar tail. Returns true while the lane stays in
-  /// lockstep.
+  /// one in the scalar tail, leaving `status` kIdle. Returns true while
+  /// the lane stays in lockstep.
   bool settle(std::size_t i, bool more, Rk23Integrator& ig,
-              IntegrationResult& result, BatchState& state);
+              IntegrationResult& result, LaneStatus& status);
 
   /// Evaluates the RK stages and error norms of the opened attempts of
-  /// every lane in active_, data-parallel, and writes them back into
-  /// attempts_ ready for attempt_close().
+  /// every lane in active_ and writes them back into attempts_ ready for
+  /// attempt_close().
   void stage_packed(std::span<Rk23Integrator* const> integrators,
                     BatchRhs& rhs);
 
   Rk23BatchOptions opt_;
   BatchStepStats stats_;
 
-  // Packed-round scratch (SoA over the active lane set), reused across
-  // rounds and calls.
-  std::vector<Rk23StepAttempt> attempts_;   // lane-indexed
-  std::vector<std::size_t> active_;         // lane ids staging this round
-  std::vector<double> ta_, ya_, ha_, k1a_, k2a_, k3a_, k4a_;
-  std::vector<double> tsa_, ysa_, ynewa_, yerra_, erra_;
-  std::vector<double> rtola_, atola_;
+  // Scratch reused across rounds and calls.
+  std::vector<std::uint32_t> rounds_;      // lane-indexed: attempts spent
+                                           // on the open window
+  std::vector<Rk23StepAttempt> attempts_;  // lane-indexed
+  std::vector<std::size_t> active_;        // lane ids staging this round
+  std::vector<double> ts_, ys_, k_;        // per active lane: stage time,
+                                           // stage state, derivative
 };
 
 }  // namespace pns::ehsim

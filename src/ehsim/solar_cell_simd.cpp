@@ -1,11 +1,10 @@
-// Packed PV kernels. Bit-identity with the scalar solvers is the contract
-// here, so every expression below replicates its scalar counterpart's
-// association order exactly (see solar_cell.cpp / pv_table.cpp); this TU
-// and those TUs all pin -ffp-contract=off (CMakeLists.txt) so neither side
+// Packed PV Newton kernel. Bit-identity with the scalar solver is the
+// contract here, so every expression below replicates its scalar
+// counterpart's association order exactly (see solar_cell.cpp); this TU
+// and that TU both pin -ffp-contract=off (CMakeLists.txt) so neither side
 // can be FMA-contracted into disagreement.
 #include "ehsim/solar_cell_simd.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -48,28 +47,6 @@ bool run_self_test() {
       return false;
     if (want_iters != got_iters[k]) return false;
   }
-
-  // Bilinear probes on a deliberately coarse table (cheap to build),
-  // covering corners, knots and interior points, again with a tail.
-  PvTableSpec spec;
-  spec.v_max = 7.0;
-  spec.g_max = 1200.0;
-  spec.nv = 9;
-  spec.ng = 5;
-  const PvTable table(cell, spec);
-  std::vector<TableLane> tl;
-  for (double v : {0.0, 0.37, 2.6, 5.3, 6.999, 7.0})
-    for (double g : {0.0, 12.5, 640.0, 1200.0}) tl.push_back({&table, v, g});
-  tl.push_back({&table, 3.14159, 271.8});
-  tl.push_back({&table, 0.875, 1111.0});  // 26 lanes: 6x4 + one half chunk
-  std::vector<double> tgot(tl.size());
-  simd_detail::bilinear_packed(tl, tgot.data());
-  for (std::size_t k = 0; k < tl.size(); ++k) {
-    const double want = table.current(tl[k].v, tl[k].g);
-    if (std::bit_cast<std::uint64_t>(want) !=
-        std::bit_cast<std::uint64_t>(tgot[k]))
-      return false;
-  }
   return true;
 }
 
@@ -86,12 +63,9 @@ void simd_force_scalar(bool force) {
   g_force_scalar.store(force, std::memory_order_relaxed);
 }
 
-bool simd_forced_scalar() {
-  return g_force_scalar.load(std::memory_order_relaxed);
-}
-
 bool simd_kernel_active() {
-  return simd_kernel_compiled() && !simd_forced_scalar() &&
+  return simd_kernel_compiled() &&
+         !g_force_scalar.load(std::memory_order_relaxed) &&
          simd_kernel_self_test();
 }
 
@@ -191,53 +165,6 @@ template <int W>
   }
 }
 
-/// One width-W bilinear chunk: PvTable::current with vector arithmetic
-/// and scalar index/knot gathers.
-template <int W>
-[[gnu::always_inline]] inline void bilinear_chunk_impl(const TableLane* lanes,
-                                                       double* out) {
-  using Vec = simd::VecD<W>;
-  constexpr int kW = W;
-  const PvTable* tbl[kW];
-  double va[kW], ga[kW], dva[kW], dga[kW], nv1[kW], ng1[kW];
-  for (int l = 0; l < kW; ++l) {
-    const TableLane& ln = lanes[l];
-    tbl[l] = ln.table;
-    va[l] = ln.v;
-    ga[l] = ln.g;
-    dva[l] = ln.table->dv();
-    dga[l] = ln.table->dg();
-    nv1[l] = static_cast<double>(ln.table->nv() - 1);
-    ng1[l] = static_cast<double>(ln.table->ng() - 1);
-  }
-  //   fv = min(v / dv, nv - 1), vi = min(size_t(fv), nv - 2), ...
-  const Vec fv = vmin(Vec::load(va) / Vec::load(dva), Vec::load(nv1));
-  const Vec fg = vmin(Vec::load(ga) / Vec::load(dga), Vec::load(ng1));
-  double r00[kW], r01[kW], r10[kW], r11[kW], tva[kW], tga[kW];
-  for (int l = 0; l < kW; ++l) {
-    const PvTable* tb = tbl[l];
-    const std::size_t vi =
-        std::min(static_cast<std::size_t>(fv[l]), tb->nv() - 2);
-    const std::size_t gi =
-        std::min(static_cast<std::size_t>(fg[l]), tb->ng() - 2);
-    tva[l] = fv[l] - static_cast<double>(vi);
-    tga[l] = fg[l] - static_cast<double>(gi);
-    const double* row0 = &tb->knots()[gi * tb->nv() + vi];
-    const double* row1 = row0 + tb->nv();
-    r00[l] = row0[0];
-    r01[l] = row0[1];
-    r10[l] = row1[0];
-    r11[l] = row1[1];
-  }
-  const Vec tv = Vec::load(tva), tg = Vec::load(tga);
-  const Vec q00 = Vec::load(r00), q01 = Vec::load(r01), q10 = Vec::load(r10),
-            q11 = Vec::load(r11);
-  const Vec i0v = q00 + tv * (q01 - q00);
-  const Vec i1v = q10 + tv * (q11 - q10);
-  const Vec res = i0v + tg * (i1v - i0v);
-  for (int l = 0; l < kW; ++l) out[l] = res[l];
-}
-
 // GCC cannot multiversion templates, so each chunk width gets a plain
 // wrapper carrying the clone attribute; the always_inline impl then
 // compiles per clone.
@@ -248,14 +175,6 @@ void newton_chunk4(const NewtonLane* l, double* o, std::uint32_t* it) {
 PNS_SIMD_CLONES
 void newton_chunk2(const NewtonLane* l, double* o, std::uint32_t* it) {
   newton_chunk_impl<2>(l, o, it);
-}
-PNS_SIMD_CLONES
-void bilinear_chunk4(const TableLane* l, double* o) {
-  bilinear_chunk_impl<4>(l, o);
-}
-PNS_SIMD_CLONES
-void bilinear_chunk2(const TableLane* l, double* o) {
-  bilinear_chunk_impl<2>(l, o);
 }
 
 }  // namespace
@@ -282,20 +201,6 @@ std::size_t newton_packed(std::span<const NewtonLane> lanes, double* out,
   return packed;
 }
 
-std::size_t bilinear_packed(std::span<const TableLane> lanes, double* out) {
-  std::size_t base = 0;
-  for (; base + kW <= lanes.size(); base += kW)
-    bilinear_chunk4(lanes.data() + base, out + base);
-  if (base + 2 <= lanes.size()) {
-    bilinear_chunk2(lanes.data() + base, out + base);
-    base += 2;
-  }
-  const std::size_t packed = base;
-  for (std::size_t k = packed; k < lanes.size(); ++k)
-    out[k] = lanes[k].table->current(lanes[k].v, lanes[k].g);
-  return packed;
-}
-
 }  // namespace simd_detail
 
 std::size_t newton_current_batch(std::span<const NewtonLane> lanes,
@@ -305,15 +210,6 @@ std::size_t newton_current_batch(std::span<const NewtonLane> lanes,
   for (std::size_t k = 0; k < lanes.size(); ++k)
     out[k] = lanes[k].cell->current_from_photo_counted(
         lanes[k].v, lanes[k].il, lanes[k].seed, &iters[k]);
-  return 0;
-}
-
-std::size_t pv_table_current_batch(std::span<const TableLane> lanes,
-                                   double* out) {
-  if (!lanes.empty() && simd_kernel_active())
-    return simd_detail::bilinear_packed(lanes, out);
-  for (std::size_t k = 0; k < lanes.size(); ++k)
-    out[k] = lanes[k].table->current(lanes[k].v, lanes[k].g);
   return 0;
 }
 
@@ -329,20 +225,13 @@ void BatchRhs::bind(std::span<const EhCircuit* const> circuits) {
   }
 }
 
-std::size_t BatchRhs::packable_lanes() const {
-  std::size_t n = 0;
-  for (const Binding& b : lanes_)
-    if (b.pv != nullptr) ++n;
-  return n;
-}
-
 void BatchRhs::eval(std::span<const std::size_t> lane_ids, const double* t,
                     const double* y, double* f) {
   const std::size_t n = lane_ids.size();
 
   // The packed path pays classify/queue bookkeeping per lane and wins it
-  // back on Newton solves (an exp-bound iteration per lane); bilinear
-  // table hits are too cheap to recover it. Enter it only when the call
+  // back on Newton solves (an exp-bound iteration per lane); table
+  // lookups are too cheap to recover it. Enter it only when the call
   // has at least two lanes whose solves are Newton-biased (exact-mode PV,
   // no table); otherwise answer every lane through its circuit's scalar
   // derivatives() -- same bits either way.
@@ -362,13 +251,11 @@ void BatchRhs::eval(std::span<const std::size_t> lane_ids, const double* t,
   newton_.clear();
   newton_plans_.clear();
   newton_slot_.clear();
-  table_.clear();
-  table_slot_.clear();
   isrc_.assign(n, 0.0);
 
-  // Classify each lane's evaluation. Non-PV lanes are answered scalar on
-  // the spot; PV lanes queue their table lookups / Newton solves for the
-  // packed kernels.
+  // Classify each lane's evaluation. Non-PV lanes, memo hits and table
+  // lookups are answered on the spot, exactly as PvSource::current
+  // answers them; Newton solves queue for the packed kernel.
   for (std::size_t k = 0; k < n; ++k) {
     const Binding& b = lanes_[lane_ids[k]];
     PNS_EXPECTS(b.circuit != nullptr);
@@ -378,16 +265,12 @@ void BatchRhs::eval(std::span<const std::size_t> lane_ids, const double* t,
       continue;
     }
     const PvSource::SolvePlan plan = b.pv->plan_current(y[k], t[k]);
-    ++stats_.calls;
     switch (plan.path) {
       case PvSource::SolvePlan::Path::kMemo:
-        ++stats_.memo_hits;
         isrc_[k] = plan.value;
         break;
       case PvSource::SolvePlan::Path::kTable:
-        ++stats_.table_hits;
-        table_.push_back({b.pv->table(), plan.v, plan.g});
-        table_slot_.push_back(k);
+        isrc_[k] = b.pv->table()->current(plan.v, plan.g);
         break;
       case PvSource::SolvePlan::Path::kNewton:
         newton_.push_back({&b.pv->cell(), plan.v, plan.il, plan.seed});
@@ -395,13 +278,6 @@ void BatchRhs::eval(std::span<const std::size_t> lane_ids, const double* t,
         newton_slot_.push_back(k);
         break;
     }
-  }
-
-  if (!table_.empty()) {
-    table_i_.resize(table_.size());
-    pv_table_current_batch(table_, table_i_.data());
-    for (std::size_t j = 0; j < table_.size(); ++j)
-      isrc_[table_slot_[j]] = table_i_[j];
   }
 
   if (!newton_.empty()) {
@@ -415,10 +291,6 @@ void BatchRhs::eval(std::span<const std::size_t> lane_ids, const double* t,
       b.pv->commit_newton(newton_plans_[j], newton_i_[j], newton_iters_[j],
                           j < packed);
       isrc_[k] = newton_i_[j];
-      ++stats_.newton_solves;
-      stats_.newton_iterations += newton_iters_[j];
-      if (newton_plans_[j].warm) ++stats_.warm_starts;
-      if (j < packed) ++stats_.simd_lanes;
     }
   }
 

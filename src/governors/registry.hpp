@@ -18,9 +18,8 @@ namespace pns::gov {
 /// Names accepted by make_governor: the six stock governors
 /// ("performance", "powersave", "ondemand", "conservative", "interactive",
 /// "userspace"). The fixed-OPP "static" baseline is deliberately *not*
-/// listed -- it needs an operating-point argument and is constructed
-/// directly (gov::StaticGovernor) or through the sweep registry's
-/// "static" control kind.
+/// a governor: the sweep registry's "static" control kind runs the
+/// engine pinned at one operating point with no controller at all.
 std::vector<std::string> available_governors();
 
 /// Spec-string parameters accepted by `name`'s ParamMap constructor

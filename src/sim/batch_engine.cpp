@@ -16,17 +16,7 @@ BatchEngine::BatchEngine(std::vector<SimEngine*> lanes,
   results_.resize(lanes_.size());
   window_results_.resize(lanes_.size());
   pending_commit_.assign(lanes_.size(), 0);
-  state_.resize(lanes_.size());
-}
-
-void BatchEngine::finish_scalar(std::size_t i) {
-  // The remaining lifetime of a retired lane, executed exactly as
-  // SimEngine::run() would: the lane has left the batch, not the
-  // contract.
-  SimEngine& e = *lanes_[i];
-  results_[i] = e.run_remaining();
-  state_.observe(i, e.integrator());
-  state_.status[i] = ehsim::LaneStatus::kDone;
+  status_.assign(lanes_.size(), ehsim::LaneStatus::kIdle);
 }
 
 std::vector<SimResult> BatchEngine::run() {
@@ -38,7 +28,6 @@ std::vector<SimResult> BatchEngine::run() {
   for (std::size_t i = 0; i < n; ++i) {
     lanes_[i]->begin();
     integrators[i] = &lanes_[i]->integrator();
-    state_.observe(i, *integrators[i]);
   }
   if (simd_) {
     std::vector<const ehsim::EhCircuit*> circuits(n);
@@ -46,28 +35,32 @@ std::vector<SimResult> BatchEngine::run() {
     rhs_.bind(circuits);
   }
 
-  while (!state_.all_done()) {
+  std::size_t running = n;
+  while (running > 0) {
     ++stats_.supersteps;
 
     // Plan phase: every idle lane decides its next segment and opens an
     // integration window (or commits a coast / trivial segment inline).
     for (std::size_t i = 0; i < n; ++i) {
-      if (state_.status[i] != ehsim::LaneStatus::kIdle) continue;
+      if (status_[i] != ehsim::LaneStatus::kIdle) continue;
       SimEngine& e = *lanes_[i];
       if (e.finished()) {
         results_[i] = e.finish();
-        state_.status[i] = ehsim::LaneStatus::kDone;
+        status_[i] = ehsim::LaneStatus::kDone;
+        --running;
         continue;
       }
       SimEngine::SegmentPlan plan = e.plan_segment();
       if (plan.coasted) {
         // A coast certifies a quiescent span ahead: nothing here for
         // lockstep to amortise. Commit it and retire the lane to an
-        // independent scalar finish.
+        // independent scalar finish, executed exactly as SimEngine::run()
+        // would: the lane has left the batch, not the contract.
         e.commit_segment(plan.coast_result);
         ++stats_.coast_retirements;
-        state_.status[i] = ehsim::LaneStatus::kRetired;
-        finish_scalar(i);
+        results_[i] = e.run_remaining();
+        status_[i] = ehsim::LaneStatus::kDone;
+        --running;
         continue;
       }
       if (!integrators[i]->begin_window(plan.t_stop, e.events(),
@@ -78,22 +71,19 @@ std::vector<SimResult> BatchEngine::run() {
         continue;
       }
       pending_commit_[i] = 1;
-      state_.t_stop[i] = plan.t_stop;
-      state_.rounds[i] = 0;
-      state_.status[i] = ehsim::LaneStatus::kLockstep;
-      state_.observe(i, *integrators[i]);
+      status_[i] = ehsim::LaneStatus::kLockstep;
     }
 
     // Round phase: every open window steps to completion in lockstep;
     // divergent windows fall back to a scalar tail inside.
-    stepper_.run_rounds(integrators, window_results_, state_,
+    stepper_.run_rounds(integrators, window_results_, status_,
                         simd_ ? &rhs_ : nullptr);
 
     // Commit phase: windows closed by an event root or by reaching their
     // stop point both commit here and rejoin at the next superstep.
     for (std::size_t i = 0; i < n; ++i) {
       if (!pending_commit_[i]) continue;
-      PNS_EXPECTS(state_.status[i] == ehsim::LaneStatus::kIdle);
+      PNS_EXPECTS(status_[i] == ehsim::LaneStatus::kIdle);
       lanes_[i]->commit_segment(window_results_[i]);
       pending_commit_[i] = 0;
     }

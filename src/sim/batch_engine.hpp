@@ -12,6 +12,10 @@
 // order. The differential-testing harness (tests/sim/test_batch_parity)
 // holds this to "byte-identical", not "close".
 //
+// The driver's own per-lane state is one ehsim::LaneStatus (idle, in
+// lockstep, done); everything else a lane knows lives in its engine and
+// integrator.
+//
 // Lane retirement:
 //   * event-root windows commit their segment and rejoin the batch at
 //     the next superstep (threshold trips are the common case and stay
@@ -27,7 +31,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ehsim/batch_state.hpp"
 #include "ehsim/rk23_batch.hpp"
 #include "ehsim/solar_cell_simd.hpp"
 #include "sim/engine.hpp"
@@ -41,10 +44,11 @@ struct BatchEngineOptions {
   std::uint32_t divergence_rounds = 64;
   /// Pack the lockstep rounds (ehsim::Rk23BatchStepper::run_rounds with a
   /// bound BatchRhs): whenever two or more lanes are in lockstep, RK
-  /// stages and error norms are evaluated across lanes and the PV solves
-  /// packed (ehsim/solar_cell_simd.hpp). Execution strategy only --
-  /// results stay bit-identical; on platforms where the packed kernels
-  /// fail their startup self-test they degrade to scalar automatically.
+  /// stages and error norms are evaluated across lanes and the
+  /// exact-mode PV Newton solves packed (ehsim/solar_cell_simd.hpp).
+  /// Execution strategy only -- results stay bit-identical; on platforms
+  /// where the packed kernel fails its startup self-test it degrades to
+  /// scalar automatically.
   bool simd = false;
 };
 
@@ -70,22 +74,16 @@ class BatchEngine {
   /// order. Callable once.
   std::vector<SimResult> run();
 
-  /// The SoA lane mirror (fresh as of the last superstep).
-  const ehsim::BatchState& state() const { return state_; }
   const BatchRunStats& stats() const { return stats_; }
 
  private:
-  /// Finishes lane `i` independently with SimEngine::run_remaining() (used
-  /// after a coast retires it from lockstep).
-  void finish_scalar(std::size_t i);
-
   std::vector<SimEngine*> lanes_;
   std::vector<SimResult> results_;
   std::vector<ehsim::IntegrationResult> window_results_;
   /// Lanes whose window closed this superstep and still owes its
   /// commit_segment (cleared by the commit phase).
   std::vector<std::uint8_t> pending_commit_;
-  ehsim::BatchState state_;
+  std::vector<ehsim::LaneStatus> status_;
   ehsim::Rk23BatchStepper stepper_;
   ehsim::BatchRhs rhs_;  ///< bound in run() when simd_ is set
   BatchRunStats stats_;

@@ -243,11 +243,12 @@ struct SweepOutcome {
 std::size_t batch_width(const ScenarioSpec& spec);
 
 /// Whether two specs may share one lockstep batch: identical integrator,
-/// control and source selections, weather condition and PV mode -- i.e.
-/// rows that differ only along the remaining sweep axes (seed,
-/// capacitance, ...). Purely a grouping heuristic: batching never
-/// changes a row's bytes, so a stricter or looser predicate would be
-/// equally correct.
+/// platform and source selections, weather condition and PV mode -- i.e.
+/// rows that differ only along the remaining sweep axes (control, seed,
+/// capacitance, ...). Batching never changes a row's bytes, so a stricter
+/// or looser predicate would be equally correct; equal PV modes keep a
+/// unit single-mode, so a tabulated unit never packs its PV solves
+/// (ehsim/solar_cell_simd.hpp).
 bool batch_compatible(const ScenarioSpec& a, const ScenarioSpec& b);
 
 /// Runs a group of scenarios to completion in one lockstep

@@ -40,15 +40,13 @@ double parse_double(const std::string& key, const std::string& text) {
 }
 
 std::uint64_t parse_uint(const std::string& key, const std::string& text) {
-  // strtoull negates a signed text (even after leading blanks) instead of
-  // failing, so any '-' is refused up front.
-  if (text.empty() || text.find('-') != std::string::npos)
+  // Digits only: strtoull would also skip leading blanks, take a '+' and
+  // negate a '-' instead of failing.
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos)
     bad_value(key, "a non-negative integer", text);
-  char* end = nullptr;
   errno = 0;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size())
-    bad_value(key, "a non-negative integer", text);
+  const unsigned long long parsed = std::strtoull(text.c_str(), nullptr, 10);
   if (errno == ERANGE) bad_value(key, "a representable integer", text);
   return parsed;
 }

@@ -67,6 +67,16 @@ done
 "$BIN" quick --resume --quiet 2>/dev/null && fail "--resume without --journal accepted"
 "$BIN" quick --shard 2/2 --journal j.jsonl --quiet 2>/dev/null && fail "--shard K>=N accepted"
 "$BIN" quick --shard x/y --journal j.jsonl --quiet 2>/dev/null && fail "malformed --shard accepted"
+# each half of K/N is a whole count (parse_count): a sign or a blank is
+# refused, not read through strtoull ("1/-4" used to run 0 rows and exit 0)
+for bad in "1/-4" "-0/4" "+1/4" " 1/4" "1/4 " "/4" "1/"; do
+  status=0
+  "$BIN" quick --shard "$bad" --journal bad-shard.jsonl --quiet \
+    >out.txt 2>err.txt || status=$?
+  [ "$status" -eq 2 ] || fail "--shard '$bad' exited $status, not 2"
+  grep -q -- "--shard" err.txt || fail "--shard '$bad': flag not named"
+  [ -e bad-shard.jsonl ] && fail "--shard '$bad' wrote a journal"
+done
 "$BIN" quick --shard 0/2 --journal j.jsonl --csv p.csv --quiet 2>/dev/null && \
   fail "--shard with --csv accepted (partial aggregate)"
 "$BIN" quick --refine --refine-metric bogus --quiet 2>/dev/null && \

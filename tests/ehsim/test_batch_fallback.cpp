@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "../support/scenario_grid.hpp"
-#include "ehsim/batch_state.hpp"
 #include "ehsim/ode.hpp"
 #include "ehsim/rk23.hpp"
 #include "ehsim/rk23_batch.hpp"
@@ -73,18 +72,13 @@ ScalarRun scalar_window(const OdeSystem& sys, double y0, double t_end,
 /// Opens one window on every lane and runs the stepper to completion.
 void run_batch_windows(std::vector<Rk23Integrator*>& igs,
                        std::vector<IntegrationResult>& results,
-                       BatchState& state, double t_end,
+                       std::vector<LaneStatus>& status, double t_end,
                        std::span<const EventSpec> events,
                        Rk23BatchStepper& stepper) {
-  for (std::size_t i = 0; i < igs.size(); ++i) {
-    if (igs[i]->begin_window(t_end, events, results[i])) {
-      state.status[i] = LaneStatus::kLockstep;
-      state.t_stop[i] = t_end;
-      state.rounds[i] = 0;
-    }
-    state.observe(i, *igs[i]);
-  }
-  stepper.run_rounds(igs, results, state, /*rhs=*/nullptr);
+  for (std::size_t i = 0; i < igs.size(); ++i)
+    if (igs[i]->begin_window(t_end, events, results[i]))
+      status[i] = LaneStatus::kLockstep;
+  stepper.run_rounds(igs, results, status, /*rhs=*/nullptr);
 }
 
 TEST(BatchFallback, DivergentTailWindowIsBitIdenticalToScalar) {
@@ -104,11 +98,10 @@ TEST(BatchFallback, DivergentTailWindowIsBitIdenticalToScalar) {
     owned.back()->reset(0.0, y0);
     igs.push_back(owned.back().get());
   }
-  BatchState state;
-  state.resize(igs.size());
+  std::vector<LaneStatus> status(igs.size(), LaneStatus::kIdle);
   std::vector<IntegrationResult> results(igs.size());
   Rk23BatchStepper stepper(Rk23BatchOptions{/*divergence_rounds=*/2});
-  run_batch_windows(igs, results, state, 3.0, {}, stepper);
+  run_batch_windows(igs, results, status, 3.0, {}, stepper);
 
   EXPECT_GT(stepper.stats().divergences, 0u)
       << "fuzz premise broken: no lane ever left lockstep";
@@ -121,7 +114,7 @@ TEST(BatchFallback, DivergentTailWindowIsBitIdenticalToScalar) {
         << "k=" << ks[i];
     EXPECT_EQ(igs[i]->time(), ref.t) << "k=" << ks[i];
     EXPECT_EQ(igs[i]->state()[0], ref.y) << "k=" << ks[i];
-    EXPECT_EQ(state.status[i], LaneStatus::kIdle);
+    EXPECT_EQ(status[i], LaneStatus::kIdle);
   }
 }
 
@@ -140,11 +133,10 @@ TEST(BatchFallback, EventRootStopsTheLaneExactlyWhereScalarDoes) {
     owned.back()->reset(0.0, y0);
     igs.push_back(owned.back().get());
   }
-  BatchState state;
-  state.resize(igs.size());
+  std::vector<LaneStatus> status(igs.size(), LaneStatus::kIdle);
   std::vector<IntegrationResult> results(igs.size());
   Rk23BatchStepper stepper;
-  run_batch_windows(igs, results, state, 50.0, events, stepper);
+  run_batch_windows(igs, results, status, 50.0, events, stepper);
 
   EXPECT_EQ(stepper.stats().event_windows, ks.size());
   for (std::size_t i = 0; i < ks.size(); ++i) {

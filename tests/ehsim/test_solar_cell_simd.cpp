@@ -1,12 +1,12 @@
-// Packed PV kernels vs. their scalar counterparts, bit for bit.
+// The packed PV Newton kernel vs. its scalar counterpart, bit for bit.
 //
 // The differential batch-parity suite (tests/sim/test_batch_parity)
 // proves the end-to-end contract; these tests aim the microscope at the
-// kernel layer itself: newton_packed / bilinear_packed against
-// SolarCell::current_from_photo_counted / PvTable::current on adversarial
-// operating points, the scalar fallback routing, the startup self-test,
-// and the plan/execute/commit decomposition of PvSource::current that
-// the batched evaluator relies on.
+// kernel layer itself: newton_packed against
+// SolarCell::current_from_photo_counted on adversarial operating points,
+// the scalar fallback routing, the startup self-test, and the
+// plan/execute/commit decomposition of PvSource::current that the
+// batched evaluator relies on.
 #include "ehsim/solar_cell_simd.hpp"
 
 #include <bit>
@@ -79,27 +79,6 @@ TEST(SolarCellSimd, NewtonPackedHandlesEveryRemainder) {
       EXPECT_EQ(bits(got[k]), bits(want)) << "n=" << n << " lane " << k;
     }
   }
-}
-
-TEST(SolarCellSimd, BilinearPackedIsBitIdenticalToScalar) {
-  const SolarCell cell = test_cell();
-  PvTableSpec spec;
-  spec.v_max = 7.0;
-  spec.g_max = 1200.0;
-  spec.nv = 17;
-  spec.ng = 9;
-  const PvTable table(cell, spec);
-  std::vector<TableLane> lanes;
-  // Corners, knot-exact points, cell interiors and the far edges (the
-  // clamped fv/fg branch).
-  for (double v : {0.0, 0.4375, 1.31, 3.5, 6.99, 7.0})
-    for (double g : {0.0, 150.0, 512.7, 1199.0, 1200.0})
-      lanes.push_back({&table, v, g});
-  std::vector<double> got(lanes.size());
-  simd_detail::bilinear_packed(lanes, got.data());
-  for (std::size_t k = 0; k < lanes.size(); ++k)
-    EXPECT_EQ(bits(got[k]), bits(table.current(lanes[k].v, lanes[k].g)))
-        << "lane " << k << " v=" << lanes[k].v << " g=" << lanes[k].g;
 }
 
 TEST(SolarCellSimd, SelfTestPassesHere) {

@@ -51,6 +51,30 @@ golden() {
   check "$name.json"
 }
 
+# same_as NAME ARGS...: `pns_sweep ARGS` reproduces the existing golden
+# NAME.csv and NAME.json byte for byte (an execution strategy that must
+# not change a bit). Its outputs stay in the scratch directory, so a
+# regeneration run never overwrites a golden with them.
+same_as() {
+  name=$1
+  shift
+  runs=$((runs + 1))
+  out=$WORK/same_as.$runs
+  if ! "$BIN" "$@" --quiet --csv "$out.csv" --json "$out.json" >/dev/null; then
+    echo "FAIL: pns_sweep $* exited non-zero"
+    fails=$((fails + 1))
+    return
+  fi
+  for ext in csv json; do
+    if ! cmp -s "$out.$ext" "$GOLDEN_DIR/$name.$ext"; then
+      diff "$GOLDEN_DIR/$name.$ext" "$out.$ext" || true
+      echo "FAIL: pns_sweep $* differs from tests/goldens/cli/$name.$ext"
+      fails=$((fails + 1))
+    fi
+  done
+}
+runs=0
+
 # journalled NAME ARGS...: as golden, plus NAME.canon.jsonl, the run's
 # journal canonicalised by `merge --journal`.
 journalled() {
@@ -72,6 +96,16 @@ golden table2_rk23pi table2 --minutes 2 --integrator rk23pi
 journalled table2_rk23simd table2 --minutes 2 --integrator rk23simd:width=4
 journalled quick quick
 golden fig6 fig6
+# rk23simd is an execution strategy over the rk23pi numerics: any width,
+# any thread count, either PV mode, with or without the SIMD kernels
+# (the PNS_SIMD=off build runs this script too) -- identical bytes. The
+# retired spelling rk23batch resolves to the same engine.
+golden quick_rk23pi quick --integrator rk23pi
+same_as quick_rk23pi quick --integrator rk23simd
+same_as quick_rk23pi quick --integrator rk23simd:width=8 --threads 4
+same_as quick_rk23pi quick --integrator rk23batch:width=4 --threads 4
+golden quick_tabulated_rk23pi quick --pv-mode tabulated --integrator rk23pi
+same_as quick_tabulated_rk23pi quick --pv-mode tabulated --integrator rk23simd
 golden capacitance capacitance --minutes 2
 # one multi-domain run: JSON-only per-domain arrays, platform identity.
 journalled table2_biglittle table2 --minutes 2 --platform biglittle

@@ -4,15 +4,12 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/contracts.hpp"
-
 #include "governors/conservative.hpp"
 #include "governors/interactive.hpp"
 #include "governors/ondemand.hpp"
 #include "governors/performance.hpp"
 #include "governors/powersave.hpp"
 #include "governors/registry.hpp"
-#include "governors/static_governor.hpp"
 #include "governors/userspace.hpp"
 #include "soc/platform.hpp"
 
@@ -129,18 +126,6 @@ TEST(InteractiveGovernor, WaitsMinSampleTimeBeforeDropping) {
   EXPECT_EQ(out.freq_index, 5u);
   out = g.decide(ctx(0.2, 0.2, 5));  // past it: drops
   EXPECT_LT(out.freq_index, 5u);
-}
-
-TEST(StaticGovernor, PinsOperatingPoint) {
-  StaticGovernor g(xu4(), {3, {2, 0}});
-  const auto out = g.decide(ctx(0.0, 1.0, 7));
-  EXPECT_EQ(out.freq_index, 3u);
-  EXPECT_EQ(out.cores, (soc::CoreConfig{2, 0}));
-}
-
-TEST(StaticGovernor, ValidatesOpp) {
-  EXPECT_THROW(StaticGovernor(xu4(), {99, {1, 0}}), pns::ContractViolation);
-  EXPECT_THROW(StaticGovernor(xu4(), {0, {0, 0}}), pns::ContractViolation);
 }
 
 TEST(Registry, BuildsEveryAdvertisedGovernor) {

@@ -5,13 +5,13 @@
 // any batch width and any lane order, every scenario's metrics are
 // *identical* (to the last bit, asserted via the shortest_double
 // round-trip serialisation) to running it alone under rk23pi. The batched
-// path has the machinery that could break it: packed vector RK stages,
-// packed masked Newton, packed bilinear lookups, one-lane rounds stepped
-// scalar, and a scalar kernel fallback that must agree with all of the
-// above. The grids come from tests/support/scenario_grid.hpp: seeded,
-// diverse (controls, weather, windows, capacitances, brownout-provoking
-// start voltages) and deterministic, so a failure reproduces from its
-// seed.
+// path has the machinery that could break it: RK stages staged across
+// lanes, packed masked Newton, table lookups answered inline inside a
+// packed evaluation (mixed-mode batches), one-lane rounds stepped scalar,
+// and a scalar kernel fallback that must agree with all of the above.
+// The grids come from tests/support/scenario_grid.hpp: seeded, diverse
+// (controls, weather, windows, capacitances, brownout-provoking start
+// voltages) and deterministic, so a failure reproduces from its seed.
 #include <algorithm>
 #include <cstddef>
 #include <string>

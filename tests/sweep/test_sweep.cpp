@@ -3,6 +3,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -317,6 +318,85 @@ TEST(SweepRunner, Rk23SimdBitIdenticalToRk23PiAcrossWidthsAndThreads) {
       EXPECT_EQ(csv_of(got), ref_csv)
           << "width=" << width << " threads=" << threads;
     }
+  }
+}
+
+// ------------------------------------------------- batch compatibility
+// batch_compatible decides which adjacent rows share a lockstep unit. Its
+// pv_mode clause is also what keeps every unit single-mode, so a
+// tabulated unit never enters BatchRhs's packed Newton path.
+
+TEST(BatchCompatible, RowsDifferingOnlyInControlOrSeedShareAUnit) {
+  ScenarioSpec a = tiny_solar_spec();
+  a.integrator = IntegratorSpec::parse("rk23simd");
+  ScenarioSpec b = a;
+  b.control = ControlSpec::linux_governor("ondemand");
+  ScenarioSpec c = a;
+  c.seed = a.seed + 1;
+  EXPECT_TRUE(batch_compatible(a, a));
+  EXPECT_TRUE(batch_compatible(a, b));
+  EXPECT_TRUE(batch_compatible(b, a));
+  EXPECT_TRUE(batch_compatible(a, c));
+  EXPECT_TRUE(batch_compatible(c, a));
+}
+
+TEST(BatchCompatible, RowsDifferingInAnEngineAxisDoNot) {
+  ScenarioSpec base = tiny_solar_spec();
+  base.integrator = IntegratorSpec::parse("rk23simd");
+  using Edit = void (*)(ScenarioSpec&);
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"pv_mode",
+       [](ScenarioSpec& s) {
+         s.pv_mode = ehsim::PvSource::Mode::kTabulated;
+       }},
+      {"source kind",
+       [](ScenarioSpec& s) { s.source = SourceSpec::parse("flicker"); }},
+      {"source params",
+       [](ScenarioSpec& s) {
+         s.source = SourceSpec::parse("solar:weather=cloud");
+       }},
+      {"condition",
+       [](ScenarioSpec& s) {
+         s.condition = trace::WeatherCondition::kCloud;
+       }},
+      {"integrator",
+       [](ScenarioSpec& s) {
+         s.integrator = IntegratorSpec::parse("rk23simd:rtol=1e-05");
+       }},
+      {"platform",
+       [](ScenarioSpec& s) {
+         s.platform_spec = PlatformSpec::parse("biglittle");
+       }},
+  };
+  for (const auto& [what, edit] : edits) {
+    ScenarioSpec other = base;
+    edit(other);
+    EXPECT_FALSE(batch_compatible(base, other)) << what;
+    EXPECT_FALSE(batch_compatible(other, base)) << what;
+  }
+}
+
+TEST(SweepRunner, TwoPvModeSpecListMatchesRk23PiByteForByte) {
+  // Exact rows then tabulated rows: the units split where the mode
+  // changes, and both halves must still publish rk23pi's bytes.
+  auto two_modes = [](const std::string& integrator) {
+    auto sw = determinism_sweep();
+    sw.base.integrator = IntegratorSpec::parse(integrator);
+    auto specs = sw.expand();
+    const std::size_t n = specs.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      ScenarioSpec tab = specs[i];
+      tab.pv_mode = ehsim::PvSource::Mode::kTabulated;
+      tab.label += "-tabulated";
+      specs.push_back(tab);
+    }
+    return specs;
+  };
+  const auto ref = runner_with(1).run(two_modes("rk23pi"));
+  for (const unsigned threads : {1u, 2u}) {
+    const auto got = runner_with(threads).run(two_modes("rk23simd:width=4"));
+    for (const auto& out : got) EXPECT_TRUE(out.ok) << out.error;
+    EXPECT_EQ(csv_of(got), csv_of(ref)) << "threads=" << threads;
   }
 }
 

@@ -93,8 +93,8 @@ TEST(FlagNumbers, WholeFiniteAndInRangeOrNamedError) {
 
   EXPECT_EQ(parse_count("--threads", "0"), 0u);
   EXPECT_EQ(parse_count("--threads", "12", 12), 12u);
-  for (const char* bad : {"", "x", "-1", " -1", "1.5", "3 ",
-                          "99999999999999999999"})
+  for (const char* bad : {"", "x", "-1", " -1", "-0", "+1", " 1", "1.5",
+                          "3 ", "99999999999999999999"})
     EXPECT_THROW(parse_count("--threads", bad), ParamError) << bad;
   EXPECT_THROW(parse_count("--threads", "13", 12), ParamError);
 

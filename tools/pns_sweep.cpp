@@ -470,24 +470,23 @@ int run_watch_cmd(const Options& opt,
   return failed == 0 ? 0 : 1;
 }
 
+/// Parses `--shard K/N`; each half follows parse_count's whole-string
+/// rule.
 bool parse_shard(const std::string& text, Options& opt) {
   const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 >= text.size())
+  if (slash == std::string::npos) return false;
+  std::size_t k = 0, n = 0;
+  try {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    k = parse_count("--shard", text.substr(0, slash), kMax);
+    n = parse_count("--shard", text.substr(slash + 1), kMax);
+  } catch (const ParamError&) {
     return false;
-  // Named locals: the *end checks must not outlive the strings they
-  // point into.
-  const std::string k_text = text.substr(0, slash);
-  const std::string n_text = text.substr(slash + 1);
-  char* end = nullptr;
-  const unsigned long long k = std::strtoull(k_text.c_str(), &end, 10);
-  if (end != k_text.c_str() + k_text.size()) return false;
-  const unsigned long long n = std::strtoull(n_text.c_str(), &end, 10);
-  if (end != n_text.c_str() + n_text.size()) return false;
+  }
   if (n == 0 || k >= n) return false;
   opt.sharded = true;
-  opt.shard_k = static_cast<std::size_t>(k);
-  opt.shard_n = static_cast<std::size_t>(n);
+  opt.shard_k = k;
+  opt.shard_n = n;
   return true;
 }
 
