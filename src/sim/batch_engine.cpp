@@ -1,10 +1,21 @@
 #include "sim/batch_engine.hpp"
 
+#include <chrono>
 #include <utility>
 
 #include "util/contracts.hpp"
 
 namespace pns::sim {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double seconds(Clock::duration d) {
+  return std::chrono::duration<double>(d).count();
+}
+
+}  // namespace
 
 BatchEngine::BatchEngine(std::vector<SimEngine*> lanes,
                          BatchEngineOptions options)
@@ -13,15 +24,44 @@ BatchEngine::BatchEngine(std::vector<SimEngine*> lanes,
       simd_(options.simd) {
   PNS_EXPECTS(!lanes_.empty());
   for (const SimEngine* lane : lanes_) PNS_EXPECTS(lane != nullptr);
-  results_.resize(lanes_.size());
   window_results_.resize(lanes_.size());
   pending_commit_.assign(lanes_.size(), 0);
   status_.assign(lanes_.size(), ehsim::LaneStatus::kIdle);
 }
 
 std::vector<SimResult> BatchEngine::run() {
+  std::vector<SimResult> results(lanes_.size());
+  run([&](std::size_t lane, SimResult&& result, double) {
+    results[lane] = std::move(result);
+  });
+  return results;
+}
+
+void BatchEngine::run(const LaneDone& done) {
   PNS_EXPECTS(!ran_);
   ran_ = true;
+
+  // Cost: every lane starts at run() and shares each stretch of wall
+  // clock equally with the lanes running beside it, so one accumulator
+  // -- the seconds charged so far to each lane still running -- serves
+  // them all. It only moves when the running set changes, so the clock
+  // is read at hand-overs, never per superstep.
+  Clock::time_point mark = Clock::now();
+  double shared_s = 0.0;
+  std::size_t running = lanes_.size();
+
+  // Hands lane i over: charges it the shared time up to now, times its
+  // own final work (`finish`, which returns the result) on its own, and
+  // never touches it again.
+  const auto retire = [&](std::size_t i, auto&& finish) {
+    const Clock::time_point start = Clock::now();
+    shared_s += seconds(start - mark) / static_cast<double>(running);
+    SimResult result = finish();
+    mark = Clock::now();
+    status_[i] = ehsim::LaneStatus::kDone;
+    --running;
+    done(i, std::move(result), shared_s + seconds(mark - start));
+  };
 
   const std::size_t n = lanes_.size();
   std::vector<ehsim::Rk23Integrator*> integrators(n);
@@ -35,7 +75,6 @@ std::vector<SimResult> BatchEngine::run() {
     rhs_.bind(circuits);
   }
 
-  std::size_t running = n;
   while (running > 0) {
     ++stats_.supersteps;
 
@@ -45,9 +84,7 @@ std::vector<SimResult> BatchEngine::run() {
       if (status_[i] != ehsim::LaneStatus::kIdle) continue;
       SimEngine& e = *lanes_[i];
       if (e.finished()) {
-        results_[i] = e.finish();
-        status_[i] = ehsim::LaneStatus::kDone;
-        --running;
+        retire(i, [&] { return e.finish(); });
         continue;
       }
       SimEngine::SegmentPlan plan = e.plan_segment();
@@ -56,11 +93,11 @@ std::vector<SimResult> BatchEngine::run() {
         // lockstep to amortise. Commit it and retire the lane to an
         // independent scalar finish, executed exactly as SimEngine::run()
         // would: the lane has left the batch, not the contract.
-        e.commit_segment(plan.coast_result);
         ++stats_.coast_retirements;
-        results_[i] = e.run_remaining();
-        status_[i] = ehsim::LaneStatus::kDone;
-        --running;
+        retire(i, [&] {
+          e.commit_segment(plan.coast_result);
+          return e.run_remaining();
+        });
         continue;
       }
       if (!integrators[i]->begin_window(plan.t_stop, e.events(),
@@ -90,7 +127,6 @@ std::vector<SimResult> BatchEngine::run() {
   }
 
   stats_.stepping = stepper_.stats();
-  return std::move(results_);
 }
 
 }  // namespace pns::sim

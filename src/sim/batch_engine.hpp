@@ -16,6 +16,11 @@
 // lockstep, done); everything else a lane knows lives in its engine and
 // integrator.
 //
+// Lanes leave as they finish: run(done) hands each lane's result over at
+// the superstep where the lane is done, with its own share of the wall
+// clock, and never touches the lane again -- the caller may report the
+// row and free the lane while its batchmates keep running.
+//
 // Lane retirement:
 //   * event-root windows commit their segment and rejoin the batch at
 //     the next superstep (threshold trips are the common case and stay
@@ -23,12 +28,14 @@
 //   * a lane that takes a coast has entered a provably quiescent regime
 //     where its peers' dense stepping has nothing to amortise -- it
 //     retires and finishes the remaining simulation independently in the
-//     scalar loop;
+//     scalar loop, and is handed over right after;
 //   * a lane whose window outlives the divergence budget leaves lockstep
 //     for that window only (ehsim/rk23_batch.hpp) and rejoins.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "ehsim/rk23_batch.hpp"
@@ -59,9 +66,16 @@ struct BatchRunStats {
   ehsim::BatchStepStats stepping;     ///< lockstep-round counters
 };
 
+/// Receives one lane the moment it is done: its index in the vector
+/// given to the constructor, its result, and `cost_s`, the lane's share
+/// of the run's wall-clock seconds (see BatchEngine::run).
+using LaneDone =
+    std::function<void(std::size_t lane, SimResult&& result, double cost_s)>;
+
 /// Drives N engines to completion in lockstep. The engines (and
 /// everything they reference) are owned by the caller and must outlive
-/// the BatchEngine; each must be freshly constructed (not yet run).
+/// the BatchEngine -- or, under run(done), the moment their lane is
+/// handed to `done`; each must be freshly constructed (not yet run).
 class BatchEngine {
  public:
   explicit BatchEngine(std::vector<SimEngine*> lanes,
@@ -71,14 +85,32 @@ class BatchEngine {
   BatchEngine& operator=(const BatchEngine&) = delete;
 
   /// Runs every lane to completion and returns their results in lane
-  /// order. Callable once.
+  /// order. Callable once (shares the guard of run(done)).
   std::vector<SimResult> run();
+
+  /// Runs every lane to completion, handing each to `done` at the
+  /// superstep where it finishes rather than when the slowest lane does:
+  /// in the plan phase once its engine reports finished(), or right after
+  /// run_remaining() for a lane retired on a coast. Each lane reaches
+  /// `done` exactly once, in completion order.
+  ///
+  /// Once a lane is handed over the BatchEngine never touches its engine
+  /// (or anything the engine references) again, so `done` may destroy
+  /// them on the spot -- a long batch then holds only its running lanes.
+  ///
+  /// `cost_s` splits the run's wall clock among the lanes: every stretch
+  /// of it -- each superstep -- goes in equal shares to the lanes running
+  /// through it, and a lane's own final work (finish(), or a coast
+  /// commit and run_remaining()) is timed on its own and charged to it
+  /// alone. The costs of all lanes thus sum to the run's wall, less what
+  /// follows the last hand-over. The clock is read only at hand-overs,
+  /// when the running set changes, not per superstep. Callable once.
+  void run(const LaneDone& done);
 
   const BatchRunStats& stats() const { return stats_; }
 
  private:
   std::vector<SimEngine*> lanes_;
-  std::vector<SimResult> results_;
   std::vector<ehsim::IntegrationResult> window_results_;
   /// Lanes whose window closed this superstep and still owes its
   /// commit_segment (cleared by the commit phase).

@@ -105,8 +105,8 @@ void IntegratorAxis::register_builtins(IntegratorRegistry& registry) {
   });
 
   // rk23pi's numerics executed in lockstep batches: the runner groups
-  // compatible rows into one BatchEngine of up to `width` lanes per
-  // worker, and rounds with two or more lanes in lockstep run
+  // adjacent compatible rows into work units of up to `width` lanes, one
+  // BatchEngine each, and rounds with two or more lanes in lockstep run
   // data-parallel -- RK stages and error norms in vector chunks, PV
   // Newton solves and table lookups packed (ehsim/solar_cell_simd).
   // Output bytes are independent of the width and of how rows land in

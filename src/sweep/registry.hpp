@@ -88,8 +88,8 @@ struct IntegratorEntry {
   /// interchangeable across them, and the apply hook must ignore them.
   std::vector<std::string> execution_only;
   /// Lockstep-batchable: the runner may group compatible adjacent rows
-  /// of this kind into one sim::BatchEngine per worker, up to the kind's
-  /// "width" parameter, without changing any output byte.
+  /// of this kind into one sim::BatchEngine per work unit, up to the
+  /// kind's "width" parameter, without changing any output byte.
   bool batch_capable = false;
   /// Batched runs of this kind pack their lockstep rounds
   /// (BatchEngineOptions::simd): RK stages evaluated across lanes and PV

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <exception>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -17,11 +15,11 @@ namespace pns::sweep {
 SweepRunner::SweepRunner(SweepRunnerOptions options)
     : options_(std::move(options)) {}
 
-unsigned SweepRunner::effective_threads(std::size_t n) const {
+unsigned SweepRunner::effective_threads(std::size_t units) const {
   unsigned t = options_.threads;
   if (t == 0) t = std::max(1u, std::thread::hardware_concurrency());
   return static_cast<unsigned>(
-      std::min<std::size_t>(t, std::max<std::size_t>(n, 1)));
+      std::min<std::size_t>(t, std::max<std::size_t>(units, 1)));
 }
 
 ShardRange shard_range(std::size_t total, std::size_t k, std::size_t n) {
@@ -92,23 +90,8 @@ std::vector<SweepOutcome> SweepRunner::run(
   return run(specs, options_.on_outcome, nullptr);
 }
 
-std::vector<SweepOutcome> SweepRunner::run(
-    const std::vector<ScenarioSpec>& specs,
-    const std::function<void(std::size_t, const SweepOutcome&)>& on_outcome,
-    std::vector<ScenarioAssets>* caches) const {
-  std::vector<SweepOutcome> outcomes(specs.size());
-  if (specs.empty()) return outcomes;
-
-  // Work units: for a batch-capable integrator kind, maximal runs of
-  // adjacent batch-compatible specs capped at the kind's width; a
-  // singleton per spec otherwise. The partition is a pure function of
-  // the spec list -- never of scheduling -- so outputs stay independent
-  // of thread count, and batching itself never changes a row's bytes
-  // (see sim/batch_engine.hpp).
-  struct Unit {
-    std::size_t begin, end;
-  };
-  std::vector<Unit> units;
+std::vector<ShardRange> work_units(const std::vector<ScenarioSpec>& specs) {
+  std::vector<ShardRange> units;
   units.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size();) {
     std::size_t end = i + 1;
@@ -116,13 +99,38 @@ std::vector<SweepOutcome> SweepRunner::run(
     while (end < specs.size() && end - i < width &&
            batch_compatible(specs[i], specs[end]))
       ++end;
-    units.push_back(Unit{i, end});
+    units.push_back(ShardRange{i, end});
     i = end;
   }
+  return units;
+}
+
+std::vector<SweepOutcome> SweepRunner::run(
+    const std::vector<ScenarioSpec>& specs,
+    const std::function<void(std::size_t, const SweepOutcome&)>& on_outcome,
+    std::vector<ScenarioAssets>* caches) const {
+  std::vector<SweepOutcome> outcomes(specs.size());
+  if (specs.empty()) return outcomes;
+
+  // The partition is a pure function of the spec list -- never of
+  // scheduling -- so outputs stay independent of thread count, and
+  // batching itself never changes a row's bytes (see
+  // sim/batch_engine.hpp).
+  const std::vector<ShardRange> units = work_units(specs);
 
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;  // guarded by progress_mutex
   std::mutex progress_mutex;
+
+  // Counts, journals and reports one finished row under one lock, so
+  // completion counts reach the callbacks in order and appends never
+  // interleave.
+  auto report = [&](std::size_t i) {
+    if (!options_.progress && !on_outcome) return;
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    if (on_outcome) on_outcome(i, outcomes[i]);
+    if (options_.progress) options_.progress(++done, specs.size());
+  };
 
   auto worker = [&](ScenarioAssets* kept) {
     // One asset cache per worker thread -- the caller's slot, or one on
@@ -134,59 +142,25 @@ std::vector<SweepOutcome> SweepRunner::run(
     for (;;) {
       const std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
       if (u >= units.size()) return;
-      const Unit unit = units[u];
-      const std::size_t rows = unit.end - unit.begin;
-      const auto t0 = std::chrono::steady_clock::now();
-      if (batch_width(specs[unit.begin]) > 0) {
-        // Lockstep path (also for a lone row: width=1 degenerates to the
-        // scalar call sequence inside BatchEngine, bit-identically).
-        std::vector<SweepOutcome> got =
-            run_scenarios_batched(specs.data() + unit.begin, rows, assets);
-        // Per-row wall attribution: the unit's wall split evenly. Lanes
-        // advance interleaved, so no finer per-row figure exists; CSVs,
-        // JSON and canonical journal comparisons all exclude wall_s.
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        for (std::size_t r = 0; r < rows; ++r) {
-          got[r].wall_s = wall / static_cast<double>(rows);
-          outcomes[unit.begin + r] = std::move(got[r]);
-        }
-        if (options_.progress || on_outcome) {
-          std::lock_guard<std::mutex> lock(progress_mutex);
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (on_outcome)
-              on_outcome(unit.begin + r, outcomes[unit.begin + r]);
-            if (options_.progress) options_.progress(++done, specs.size());
-          }
-        }
+      const ShardRange unit = units[u];
+      if (batch_width(specs[unit.begin]) == 0) {
+        run_scenario_outcome(specs[unit.begin], assets, outcomes[unit.begin]);
+        report(unit.begin);
         continue;
       }
-      const std::size_t i = unit.begin;
-      SweepOutcome& out = outcomes[i];
-      out.spec = specs[i];
-      try {
-        out.result = run_scenario(specs[i], assets);
-        out.ok = true;
-      } catch (const std::exception& e) {
-        out.error = e.what();
-      } catch (...) {
-        out.error = "unknown exception";
-      }
-      out.wall_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-      if (options_.progress || on_outcome) {
-        // Count, journal and report under one lock so completion counts
-        // reach the callbacks in order and appends never interleave.
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        if (on_outcome) on_outcome(i, out);
-        if (options_.progress) options_.progress(++done, specs.size());
-      }
+      // Lockstep path (also for a lone row: width=1 degenerates to the
+      // scalar call sequence inside BatchEngine, bit-identically). Each
+      // row is reported the moment its lane finishes, with its own share
+      // of the unit's wall as wall_s.
+      run_scenarios_batched(specs.data() + unit.begin, unit.size(), assets,
+                            [&](std::size_t r, SweepOutcome&& out) {
+                              outcomes[unit.begin + r] = std::move(out);
+                              report(unit.begin + r);
+                            });
     }
   };
 
-  const unsigned n_threads = effective_threads(specs.size());
+  const unsigned n_threads = effective_threads(units.size());
   if (caches && caches->size() < n_threads) caches->resize(n_threads);
   auto slot = [&](unsigned t) { return caches ? &(*caches)[t] : nullptr; };
   if (n_threads <= 1) {

@@ -6,7 +6,10 @@
 // thread-safe), its own weather trace from the spec's seed, and writes its
 // outcome to a pre-sized slot -- so results arrive in spec order and a
 // run's aggregate output is bit-identical whether it executed on 1 thread
-// or N (verified by tests/sweep/test_sweep.cpp).
+// or N (verified by tests/sweep/test_sweep.cpp). A task is a work unit
+// (work_units): one scenario, or for a batch-capable integrator a run of
+// adjacent compatible scenarios stepped in lockstep, whose rows are
+// still reported one by one as each finishes.
 //
 // On top of the plain batch executor, run_checkpointed()/resume() journal
 // every completed scenario to an append-only file (sweep/journal.hpp) and
@@ -29,15 +32,20 @@ namespace pns::sweep {
 
 struct SweepRunnerOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency() (and never
-  /// more threads than scenarios).
+  /// more threads than work units).
   unsigned threads = 0;
   /// Optional progress callback, invoked after each scenario completes
-  /// with (completed, total). Called from worker threads under a mutex.
+  /// with (completed, total) -- a lockstep row as soon as its own lane is
+  /// done, not when its unit is. Called from worker threads under a
+  /// mutex.
   std::function<void(std::size_t, std::size_t)> progress;
   /// Optional per-outcome callback, invoked with the index of the spec in
   /// the vector passed to run() and its completed outcome. Called from
-  /// worker threads under the same mutex as `progress`, in completion
-  /// order (not spec order). The checkpoint journal hangs off this hook.
+  /// worker threads under the same mutex as `progress`, once per spec, in
+  /// completion order (not spec order). The checkpoint journal hangs off
+  /// this hook. The outcome's wall_s is the row's cost: a scalar row's
+  /// own wall, a lockstep row's share of its unit's wall (see
+  /// run_scenarios_batched), so a unit's row costs sum to its wall.
   std::function<void(std::size_t, const SweepOutcome&)> on_outcome;
   /// Durability of run_checkpointed's journal appends: kFsync makes an
   /// acknowledged row survive a machine crash, at a disk round-trip per
@@ -45,7 +53,8 @@ struct SweepRunnerOptions {
   JournalDurability journal_durability = JournalDurability::kFlush;
 };
 
-/// Contiguous half-open index range [begin, end) of one shard.
+/// Contiguous half-open index range [begin, end) of specs: one shard,
+/// or one work unit (work_units).
 struct ShardRange {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -59,6 +68,14 @@ struct ShardRange {
 /// [0, total) -- so independent `--shard k/n` worker invocations cover
 /// every scenario exactly once.
 ShardRange shard_range(std::size_t total, std::size_t k, std::size_t n);
+
+/// SweepRunner::run's work units over `specs`, in spec order: for a
+/// batch-capable integrator kind, maximal runs of adjacent
+/// batch_compatible specs capped at the kind's batch_width (one lockstep
+/// sim::BatchEngine each); a singleton per spec otherwise. A pure
+/// function of the spec list, never of scheduling, so outputs stay
+/// independent of thread count.
+std::vector<ShardRange> work_units(const std::vector<ScenarioSpec>& specs);
 
 /// Sorted global spec indices of one (possibly non-contiguous) shard.
 using ShardIndices = std::vector<std::size_t>;
@@ -152,8 +169,10 @@ class SweepRunner {
                       const std::string& journal_path,
                       const std::string& sweep_name) const;
 
-  /// The worker count run() will actually use for `n` scenarios.
-  unsigned effective_threads(std::size_t n) const;
+  /// The worker count run() will actually use for `units` work units
+  /// (work_units(specs).size()): the thread option, capped at the unit
+  /// count -- a thread without a unit would exit at once.
+  unsigned effective_threads(std::size_t units) const;
 
  private:
   SweepRunnerOptions options_;

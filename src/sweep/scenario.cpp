@@ -1,7 +1,10 @@
 #include "sweep/scenario.hpp"
 
+#include <chrono>
 #include <cstdio>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "ehsim/sources.hpp"
@@ -64,6 +67,12 @@ sim::SimConfig make_sim_config(const ScenarioSpec& spec) {
 }
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 /// One resolved scenario: everything its engine references that the
 /// caller must keep alive while it runs.
@@ -149,31 +158,58 @@ bool batch_compatible(const ScenarioSpec& a, const ScenarioSpec& b) {
          a.condition == b.condition && a.pv_mode == b.pv_mode;
 }
 
-std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
-                                                std::size_t count,
-                                                ScenarioAssets& assets) {
-  std::vector<SweepOutcome> outcomes(count);
-  std::vector<Lane> lanes;
+void run_scenario_outcome(const ScenarioSpec& spec, ScenarioAssets& assets,
+                          SweepOutcome& out) {
+  const auto t0 = Clock::now();
+  out.spec = spec;
+  out.ok = false;
+  out.error.clear();
+  try {
+    out.result = run_scenario(spec, assets);
+    out.ok = true;
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  } catch (...) {
+    out.error = "unknown exception";
+  }
+  out.wall_s = seconds_since(t0);
+}
+
+void run_scenarios_batched(const ScenarioSpec* specs, std::size_t count,
+                           ScenarioAssets& assets,
+                           const BatchedOutcomeSink& on_outcome) {
+  // Lanes are optional so each can be destroyed (members in reverse
+  // order: engine before source before spec) the moment it is
+  // delivered; an engaged lane is one not yet delivered.
+  std::vector<std::optional<Lane>> lanes;
   std::vector<std::size_t> spec_index;
+  std::vector<double> build_s;  // per lane
   lanes.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    outcomes[i].spec = specs[i];
+    const auto t0 = Clock::now();
+    std::string error;
     try {
       lanes.push_back(build_lane(specs[i], assets));
       spec_index.push_back(i);
+      build_s.push_back(seconds_since(t0));
+      continue;
     } catch (const std::exception& e) {
-      outcomes[i].error = e.what();
+      error = e.what();
     } catch (...) {
-      outcomes[i].error = "unknown exception";
+      error = "unknown exception";
     }
+    on_outcome(i, SweepOutcome{specs[i], {}, false, std::move(error),
+                               seconds_since(t0)});
   }
-  if (lanes.empty()) return outcomes;
+  if (lanes.empty()) return;
 
+  bool in_sink = false;  // an exception now comes from on_outcome
   bool batch_failed = false;
   try {
     std::vector<sim::SimEngine*> engines;
     engines.reserve(lanes.size());
-    for (const Lane& lane : lanes) engines.push_back(lane.bundle.engine.get());
+    for (const auto& lane : lanes)
+      engines.push_back(lane->bundle.engine.get());
     // All specs of one work unit share the integrator kind (the runner
     // only groups batch_compatible rows), so the first lane's entry
     // decides whether the lockstep rounds run data-parallel.
@@ -182,32 +218,42 @@ std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
         specs[spec_index.front()].integrator.kind);
     batch_opt.simd = entry != nullptr && entry->batch_simd;
     sim::BatchEngine batch(std::move(engines), batch_opt);
-    std::vector<sim::SimResult> results = batch.run();
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      outcomes[spec_index[k]].result = std::move(results[k]);
-      outcomes[spec_index[k]].ok = true;
-    }
+    batch.run([&](std::size_t k, sim::SimResult&& result, double cost_s) {
+      const std::size_t i = spec_index[k];
+      in_sink = true;
+      on_outcome(i, SweepOutcome{specs[i], std::move(result), true, {},
+                                 build_s[k] + cost_s});
+      in_sink = false;
+      lanes[k].reset();  // the engine is done with it: release it now
+    });
   } catch (...) {
+    if (in_sink) throw;
     batch_failed = true;
   }
   if (batch_failed) {
-    // A mid-run throw poisons the whole lockstep group (the half-run
-    // engines cannot be resumed), so rerun every lane scalar from
+    // A mid-run throw poisons the lanes still running (a half-run engine
+    // cannot be resumed), so rerun each undelivered row scalar from
     // scratch: the healthy rows still complete and the diagnostic lands
-    // on the failing row alone.
-    for (const std::size_t i : spec_index) {
-      SweepOutcome& out = outcomes[i];
-      try {
-        out.result = run_scenario(specs[i], assets);
-        out.ok = true;
-        out.error.clear();
-      } catch (const std::exception& e) {
-        out.error = e.what();
-      } catch (...) {
-        out.error = "unknown exception";
-      }
+    // on the failing row alone. Delivered rows are final.
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      if (!lanes[k]) continue;
+      lanes[k].reset();
+      const std::size_t i = spec_index[k];
+      SweepOutcome out;
+      run_scenario_outcome(specs[i], assets, out);
+      on_outcome(i, std::move(out));
     }
   }
+}
+
+std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
+                                                std::size_t count,
+                                                ScenarioAssets& assets) {
+  std::vector<SweepOutcome> outcomes(count);
+  run_scenarios_batched(specs, count, assets,
+                        [&](std::size_t i, SweepOutcome&& out) {
+                          outcomes[i] = std::move(out);
+                        });
   return outcomes;
 }
 

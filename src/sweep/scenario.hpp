@@ -21,6 +21,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -251,16 +252,42 @@ std::size_t batch_width(const ScenarioSpec& spec);
 /// (ehsim/solar_cell_simd.hpp).
 bool batch_compatible(const ScenarioSpec& a, const ScenarioSpec& b);
 
+/// run_scenario into the row slot `out`: the spec and result with ok
+/// set, or the exception's text with ok == false, and wall_s the call's
+/// wall clock. The one scalar row path of the sweep runner. It fills a
+/// caller-owned slot because a default SweepOutcome costs a platform
+/// build, several microseconds on a row of short scenarios.
+void run_scenario_outcome(const ScenarioSpec& spec, ScenarioAssets& assets,
+                          SweepOutcome& out);
+
+/// Receives one row of a lockstep group: the spec's index within the
+/// group and its finished outcome.
+using BatchedOutcomeSink = std::function<void(std::size_t, SweepOutcome&&)>;
+
 /// Runs a group of scenarios to completion in one lockstep
 /// sim::BatchEngine on the calling thread (the batched counterpart of
 /// run_scenario; the caller picks the group, normally adjacent
 /// batch_compatible rows capped at batch_width). Every lane's result is
-/// bit-identical to run_scenario on the same spec. Per-spec resolution
-/// failures are captured per spec -- one malformed row never sinks its
-/// batchmates -- and a mid-run failure falls back to re-running each
-/// lane scalar so the diagnostic lands on the failing row alone.
-/// Outcomes are returned in spec order with wall_s left 0 (the caller
-/// owns timing attribution).
+/// bit-identical to run_scenario on the same spec.
+///
+/// Rows leave the group as they finish: each outcome goes to
+/// `on_outcome` at the superstep where its lane is done, and the lane
+/// (engine, PvSource, resolved spec) is destroyed right after, while its
+/// batchmates keep running. Every spec reaches `on_outcome` exactly once,
+/// in completion order. A row's wall_s is its own lane build plus its
+/// share of the lockstep run (sim::BatchEngine::run), so a group's row
+/// costs sum to its wall.
+///
+/// Per-spec resolution failures are captured per spec and delivered at
+/// once -- one malformed row never sinks its batchmates -- and a mid-run
+/// failure reruns the rows not yet delivered scalar, so the diagnostic
+/// lands on the failing row alone (their wall_s is the scalar rerun's).
+/// An exception thrown by `on_outcome` itself propagates.
+void run_scenarios_batched(const ScenarioSpec* specs, std::size_t count,
+                           ScenarioAssets& assets,
+                           const BatchedOutcomeSink& on_outcome);
+
+/// Same, collecting the outcomes in spec order.
 std::vector<SweepOutcome> run_scenarios_batched(const ScenarioSpec* specs,
                                                 std::size_t count,
                                                 ScenarioAssets& assets);

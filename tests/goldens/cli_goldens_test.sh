@@ -107,6 +107,16 @@ same_as quick_rk23pi quick --integrator rk23batch:width=4 --threads 4
 golden quick_tabulated_rk23pi quick --pv-mode tabulated --integrator rk23pi
 same_as quick_tabulated_rk23pi quick --pv-mode tabulated --integrator rk23simd
 golden capacitance capacitance --minutes 2
+# Lockstep rows leave their unit as they finish -- capacitance's cloud
+# rows on dense threshold events, Fig. 6's shadow holds on coast
+# retirement -- and still publish rk23pi's bytes.
+golden capacitance_rk23pi capacitance --minutes 2 --integrator rk23pi
+same_as capacitance_rk23pi capacitance --minutes 2 --integrator rk23simd
+same_as capacitance_rk23pi capacitance --minutes 2 \
+  --integrator rk23simd:width=2 --threads 3
+golden fig6_rk23pi fig6 --integrator rk23pi
+same_as fig6_rk23pi fig6 --integrator rk23simd
+same_as fig6_rk23pi fig6 --integrator rk23simd:width=2 --threads 3
 # one multi-domain run: JSON-only per-domain arrays, platform identity.
 journalled table2_biglittle table2 --minutes 2 --platform biglittle
 

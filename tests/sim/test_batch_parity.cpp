@@ -12,8 +12,13 @@
 // The grids come from tests/support/scenario_grid.hpp: seeded, diverse
 // (controls, weather, windows, capacitances, brownout-provoking start
 // voltages) and deterministic, so a failure reproduces from its seed.
+// The streamed form is also held to its delivery contract: every row
+// reaches the sink exactly once, and a mid-run throw reruns only the
+// rows not yet delivered.
 #include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,7 +26,10 @@
 
 #include "../support/scenario_grid.hpp"
 #include "ehsim/solar_cell_simd.hpp"
+#include "governors/governor.hpp"
+#include "sim/experiment.hpp"
 #include "sweep/assets.hpp"
+#include "sweep/registry.hpp"
 #include "sweep/scenario.hpp"
 
 namespace pns::sweep {
@@ -128,6 +136,110 @@ TEST(BatchParity, BadLaneFailsAloneAndNeverPoisonsBatchmates) {
     ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
     EXPECT_EQ(canonical_metrics(outcomes[i]), ref[i]) << specs[i].label;
   }
+
+  // Streamed, every row arrives exactly once: the bad row before any
+  // lane runs, its batchmates as their lanes finish.
+  std::vector<std::size_t> order;
+  run_scenarios_batched(specs.data(), specs.size(), assets,
+                        [&](std::size_t i, SweepOutcome&& out) {
+                          order.push_back(i);
+                          EXPECT_EQ(out.ok, i != 1) << out.error;
+                        });
+  ASSERT_EQ(order.size(), specs.size());
+  EXPECT_EQ(order.front(), 1u);
+  std::sort(order.begin(), order.end());
+  for (std::size_t i = 0; i < specs.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+/// A governor that holds its operating point until `t_fail`, then throws:
+/// a lane that fails in the middle of a lockstep run.
+class FailingGovernor : public gov::Governor {
+ public:
+  FailingGovernor(const soc::Platform& platform, double t_fail)
+      : Governor(platform), t_fail_(t_fail) {}
+  const char* name() const override { return "test-fail"; }
+  soc::OperatingPoint decide(const gov::GovernorContext& ctx) override {
+    if (ctx.t >= t_fail_)
+      throw std::runtime_error("test-fail: governor gave up mid-run");
+    return ctx.current;
+  }
+
+ private:
+  double t_fail_;
+};
+
+TEST(BatchParity, MidRunThrowRerunsOnlyTheRowsNotYetDelivered) {
+  // Register "test-fail" once per process: it fails 20 s into a window.
+  static const bool registered = [] {
+    ControlRegistry::instance().add(ControlEntry{
+        "test-fail",
+        "test-only: throw 20 s into the window",
+        {},
+        [](const ScenarioSpec& spec, const ParamMap&) {
+          return sim::ControlSelection::governed(
+              std::make_unique<FailingGovernor>(spec.platform,
+                                                spec.t_start + 20.0));
+        },
+    });
+    return true;
+  }();
+  ASSERT_TRUE(registered);
+
+  GridOptions opt;
+  opt.count = 4;
+  opt.controls = {"pns", "gov:ondemand"};
+  auto specs = make_scenario_grid(0xFA1ED1A4ull, opt);
+  for (auto& spec : specs) {  // mid-day and warm: every SoC stays up
+    spec.integrator = IntegratorSpec::parse("rk23simd");
+    spec.condition = trace::WeatherCondition::kFullSun;
+    spec.t_start = 12.0 * 3600.0;
+    spec.t_end = spec.t_start + 60.0;
+    spec.vc0 = 5.3;
+  }
+  specs[0].t_end = specs[0].t_start + 2.0;  // done before anyone fails
+  const auto ref = scalar_reference(specs);  // ref[2] goes unused
+  specs[2].control = ControlSpec::parse("test-fail");
+
+  // The short row leaves the batch before the throw and is final; the
+  // throw poisons only the rows still running, which rerun scalar.
+  std::vector<std::size_t> order;
+  std::vector<SweepOutcome> got(specs.size());
+  ScenarioAssets assets;
+  run_scenarios_batched(specs.data(), specs.size(), assets,
+                        [&](std::size_t i, SweepOutcome&& out) {
+                          order.push_back(i);
+                          got[i] = std::move(out);
+                        });
+  ASSERT_EQ(order.size(), specs.size());
+  EXPECT_EQ(order.front(), 0u);
+  std::sort(order.begin(), order.end());
+  for (std::size_t i = 0; i < specs.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_FALSE(got[2].ok);
+  EXPECT_NE(got[2].error.find("test-fail"), std::string::npos)
+      << got[2].error;
+  for (const std::size_t i : {std::size_t{0}, std::size_t{1},
+                              std::size_t{3}}) {
+    ASSERT_TRUE(got[i].ok) << got[i].error;
+    EXPECT_EQ(canonical_metrics(got[i]), ref[i]) << specs[i].label;
+  }
+}
+
+TEST(BatchParity, AnOnOutcomeThrowPropagatesAndIsNotRetried) {
+  // A failing sink (a journal that cannot append) is the caller's error,
+  // not a lane's: it propagates instead of triggering the scalar rerun.
+  GridOptions opt;
+  opt.count = 3;
+  auto specs = make_scenario_grid(0x5111CEull, opt);
+  for (auto& spec : specs) spec.integrator = IntegratorSpec::parse("rk23simd");
+  ScenarioAssets assets;
+  std::size_t calls = 0;
+  EXPECT_THROW(run_scenarios_batched(specs.data(), specs.size(), assets,
+                                     [&](std::size_t, SweepOutcome&&) {
+                                       ++calls;
+                                       throw std::runtime_error("sink");
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(calls, 1u);
 }
 
 TEST(BatchParity, NewtonStressGridsMatchAtEveryWidth) {

@@ -481,6 +481,56 @@ TEST(SweepRunnerResume, InterruptedRunResumesAndMatchesByteForByte) {
   }
 }
 
+TEST(SweepRunnerResume, LockstepRowsJournalOnceEachAndResumeByteIdentically) {
+  // rk23simd rows reach the journal one by one as their lanes finish:
+  // one line per row with its own cost, and a journal cut after any
+  // prefix of those lines resumes to the bytes of an uninterrupted run.
+  auto sw = small_sweep();
+  sw.base.integrator = IntegratorSpec::parse("rk23simd:width=4");
+  const auto specs = sw.expand();
+  ASSERT_EQ(work_units(specs).size(), 2u);  // units of 4 and 2 rows
+  const auto full = uninterrupted_rows(specs);
+
+  TempFile file("pns-resume-lockstep");
+  const auto fresh = runner_with(1).resume(specs, file.path(), "small");
+  EXPECT_EQ(csv_of(fresh.rows), csv_of(full));
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(file.path());
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), specs.size() + 1);  // header + one per row
+  const JournalContents journal = read_journal(file.path());
+  EXPECT_EQ(journal.rows.size(), specs.size());
+  ASSERT_EQ(journal.costs.size(), specs.size());
+  for (const auto& [i, wall_s] : journal.costs) EXPECT_GT(wall_s, 0.0);
+  TempFile canon_full("pns-resume-lockstep-canon");
+  write_canonical_journal(canon_full.path(), journal.header, journal.rows);
+
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+    TempFile cut("pns-resume-lockstep-k" + std::to_string(k));
+    {
+      std::ofstream out(cut.path());
+      for (std::size_t j = 0; j <= k; ++j) out << lines[j] << '\n';
+    }
+    const auto report = runner_with(2).resume(specs, cut.path(), "small");
+    EXPECT_EQ(report.reused, k);
+    EXPECT_EQ(report.executed, specs.size() - k);
+    EXPECT_EQ(csv_of(report.rows), csv_of(full));
+    EXPECT_EQ(json_of(report.rows), json_of(full));
+    const JournalContents resumed = read_journal(cut.path());
+    EXPECT_EQ(resumed.rows.size(), specs.size());
+    TempFile canon("pns-resume-lockstep-canon-k" + std::to_string(k));
+    write_canonical_journal(canon.path(), resumed.header, resumed.rows);
+    std::ifstream fa(canon_full.path(), std::ios::binary);
+    std::ifstream fb(canon.path(), std::ios::binary);
+    std::stringstream sa, sb;
+    sa << fa.rdbuf();
+    sb << fb.rdbuf();
+    EXPECT_EQ(sa.str(), sb.str()) << "k=" << k;
+  }
+}
+
 TEST(SweepRunnerResume, KilledMidAppendReRunsTheTornScenario) {
   const auto specs = small_sweep().expand();
   const auto full = uninterrupted_rows(specs);

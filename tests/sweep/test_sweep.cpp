@@ -1,4 +1,5 @@
 // Tests for the scenario-sweep subsystem (sweep/).
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "ehsim/sources.hpp"
 #include "sweep/aggregate.hpp"
+#include "sweep/assets.hpp"
 #include "sweep/presets.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/scenario.hpp"
@@ -461,6 +463,140 @@ TEST(SweepRunner, EffectiveThreadsNeverExceedsScenarioCount) {
   EXPECT_EQ(runner.effective_threads(3), 3u);
   EXPECT_EQ(runner.effective_threads(100), 8u);
   EXPECT_EQ(runner.effective_threads(0), 1u);
+}
+
+TEST(SweepRunner, EffectiveThreadsNeverExceedsWorkUnitCount) {
+  // Twelve rows in one lockstep unit are one task: a second thread would
+  // find no unit to claim, and a caller sizing one asset cache per
+  // thread slot would size three too many.
+  auto sw = determinism_sweep();
+  sw.seeds = {11, 12, 13, 14};
+  sw.base.integrator = IntegratorSpec::parse("rk23simd:width=100000");
+  const auto specs = sw.expand();
+  ASSERT_EQ(specs.size(), 12u);
+  ASSERT_EQ(work_units(specs).size(), 1u);
+  const SweepRunner runner = runner_with(4);
+  EXPECT_EQ(runner.effective_threads(work_units(specs).size()), 1u);
+  std::vector<ScenarioAssets> caches;
+  runner.run(specs, nullptr, &caches);
+  EXPECT_EQ(caches.size(), 1u);
+
+  // rk23pi rows are one unit each.
+  sw.base.integrator = IntegratorSpec::parse("rk23pi");
+  EXPECT_EQ(work_units(sw.expand()).size(), 12u);
+  EXPECT_EQ(runner.effective_threads(work_units(sw.expand()).size()), 4u);
+}
+
+// ---------------------------------------------------- per-row delivery
+// A lockstep unit reports each row at the superstep where its lane
+// finishes, with the lane's own share of the unit's wall as wall_s.
+
+/// Four rk23simd rows that form one lockstep unit (they differ only in
+/// control and seed); `windows_s[i]` is row i's simulated span.
+std::vector<ScenarioSpec> lockstep_unit(const std::vector<double>& windows_s) {
+  SweepSpec sw;
+  sw.base = tiny_solar_spec();
+  sw.base.integrator = IntegratorSpec::parse("rk23simd:width=8");
+  sw.controls = {ControlSpec::power_neutral(),
+                 ControlSpec::linux_governor("ondemand")};
+  sw.seeds = {11, 12};
+  auto specs = sw.expand();
+  EXPECT_EQ(specs.size(), windows_s.size());
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    specs[i].t_end = specs[i].t_start + windows_s[i];
+  EXPECT_EQ(work_units(specs).size(), 1u) << "rows no longer share a unit";
+  return specs;
+}
+
+/// What run_recorded saw: on_outcome's and progress's calls.
+struct Delivery {
+  std::vector<std::size_t> order;     ///< indices, in delivery order
+  std::vector<std::size_t> calls;     ///< per index: on_outcome calls
+  std::vector<double> wall_s;         ///< per index
+  std::vector<SweepOutcome> outcomes; ///< run()'s return value
+  std::size_t progress_calls = 0;
+};
+
+/// Runs `specs` on `threads` threads, recording every report.
+Delivery run_recorded(const std::vector<ScenarioSpec>& specs,
+                      unsigned threads) {
+  Delivery d;
+  d.calls.assign(specs.size(), 0);
+  d.wall_s.assign(specs.size(), 0.0);
+  SweepRunnerOptions opt;
+  opt.threads = threads;
+  opt.progress = [&](std::size_t done, std::size_t total) {
+    ++d.progress_calls;
+    EXPECT_EQ(done, d.progress_calls);
+    EXPECT_EQ(total, specs.size());
+  };
+  opt.on_outcome = [&](std::size_t i, const SweepOutcome& out) {
+    d.order.push_back(i);
+    ++d.calls[i];
+    d.wall_s[i] = out.wall_s;
+  };
+  d.outcomes = SweepRunner(opt).run(specs);
+  return d;
+}
+
+TEST(SweepRunnerLockstep, ShortRowIsReportedFirstWithTheSmallerCost) {
+  // The short row shares the unit with three rows eight times its span:
+  // it reaches on_outcome first, not after the slowest batchmate, and
+  // its cost excludes the supersteps it no longer ran in.
+  const auto specs = lockstep_unit({240.0, 240.0, 30.0, 240.0});
+  const Delivery d = run_recorded(specs, 1);
+  ASSERT_EQ(d.order.size(), specs.size());
+  EXPECT_EQ(d.order.front(), 2u);
+  for (const std::size_t i : {std::size_t{0}, std::size_t{1},
+                              std::size_t{3}}) {
+    ASSERT_TRUE(d.outcomes[i].ok) << d.outcomes[i].error;
+    EXPECT_LT(d.wall_s[2], d.wall_s[i]) << specs[i].label;
+  }
+  // The reported outcome is the one run() returns.
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    EXPECT_EQ(d.outcomes[i].wall_s, d.wall_s[i]);
+}
+
+TEST(SweepRunnerLockstep, RowCostsSumToTheUnitWall) {
+  // One unit on one thread: the run's wall is the unit's wall, and the
+  // rows' costs partition it (plan_shards and the daemon's leases add
+  // them up as if they did).
+  const auto specs = lockstep_unit({2400.0, 600.0, 2400.0, 1200.0});
+  SweepRunnerOptions opt;
+  opt.threads = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto outcomes = SweepRunner(opt).run(specs);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  double sum = 0.0;
+  for (const auto& out : outcomes) {
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_GT(out.wall_s, 0.0);
+    sum += out.wall_s;
+  }
+  EXPECT_LE(sum, wall);
+  EXPECT_NEAR(sum, wall, 0.01 * wall);
+}
+
+TEST(SweepRunnerLockstep, EveryRowReachesOnOutcomeExactlyOnce) {
+  // Lockstep units of four, one holding a row that fails to resolve,
+  // at one and at several threads: each index is reported once, and
+  // progress counts every row.
+  auto sw = determinism_sweep();
+  sw.base.integrator = IntegratorSpec::parse("rk23simd:width=4");
+  auto specs = sw.expand();
+  specs[3].control = ControlSpec::linux_governor("no-such-governor");
+  ASSERT_EQ(work_units(specs).size(), 2u);
+  for (const unsigned threads : {1u, 3u}) {
+    const Delivery d = run_recorded(specs, threads);
+    EXPECT_EQ(d.order.size(), specs.size());
+    EXPECT_EQ(d.progress_calls, specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(d.calls[i], 1u) << "threads=" << threads << " row " << i;
+      EXPECT_EQ(d.outcomes[i].ok, i != 3) << d.outcomes[i].error;
+    }
+  }
 }
 
 // --------------------------------------------------------- aggregation

@@ -819,8 +819,11 @@ int main(int argc, char** argv) {
     if (!opt.cost_journal_path.empty())
       std::printf(" (cost-balanced)");
   }
+  std::vector<sweep::ScenarioSpec> shard_specs;
+  shard_specs.reserve(shard_indices.size());
+  for (std::size_t i : shard_indices) shard_specs.push_back(specs[i]);
   std::printf(" on %u thread(s)\n\n",
-              runner.effective_threads(shard_indices.size()));
+              runner.effective_threads(sweep::work_units(shard_specs).size()));
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<sweep::SummaryRow> rows;
