@@ -74,7 +74,7 @@ trace::WeatherCondition effective_condition(const ScenarioSpec& spec,
   return *parsed;
 }
 
-/// Composes a worker-cache key from synthesis parameters. Doubles go
+/// Composes an asset-cache key from synthesis parameters. Doubles go
 /// through shortest_double (via ParamMap::set_double) so distinct values
 /// can never collide on a formatting round-off.
 std::string asset_key(std::initializer_list<std::pair<const char*, double>>
@@ -145,13 +145,14 @@ ehsim::PvSource make_trace(const ScenarioSpec& spec, const ParamMap& params,
     throw ParamError("source 'trace': missing required param 'file' "
                      "(two-column t,W/m^2 CSV)");
   const double scale = params.get_double("scale", 1.0);
-  // Cached per worker: a sweep (and a sweepd worker, for its whole
+  // Cached per run: a sweep (and a sweepd worker, for its whole
   // session) treats the file as immutable, so rows sharing (file, scale)
   // share one parsed trace.
   auto irradiance =
       assets.trace(asset_key({{"scale", scale}}, "tracefile/" + file), [&] {
         pns::PiecewiseLinear loaded = trace::load_trace_csv(file);
-        return scale != 1.0 ? loaded.scaled(scale) : loaded;
+        if (scale != 1.0) return std::move(loaded).scaled(scale);
+        return loaded;
       });
   return pv_source_from_trace(std::move(irradiance), spec.pv_mode);
 }

@@ -60,10 +60,10 @@ struct SourceEntry {
   /// (e.g. the weather name for "solar", the fixed string "shadowing").
   std::function<std::string(const ScenarioSpec&)> condition_label;
   /// Builds the harvester feeding the storage node for one scenario.
-  /// `assets` is the calling worker's immutable-input cache
-  /// (sweep/assets.hpp); factories whose inputs are expensive pure
+  /// `assets` is the run's immutable-input cache (sweep/assets.hpp),
+  /// shared by its threads; factories whose inputs are expensive pure
   /// functions of the spec should build them through it, others may
-  /// ignore it.
+  /// ignore it. Called from any of the run's threads.
   std::function<ehsim::PvSource(const ScenarioSpec&, const ParamMap&,
                                 ScenarioAssets&)>
       make;

@@ -108,7 +108,7 @@ std::vector<ShardRange> work_units(const std::vector<ScenarioSpec>& specs) {
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<ScenarioSpec>& specs,
     const std::function<void(std::size_t, const SweepOutcome&)>& on_outcome,
-    std::vector<ScenarioAssets>* caches) const {
+    ScenarioAssets* assets) const {
   std::vector<SweepOutcome> outcomes(specs.size());
   if (specs.empty()) return outcomes;
 
@@ -117,6 +117,14 @@ std::vector<SweepOutcome> SweepRunner::run(
   // batching itself never changes a row's bytes (see
   // sim/batch_engine.hpp).
   const std::vector<ShardRange> units = work_units(specs);
+
+  // One asset cache for the run -- the caller's, or one on this stack --
+  // shared by every worker thread: rows that share a weather trace reuse
+  // one instance instead of re-synthesising it, whichever thread runs
+  // them (results are bit-identical, so the thread-count independence
+  // guarantee is unaffected).
+  ScenarioAssets local;
+  ScenarioAssets& cache = assets ? *assets : local;
 
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;  // guarded by progress_mutex
@@ -132,19 +140,13 @@ std::vector<SweepOutcome> SweepRunner::run(
     if (options_.progress) options_.progress(++done, specs.size());
   };
 
-  auto worker = [&](ScenarioAssets* kept) {
-    // One asset cache per worker thread -- the caller's slot, or one on
-    // this thread's stack: rows that share a weather trace reuse it
-    // instead of re-synthesising (results are bit-identical, so the
-    // thread-count independence guarantee is unaffected).
-    ScenarioAssets local;
-    ScenarioAssets& assets = kept ? *kept : local;
+  auto worker = [&] {
     for (;;) {
       const std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
       if (u >= units.size()) return;
       const ShardRange unit = units[u];
       if (batch_width(specs[unit.begin]) == 0) {
-        run_scenario_outcome(specs[unit.begin], assets, outcomes[unit.begin]);
+        run_scenario_outcome(specs[unit.begin], cache, outcomes[unit.begin]);
         report(unit.begin);
         continue;
       }
@@ -152,7 +154,7 @@ std::vector<SweepOutcome> SweepRunner::run(
       // scalar call sequence inside BatchEngine, bit-identically). Each
       // row is reported the moment its lane finishes, with its own share
       // of the unit's wall as wall_s.
-      run_scenarios_batched(specs.data() + unit.begin, unit.size(), assets,
+      run_scenarios_batched(specs.data() + unit.begin, unit.size(), cache,
                             [&](std::size_t r, SweepOutcome&& out) {
                               outcomes[unit.begin + r] = std::move(out);
                               report(unit.begin + r);
@@ -161,15 +163,13 @@ std::vector<SweepOutcome> SweepRunner::run(
   };
 
   const unsigned n_threads = effective_threads(units.size());
-  if (caches && caches->size() < n_threads) caches->resize(n_threads);
-  auto slot = [&](unsigned t) { return caches ? &(*caches)[t] : nullptr; };
   if (n_threads <= 1) {
-    worker(slot(0));
+    worker();
     return outcomes;
   }
   std::vector<std::thread> pool;
   pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker, slot(t));
+  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
   return outcomes;
 }

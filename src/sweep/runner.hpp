@@ -3,10 +3,11 @@
 // A SweepRunner executes N independent scenarios over a fixed pool of
 // std::thread workers. Scenarios are embarrassingly parallel: every task
 // builds its own one-shot SimEngine (engines are single-use and not
-// thread-safe), its own weather trace from the spec's seed, and writes its
-// outcome to a pre-sized slot -- so results arrive in spec order and a
-// run's aggregate output is bit-identical whether it executed on 1 thread
-// or N (verified by tests/sweep/test_sweep.cpp). A task is a work unit
+// thread-safe), reads its weather trace from the run's shared asset cache
+// (sweep/assets.hpp), and writes its outcome to a pre-sized slot -- so
+// results arrive in spec order and a run's aggregate output is
+// bit-identical whether it executed on 1 thread or N (verified by
+// tests/sweep/test_sweep.cpp). A task is a work unit
 // (work_units): one scenario, or for a batch-capable integrator a run of
 // adjacent compatible scenarios stepped in lockstep, whose rows are
 // still reported one by one as each finishes.
@@ -107,7 +108,8 @@ struct ResumeReport {
 /// Fixed-pool batch executor for simulation scenarios.
 ///
 /// Threading/determinism contract: specs are claimed from an atomic
-/// cursor, each worker simulates on private state only, and outcomes land
+/// cursor, each worker simulates on private state only (the asset cache
+/// it shares holds immutable traces), and outcomes land
 /// in pre-sized spec-order slots. No reduction happens on worker threads,
 /// so the aggregate produced from run()'s return value is a pure function
 /// of the spec vector -- independent of thread count, scheduling, and
@@ -122,17 +124,16 @@ class SweepRunner {
 
   /// Same, but reports each outcome to `on_outcome` in place of
   /// options.on_outcome (same threading and ordering contract) and, when
-  /// `caches` is non-null, looks scenario assets up in `*caches` -- one
-  /// ScenarioAssets per thread slot, grown to the thread count. A caller
-  /// that keeps `*caches` across calls reuses assets between them (a
-  /// sweep daemon worker over the leases of one job); two concurrent
-  /// calls must not share it. Null keeps run(specs)'s behaviour: each
-  /// worker thread's cache lives on its own stack and dies with it, so a
-  /// one-shot sweep's memory profile is that of a plain run.
+  /// `assets` is non-null, looks scenario assets up in `*assets`, shared
+  /// by all of the run's threads. A caller that keeps `*assets` across
+  /// calls reuses assets between them (a sweep daemon worker over its
+  /// session's leases). Null keeps run(specs)'s behaviour: one cache on
+  /// this call's stack, shared by its threads and gone when it returns,
+  /// so a one-shot sweep's memory profile is that of a plain run.
   std::vector<SweepOutcome> run(
       const std::vector<ScenarioSpec>& specs,
       const std::function<void(std::size_t, const SweepOutcome&)>& on_outcome,
-      std::vector<ScenarioAssets>* caches) const;
+      ScenarioAssets* assets) const;
 
   /// Convenience: expand + run.
   std::vector<SweepOutcome> run(const SweepSpec& sweep) const;

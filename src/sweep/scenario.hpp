@@ -216,11 +216,11 @@ class ScenarioAssets;  // sweep/assets.hpp
 /// respect to other concurrent run_scenario calls on distinct specs.
 sim::SimResult run_scenario(const ScenarioSpec& spec);
 
-/// Same, but reusing `assets` -- a per-worker cache of immutable scenario
-/// inputs (synthesised weather traces and the like) -- so consecutive
-/// rows that share a trace stop re-synthesising it. Results are
-/// bit-identical to the cache-free overload: cached assets are pure
-/// functions of their keys. `assets` must not be shared across threads.
+/// Same, but reusing `assets` -- a run's cache of immutable scenario
+/// inputs (synthesised weather traces and the like) -- so rows that
+/// share a trace stop re-synthesising it. Results are bit-identical to
+/// the cache-free overload: cached assets are pure functions of their
+/// keys. `assets` may be shared by concurrent calls.
 sim::SimResult run_scenario(const ScenarioSpec& spec,
                             ScenarioAssets& assets);
 

@@ -20,27 +20,17 @@ namespace pns::sweepd {
 namespace {
 
 /// The job this worker last leased from and its expansion, plus the
-/// per-thread scenario-asset caches (weather traces) every lease runs
-/// with. A lease of another job replaces the identity and the specs
-/// only: cached assets are keyed by every parameter that determines
-/// them, so they stay valid across jobs, and ScenarioAssets' epoch cap
-/// bounds them for a run of many jobs as it does for one large job.
+/// scenario-asset cache (weather traces) every lease runs with, shared
+/// by the runner's threads. A lease of another job replaces the
+/// identity and the specs only: cached assets are keyed by every
+/// parameter that determines them, so they stay valid across jobs, and
+/// ScenarioAssets' epoch cap bounds them for a run of many jobs as it
+/// does for one large job.
 struct ExpandedJob {
   std::string identity;
   std::vector<sweep::ScenarioSpec> specs;
-  std::vector<sweep::ScenarioAssets> assets;
+  sweep::ScenarioAssets assets;
 };
-
-/// Lookups served from (hits) / added to (misses) a set of caches.
-std::pair<std::size_t, std::size_t> asset_counts(
-    const std::vector<sweep::ScenarioAssets>& caches) {
-  std::pair<std::size_t, std::size_t> n{0, 0};
-  for (const sweep::ScenarioAssets& a : caches) {
-    n.first += a.hits();
-    n.second += a.misses();
-  }
-  return n;
-}
 
 /// Thrown when the daemon link drops mid-session: run_worker's outer
 /// loop catches it and enters the reconnect path. Derives from
@@ -51,7 +41,7 @@ struct ConnLost : ProtocolError {
 };
 
 /// State that must survive a reconnect: the cached job (expansion and
-/// asset caches) plus the redelivery buffer of row lines the daemon has not
+/// asset cache) plus the redelivery buffer of row lines the daemon has not
 /// yet provably processed (any later daemon reply proves processing --
 /// TCP delivers in order).
 struct SessionState {
@@ -233,11 +223,11 @@ void execute_lease(SessionLink& link, Heartbeat& heartbeat,
   };
   sweep::SweepRunnerOptions ropt;
   ropt.threads = options.threads;
-  const auto [hits0, misses0] = asset_counts(state.cached.assets);
-  sweep::SweepRunner(ropt).run(subset, send_row, &state.cached.assets);
-  const auto [hits1, misses1] = asset_counts(state.cached.assets);
-  report.asset_hits += hits1 - hits0;
-  report.asset_misses += misses1 - misses0;
+  sweep::ScenarioAssets& assets = state.cached.assets;
+  const std::size_t hits0 = assets.hits(), misses0 = assets.misses();
+  sweep::SweepRunner(ropt).run(subset, send_row, &assets);
+  report.asset_hits += assets.hits() - hits0;
+  report.asset_misses += assets.misses() - misses0;
   heartbeat.end();
 
   if (!link.send(state.pending_done)) throw ConnLost();

@@ -11,12 +11,12 @@
 // the output.
 //
 // Reuse: the expansion is kept for as long as leases keep naming the
-// same job identity. The runner's per-thread scenario-asset caches are
-// kept for the whole worker run, across jobs and reconnects, so later
-// leases -- of this job or of a job sharing its weather -- reuse the
-// traces earlier leases synthesised. The caches' epoch cap (32 traces
-// per thread) bounds their memory; reuse is bit-identical to
-// rebuilding.
+// same job identity. One scenario-asset cache, shared by the runner's
+// threads, is kept for the whole worker run, across jobs and
+// reconnects, so later leases -- of this job or of a job sharing its
+// weather -- reuse the traces earlier leases synthesised. The cache's
+// epoch cap (32 traces per worker) bounds its memory; reuse is
+// bit-identical to rebuilding.
 //
 // Self-healing: each connection has one heartbeat thread that beacons
 // the daemon while a lease executes and sleeps between leases, so a
@@ -78,7 +78,7 @@ struct WorkerReport {
   std::size_t reconnects = 0;   ///< sessions re-established after a drop
   std::size_t redelivered = 0;  ///< buffered rows re-sent on reconnect
   /// Scenario-asset lookups (weather traces) served from / added to the
-  /// worker's caches (sweep::ScenarioAssets::hits/misses).
+  /// worker's cache (sweep::ScenarioAssets::hits/misses).
   std::size_t asset_hits = 0;
   std::size_t asset_misses = 0;
 };

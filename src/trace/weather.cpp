@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/contracts.hpp"
 
@@ -78,10 +80,14 @@ WeatherParams weather_params_for(WeatherCondition c) {
   return {};
 }
 
-pns::PiecewiseLinear synthesize_transmittance(const WeatherParams& p,
-                                              double t0, double t1,
-                                              double dt,
-                                              std::uint64_t seed) {
+namespace {
+
+/// The transmittance process sampled every `dt` over [t0, t1]: knot
+/// times into `ts`, transmittance into `xs`. synthesize_irradiance
+/// scales `xs` in place, so a trace is built in one knot pair.
+void fill_transmittance(const WeatherParams& p, double t0, double t1,
+                        double dt, std::uint64_t seed,
+                        std::vector<double>& ts, std::vector<double>& xs) {
   PNS_EXPECTS(t1 > t0);
   PNS_EXPECTS(dt > 0.0);
   PNS_EXPECTS(p.mean_clear_s > 0.0 && p.mean_occluded_s > 0.0);
@@ -89,7 +95,8 @@ pns::PiecewiseLinear synthesize_transmittance(const WeatherParams& p,
 
   pns::Rng rng(seed);
   const auto n = static_cast<std::size_t>(std::ceil((t1 - t0) / dt)) + 1;
-  std::vector<double> ts(n), xs(n);
+  ts.resize(n);
+  xs.resize(n);
 
   bool occluded = rng.bernoulli(
       p.mean_occluded_s / (p.mean_clear_s + p.mean_occluded_s));
@@ -118,6 +125,16 @@ pns::PiecewiseLinear synthesize_transmittance(const WeatherParams& p,
     ts[k] = t;
     xs[k] = x;
   }
+}
+
+}  // namespace
+
+pns::PiecewiseLinear synthesize_transmittance(const WeatherParams& p,
+                                              double t0, double t1,
+                                              double dt,
+                                              std::uint64_t seed) {
+  std::vector<double> ts, xs;
+  fill_transmittance(p, t0, t1, dt, seed, ts, xs);
   return pns::PiecewiseLinear(std::move(ts), std::move(xs));
 }
 
@@ -125,12 +142,13 @@ pns::PiecewiseLinear synthesize_irradiance(const ClearSky& sky,
                                            WeatherCondition condition,
                                            double t0, double t1, double dt,
                                            std::uint64_t seed) {
-  auto trans = synthesize_transmittance(weather_params_for(condition), t0,
-                                        t1, dt, seed);
-  std::vector<double> ts = trans.xs();
-  std::vector<double> gs(ts.size());
+  std::vector<double> ts, gs;
+  fill_transmittance(weather_params_for(condition), t0, t1, dt, seed, ts,
+                     gs);
+  // Same operands in the same order as scaling a separate transmittance
+  // trace, so the same bits (tests/trace/test_weather.cpp).
   for (std::size_t k = 0; k < ts.size(); ++k)
-    gs[k] = sky.irradiance(ts[k]) * trans.ys()[k];
+    gs[k] = sky.irradiance(ts[k]) * gs[k];
   return pns::PiecewiseLinear(std::move(ts), std::move(gs));
 }
 

@@ -143,10 +143,13 @@ double PiecewiseLinear::integrate(double a, double b) const {
   return total;
 }
 
-PiecewiseLinear PiecewiseLinear::scaled(double factor) const {
-  PiecewiseLinear out = *this;
-  for (auto& y : out.ys_) y *= factor;
-  return out;
+PiecewiseLinear PiecewiseLinear::scaled(double factor) const& {
+  return PiecewiseLinear(*this).scaled(factor);
+}
+
+PiecewiseLinear PiecewiseLinear::scaled(double factor) && {
+  for (auto& y : ys_) y *= factor;
+  return std::move(*this);
 }
 
 double PiecewiseLinear::first_crossing(double level, double fallback) const {

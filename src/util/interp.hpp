@@ -69,7 +69,9 @@ class PiecewiseLinear {
   double integrate(double a, double b) const;
 
   /// Returns a new function with every y multiplied by `factor`.
-  PiecewiseLinear scaled(double factor) const;
+  PiecewiseLinear scaled(double factor) const&;
+  /// Same result, scaling this function's own knots instead of a copy.
+  PiecewiseLinear scaled(double factor) &&;
 
   /// Smallest x in [x_front, x_back] where y crosses `level`, searching
   /// segment by segment; returns `fallback` when no crossing exists.

@@ -210,6 +210,9 @@ grep -q "missing" err.txt || fail "incomplete merge: no missing-shards message"
 "$BIN" quick --quiet --resume --journal r.jsonl --csv resumed.csv >resume_out.txt || \
   fail "resume failed"
 grep -q "resumed from journal" resume_out.txt || fail "resume did not reuse journal rows"
+# the header names the rows left to run, not the rows the journal holds
+grep -q "12 scenarios, 6 in journal, 6 to run on" resume_out.txt || \
+  fail "resume header does not count the rows left to run"
 cmp -s ref.csv resumed.csv || fail "resumed CSV differs from single-run CSV"
 
 # --- a journal from different sweep parameters is refused
@@ -229,6 +232,8 @@ grep -q "compacted" compact_out.txt || fail "compact: no summary line"
   >compact_resume.txt || fail "resume from compacted journal failed"
 grep -q "12 resumed from journal" compact_resume.txt || \
   fail "compacted resume re-simulated scenarios"
+grep -q "12 scenarios, 12 in journal, 0 to run on 0 thread(s)" \
+  compact_resume.txt || fail "complete journal: header counts journaled rows"
 cmp -s ref.csv compacted.csv || fail "compacted-resume CSV differs"
 "$BIN" compact >/dev/null 2>&1 && fail "compact without a journal accepted"
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -288,7 +289,7 @@ TEST(SweepRunner, Rk23PiAggregateBitIdenticalAcrossThreadCounts) {
 
 TEST(SweepRunner, AssetReuseBitIdenticalToRebuilding) {
   // Cached weather traces are pure functions of their keys: rows that
-  // share a runner thread's asset cache must publish the same bytes as
+  // share the run's asset cache must publish the same bytes as
   // rows each built from scratch by a cache-free run_scenario call.
   const auto specs = determinism_sweep().expand();
   const auto reused = runner_with(2).run(specs);
@@ -299,6 +300,26 @@ TEST(SweepRunner, AssetReuseBitIdenticalToRebuilding) {
     rebuilt[i].ok = true;
   }
   EXPECT_EQ(csv_of(reused), csv_of(rebuilt));
+}
+
+TEST(SweepRunner, ThreadsShareOneTracePerKey) {
+  // Table II over three weather seeds: 18 rows, 3 traces. Four threads
+  // share the run's cache, so each trace is synthesised once, and the
+  // output is the 1-thread run's byte for byte.
+  SweepSpec sw = table2_sweep(1.0, {1, 2, 3});
+  sw.base.integrator = IntegratorSpec::parse("rk23pi");
+  const auto specs = sw.expand();
+  ASSERT_EQ(specs.size(), 18u);
+  ScenarioAssets assets;
+  const auto parallel = runner_with(4).run(specs, nullptr, &assets);
+  EXPECT_EQ(assets.misses(), 3u);
+  EXPECT_EQ(assets.hits(), 15u);
+  const auto serial = runner_with(1).run(specs);
+  EXPECT_EQ(csv_of(parallel), csv_of(serial));
+  std::ostringstream pj, sj;
+  Aggregator(parallel).write_json(pj);
+  Aggregator(serial).write_json(sj);
+  EXPECT_EQ(pj.str(), sj.str());
 }
 
 TEST(SweepRunner, Rk23SimdBitIdenticalToRk23PiAcrossWidthsAndThreads) {
@@ -477,9 +498,19 @@ TEST(SweepRunner, EffectiveThreadsNeverExceedsWorkUnitCount) {
   ASSERT_EQ(work_units(specs).size(), 1u);
   const SweepRunner runner = runner_with(4);
   EXPECT_EQ(runner.effective_threads(work_units(specs).size()), 1u);
-  std::vector<ScenarioAssets> caches;
-  runner.run(specs, nullptr, &caches);
-  EXPECT_EQ(caches.size(), 1u);
+  // The one unit runs on one thread, through the caller's cache: one
+  // build per seed's trace.
+  ScenarioAssets assets;
+  std::unordered_set<std::thread::id> reporters;
+  runner.run(
+      specs,
+      [&](std::size_t, const SweepOutcome&) {
+        reporters.insert(std::this_thread::get_id());
+      },
+      &assets);
+  EXPECT_EQ(reporters.size(), 1u);
+  EXPECT_EQ(assets.misses(), 4u);
+  EXPECT_EQ(assets.hits(), 8u);
 
   // rk23pi rows are one unit each.
   sw.base.integrator = IntegratorSpec::parse("rk23pi");

@@ -331,6 +331,37 @@ TEST(Daemon, WorkerKeepsAssetsForTheSession) {
     expect_distributed_equals_local(ep, ids[j], specs[j]);
 }
 
+TEST(Daemon, TwoThreadWorkerKeepsOneAssetCacheForTheSession) {
+  TempDir state("pns-sweepd-assets-2t");
+  // Auto-sized leases hand this lone worker 9-row leases, so both of its
+  // runner threads work each lease. They share the session's cache, so
+  // each trace is still synthesised once per session, not once per
+  // thread.
+  TestDaemon td(state.path());
+  const net::Endpoint ep = td.endpoint();
+  const std::vector<JobSpec> specs = {table2_job(), quick_job(),
+                                      table2_job()};
+  std::vector<std::string> ids;
+  std::size_t total = 0;
+  for (const JobSpec& spec : specs) {
+    const SubmitResult submitted = submit_job(ep, spec);
+    ids.push_back(submitted.job);
+    total += submitted.total;
+  }
+
+  WorkerOptions wopt = worker_options(ep);
+  wopt.threads = 2;
+  const WorkerReport report = run_worker(wopt);
+  EXPECT_EQ(report.rows, total);
+  EXPECT_LT(report.leases, total);  // multi-row leases reach both threads
+  const std::size_t misses = 3 + 2;
+  EXPECT_EQ(report.asset_misses, misses);
+  EXPECT_EQ(report.asset_hits, total - misses);
+
+  for (std::size_t j = 0; j < specs.size(); ++j)
+    expect_distributed_equals_local(ep, ids[j], specs[j]);
+}
+
 TEST(Daemon, WorkerAssetCachesStayBoundedAcrossJobs) {
   TempDir state("pns-sweepd-asset-cap");
   TestDaemon td(state.path());

@@ -1,6 +1,9 @@
 // Tests for stochastic weather synthesis (trace/weather).
 #include "trace/weather.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "util/contracts.hpp"
@@ -76,6 +79,29 @@ TEST(Weather, IrradianceBoundedByEnvelope) {
   for (std::size_t i = 0; i < g.size(); ++i) {
     EXPECT_LE(g.ys()[i], sky.irradiance(g.xs()[i]) + 1e-9);
     EXPECT_GE(g.ys()[i], 0.0);
+  }
+}
+
+TEST(Weather, IrradianceIsEnvelopeTimesTransmittanceBitForBit) {
+  // synthesize_irradiance scales the transmittance knots in place; every
+  // knot must equal the product formed from a separate transmittance
+  // trace, bit for bit.
+  ClearSky sky;
+  for (auto c : all_weather_conditions()) {
+    const double t0 = 10.5 * 3600.0, t1 = 11.0 * 3600.0, dt = 0.1;
+    const auto g = synthesize_irradiance(sky, c, t0, t1, dt, 42);
+    const auto trans =
+        synthesize_transmittance(weather_params_for(c), t0, t1, dt, 42);
+    ASSERT_EQ(g.size(), trans.size()) << to_string(c);
+    for (std::size_t k = 0; k < g.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g.xs()[k]),
+                std::bit_cast<std::uint64_t>(trans.xs()[k]))
+          << to_string(c) << " knot " << k;
+      const double expected = sky.irradiance(trans.xs()[k]) * trans.ys()[k];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g.ys()[k]),
+                std::bit_cast<std::uint64_t>(expected))
+          << to_string(c) << " knot " << k;
+    }
   }
 }
 

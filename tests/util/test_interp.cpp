@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -123,6 +124,16 @@ TEST(PiecewiseLinear, ScaledMultipliesValues) {
   auto f = ramp().scaled(3.0);
   EXPECT_DOUBLE_EQ(f(1.0), 6.0);
   EXPECT_DOUBLE_EQ(f(0.5), 3.0);
+}
+
+TEST(PiecewiseLinear, ScaledInPlaceMatchesScaledCopy) {
+  const auto f = ramp();
+  const auto copy = f.scaled(0.3);
+  EXPECT_DOUBLE_EQ(f(1.0), 2.0);  // the copy left its source alone
+  auto g = ramp();
+  const auto moved = std::move(g).scaled(0.3);
+  EXPECT_EQ(moved.xs(), copy.xs());
+  EXPECT_EQ(moved.ys(), copy.ys());
 }
 
 TEST(PiecewiseLinear, FirstCrossingFindsRoot) {

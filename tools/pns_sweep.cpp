@@ -811,6 +811,27 @@ int main(int argc, char** argv) {
   }
   sweep::SweepRunner runner(ropt);
 
+  // The rows this invocation will run: the shard's, less those a resumed
+  // journal already holds (run_checkpointed skips the same ones).
+  std::vector<sweep::ScenarioSpec> to_run;
+  std::size_t journaled = 0;
+  try {
+    std::map<std::size_t, sweep::SummaryRow> recorded;
+    if (opt.resume && std::ifstream(opt.journal_path).good())
+      recorded = sweep::read_journal(opt.journal_path,
+                                     sweep::JournalHeader{journal_name,
+                                                          specs.size()})
+                     .rows;
+    for (std::size_t i : shard_indices) {
+      if (recorded.count(i))
+        ++journaled;
+      else
+        to_run.push_back(specs[i]);
+    }
+  } catch (const sweep::JournalError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   std::printf("sweep '%s': %zu scenarios", opt.job.preset.c_str(),
               specs.size());
   if (opt.sharded) {
@@ -819,11 +840,12 @@ int main(int argc, char** argv) {
     if (!opt.cost_journal_path.empty())
       std::printf(" (cost-balanced)");
   }
-  std::vector<sweep::ScenarioSpec> shard_specs;
-  shard_specs.reserve(shard_indices.size());
-  for (std::size_t i : shard_indices) shard_specs.push_back(specs[i]);
+  if (journaled > 0)
+    std::printf(", %zu in journal, %zu to run", journaled, to_run.size());
   std::printf(" on %u thread(s)\n\n",
-              runner.effective_threads(sweep::work_units(shard_specs).size()));
+              to_run.empty()
+                  ? 0u
+                  : runner.effective_threads(sweep::work_units(to_run).size()));
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<sweep::SummaryRow> rows;
