@@ -62,9 +62,9 @@ void BM_SolarCellNewtonSolveWarmSeed(benchmark::State& state) {
 BENCHMARK(BM_SolarCellNewtonSolveWarmSeed);
 
 void BM_NewtonSolveSimd(benchmark::State& state) {
-  // Eight packed Newton lanes per iteration, through the same entry point
-  // the batched stepper uses (two width-4 chunks on x86-64). Per-solve
-  // cost = cpu_time / 8; compare against BM_SolarCellNewtonSolve, which
+  // Eight batched Newton lanes per iteration, through the same entry
+  // point the batched stepper uses (two interleaved 4-lane chunks).
+  // Per-solve cost = cpu_time / 8; compare against BM_SolarCellNewtonSolve, which
   // times one scalar solve. The spread of operating points keeps the
   // lockstep loop running as long as the slowest lane, as it does in a
   // real batch.
@@ -78,8 +78,7 @@ void BM_NewtonSolveSimd(benchmark::State& state) {
   double dv = 0.0;
   for (auto _ : state) {
     for (auto& ln : lanes) ln.v += dv;
-    benchmark::DoNotOptimize(
-        ehsim::newton_current_batch(lanes, out, iters));
+    ehsim::newton_current_batch(lanes, out, iters);
     benchmark::DoNotOptimize(out[0]);
     dv = (dv == 0.0) ? 0.01 : -dv;  // wobble, stay in range
   }

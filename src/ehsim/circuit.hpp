@@ -37,8 +37,8 @@ class EhCircuit : public OdeSystem {
   double net_current(double v, double t) const;
 
   /// derivatives() with the source current supplied by the caller: the
-  /// batched SIMD path (ehsim/solar_cell_simd.hpp) evaluates the PV
-  /// solves packed across lanes and feeds each lane's current back
+  /// batched path (ehsim/solar_cell_simd.hpp) evaluates the PV solves
+  /// batched across lanes and feeds each lane's current back
   /// through here. Must stay bit-identical to derivatives() when
   /// `i_source == source().current(v, t)`.
   double derivative_with_source(double t, double v, double i_source) const;

@@ -14,9 +14,8 @@ double error_norm(std::span<const double> err, std::span<const double> y0,
                   double abs_tol) {
   double acc = 0.0;
   for (std::size_t i = 0; i < err.size(); ++i) {
-    const double scale =
-        abs_tol + rel_tol * std::max(std::abs(y0[i]), std::abs(y1[i]));
-    const double e = err[i] / scale;
+    const double e =
+        bs23::scaled_error(err[i], y0[i], y1[i], rel_tol, abs_tol);
     acc += e * e;
   }
   return std::sqrt(acc / static_cast<double>(err.size()));
@@ -134,29 +133,25 @@ bool Rk23Integrator::step_window(IntegrationResult& result) {
   if (!step_prologue(at, result)) return false;
   const double h = at.h;
 
-  // Bogacki-Shampine tableau. k1 is the FSAL derivative from the
-  // previous step (f0_).
+  // Bogacki-Shampine tableau (bs23::, rk23.hpp). k1 is the FSAL
+  // derivative from the previous step (f0_).
   std::copy(f0_.begin(), f0_.end(), k1_.begin());
 
   for (std::size_t i = 0; i < y_.size(); ++i)
-    ytmp_[i] = y_[i] + h * 0.5 * k1_[i];
-  system_->derivatives(t_ + 0.5 * h, ytmp_, std::span<double>(k2_));
+    ytmp_[i] = bs23::stage2(y_[i], h, k1_[i]);
+  system_->derivatives(t_ + bs23::kC2 * h, ytmp_, std::span<double>(k2_));
 
   for (std::size_t i = 0; i < y_.size(); ++i)
-    ytmp_[i] = y_[i] + h * 0.75 * k2_[i];
-  system_->derivatives(t_ + 0.75 * h, ytmp_, std::span<double>(k3_));
+    ytmp_[i] = bs23::stage3(y_[i], h, k2_[i]);
+  system_->derivatives(t_ + bs23::kC3 * h, ytmp_, std::span<double>(k3_));
 
   for (std::size_t i = 0; i < y_.size(); ++i)
-    ynew_[i] = y_[i] + h * (2.0 / 9.0 * k1_[i] + 1.0 / 3.0 * k2_[i] +
-                            4.0 / 9.0 * k3_[i]);
+    ynew_[i] = bs23::third_order(y_[i], h, k1_[i], k2_[i], k3_[i]);
   system_->derivatives(t_ + h, ynew_, std::span<double>(k4_));
 
-  // Embedded 2nd-order error estimate.
-  for (std::size_t i = 0; i < y_.size(); ++i) {
-    const double z = y_[i] + h * (7.0 / 24.0 * k1_[i] + 0.25 * k2_[i] +
-                                  1.0 / 3.0 * k3_[i] + 0.125 * k4_[i]);
-    yerr_[i] = ynew_[i] - z;
-  }
+  for (std::size_t i = 0; i < y_.size(); ++i)
+    yerr_[i] = bs23::embedded_error(y_[i], ynew_[i], h, k1_[i], k2_[i],
+                                    k3_[i], k4_[i]);
 
   const double err =
       error_norm(yerr_, y_, ynew_, opt_.rel_tol, opt_.abs_tol);

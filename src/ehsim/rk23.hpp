@@ -8,6 +8,8 @@
 // enough to localise threshold/brownout events to ~1 us.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <span>
 #include <vector>
@@ -16,6 +18,54 @@
 #include "ehsim/stepper_pi.hpp"
 
 namespace pns::ehsim {
+
+/// The Bogacki-Shampine tableau, per state component. Rk23Integrator's
+/// step_window() and the batched stepper's stage_packed() (ehsim/rk23_batch)
+/// both evaluate their stages through these helpers, so the two paths
+/// share every coefficient and every association order. The helpers are
+/// bit-safe only when called from a PNS_BITEXACT_SOURCES TU
+/// (-ffp-contract=off, CMakeLists.txt); anywhere else the compiler may
+/// fuse them differently on an FMA target.
+namespace bs23 {
+
+/// Stage-2 node c2 and stage-3 node c3 (stage 4 sits at t + h).
+inline constexpr double kC2 = 0.5;
+inline constexpr double kC3 = 0.75;
+
+/// Stage-2 state y + h * c2 * k1 (its time: t + c2 * h).
+inline double stage2(double y, double h, double k1) {
+  return y + h * kC2 * k1;
+}
+
+/// Stage-3 state y + h * c3 * k2 (its time: t + c3 * h).
+inline double stage3(double y, double h, double k2) {
+  return y + h * kC3 * k2;
+}
+
+/// The propagated third-order solution at t + h (also stage 4's state).
+inline double third_order(double y, double h, double k1, double k2,
+                          double k3) {
+  return y + h * (2.0 / 9.0 * k1 + 1.0 / 3.0 * k2 + 4.0 / 9.0 * k3);
+}
+
+/// Embedded error estimate: ynew minus the second-order solution.
+inline double embedded_error(double y, double ynew, double h, double k1,
+                             double k2, double k3, double k4) {
+  const double z =
+      y + h * (7.0 / 24.0 * k1 + 0.25 * k2 + 1.0 / 3.0 * k3 + 0.125 * k4);
+  return ynew - z;
+}
+
+/// One component's error scaled by atol + rtol * max(|y0|, |y1|); the
+/// step's error norm is the RMS of these.
+inline double scaled_error(double err, double y0, double y1, double rel_tol,
+                           double abs_tol) {
+  const double scale =
+      abs_tol + rel_tol * std::max(std::abs(y0), std::abs(y1));
+  return err / scale;
+}
+
+}  // namespace bs23
 
 /// Step-size control law of the adaptive integrator.
 enum class StepControl {

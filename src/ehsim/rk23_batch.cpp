@@ -88,51 +88,43 @@ void Rk23BatchStepper::stage_packed(
     return attempts_[active_[j]];
   };
 
-  // Each stage replicates the scalar step_window() line for n = 1 with
-  // the same association order; rhs.eval keeps each lane's derivative
-  // evaluation order exactly scalar and packs the PV solves across lanes.
-
-  // Stage 2: ytmp = y + h * 0.5 * k1 at t + 0.5 * h.
+  // Each stage is the scalar step_window() loop body for n = 1, through
+  // the same bs23:: helpers; rhs.eval keeps each lane's derivative
+  // evaluation order exactly scalar and batches the PV solves across lanes.
   for (std::size_t j = 0; j < m; ++j) {
     const Rk23StepAttempt& at = attempt(j);
-    ts_[j] = at.t + 0.5 * at.h;
-    ys_[j] = at.y + at.h * 0.5 * at.k1;
+    ts_[j] = at.t + bs23::kC2 * at.h;
+    ys_[j] = bs23::stage2(at.y, at.h, at.k1);
   }
   rhs.eval(ids, ts_.data(), ys_.data(), k_.data());
 
-  // Stage 3: ytmp = y + h * 0.75 * k2 at t + 0.75 * h.
   for (std::size_t j = 0; j < m; ++j) {
     Rk23StepAttempt& at = attempt(j);
     at.k2 = k_[j];
-    ts_[j] = at.t + 0.75 * at.h;
-    ys_[j] = at.y + at.h * 0.75 * at.k2;
+    ts_[j] = at.t + bs23::kC3 * at.h;
+    ys_[j] = bs23::stage3(at.y, at.h, at.k2);
   }
   rhs.eval(ids, ts_.data(), ys_.data(), k_.data());
 
-  // Stage 4: ynew = y + h * (2/9 k1 + 1/3 k2 + 4/9 k3) at t + h.
   for (std::size_t j = 0; j < m; ++j) {
     Rk23StepAttempt& at = attempt(j);
     at.k3 = k_[j];
     ts_[j] = at.t + at.h;
-    at.ynew = at.y + at.h * (2.0 / 9.0 * at.k1 + 1.0 / 3.0 * at.k2 +
-                             4.0 / 9.0 * at.k3);
+    at.ynew = bs23::third_order(at.y, at.h, at.k1, at.k2, at.k3);
     ys_[j] = at.ynew;
   }
   rhs.eval(ids, ts_.data(), ys_.data(), k_.data());
 
-  // Embedded error: z = y + h * (7/24 k1 + 1/4 k2 + 1/3 k3 + 1/8 k4),
-  // yerr = ynew - z, err = sqrt((yerr / (atol + rtol*max(|y|,|ynew|)))^2)
-  // -- error_norm() specialised to dimension 1 (acc/1.0 is exact).
+  // error_norm() specialised to dimension 1: sqrt((0 + e*e) / 1) is
+  // exactly sqrt(e*e).
   for (std::size_t j = 0; j < m; ++j) {
     Rk23StepAttempt& at = attempt(j);
     at.k4 = k_[j];
-    const double z = at.y + at.h * (7.0 / 24.0 * at.k1 + 0.25 * at.k2 +
-                                    1.0 / 3.0 * at.k3 + 0.125 * at.k4);
-    at.yerr = at.ynew - z;
+    at.yerr = bs23::embedded_error(at.y, at.ynew, at.h, at.k1, at.k2, at.k3,
+                                   at.k4);
     const Rk23Options& o = integrators[active_[j]]->options();
-    const double scale =
-        o.abs_tol + o.rel_tol * std::max(std::abs(at.y), std::abs(at.ynew));
-    const double e = at.yerr / scale;
+    const double e =
+        bs23::scaled_error(at.yerr, at.y, at.ynew, o.rel_tol, o.abs_tol);
     at.err = std::sqrt(e * e);
   }
 }

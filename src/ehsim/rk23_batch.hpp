@@ -14,9 +14,10 @@
 // Packed rounds: given a BatchRhs bound to the lanes' circuits, a round
 // with at least two lanes in lockstep opens every lane's attempt
 // (attempt_open), evaluates the four RK stages and the error norm across
-// the whole active set -- the stage arithmetic lane by lane, the
-// derivative evaluations through the BatchRhs with the exact-mode PV
-// Newton solves packed (ehsim/solar_cell_simd.hpp) -- and closes each
+// the whole active set -- the stage arithmetic lane by lane through the
+// integrator's own bs23:: helpers, the derivative evaluations through the
+// BatchRhs with the exact-mode PV Newton solves batched
+// (ehsim/solar_cell_simd.hpp) -- and closes each
 // attempt in lane order (attempt_close). A round with one lane in
 // lockstep, or any round without a BatchRhs, steps each lane through
 // step_window(): one lane has nothing to pack across. Both forms

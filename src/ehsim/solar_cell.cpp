@@ -6,28 +6,6 @@
 #include "util/contracts.hpp"
 
 namespace pns::ehsim {
-namespace {
-
-// Residual of eq. 4 in the paper, F(I) = 0 at the operating point:
-//   F(I) = Il - I0*(exp((V+Rs*I)/vt) - 1) - (V+Rs*I)/Rp - I
-// dF/dI = -I0*Rs/vt * exp((V+Rs*I)/vt) - Rs/Rp - 1   (always < -1)
-struct Residual {
-  const SolarCellParams& p;
-  double v;
-  double il;
-
-  // F and dF/dI share the same exp(vd/vt); evaluating it once halves the
-  // dominant cost of every Newton iteration without changing a bit of the
-  // result (identical vd, identical exp, same arithmetic as before).
-  void eval(double i, double& f, double& df) const {
-    const double vd = v + p.rs * i;
-    const double e = std::exp(vd / p.vt_eff);
-    f = il - p.i0 * (e - 1.0) - vd / p.rp - i;
-    df = -p.i0 * p.rs / p.vt_eff * e - p.rs / p.rp - 1.0;
-  }
-};
-
-}  // namespace
 
 SolarCell::SolarCell(SolarCellParams params) : params_(params) {
   PNS_EXPECTS(params_.i0 > 0.0);
@@ -62,23 +40,16 @@ double SolarCell::current_from_photo_counted(double v, double il,
 
 double SolarCell::newton_current(double v, double il, double i_start,
                                  std::uint32_t* iters) const {
-  const Residual res{params_, v, il};
   double i = i_start;
-  for (int iter = 0; iter < 100; ++iter) {
-    double f, df;
-    res.eval(i, f, df);
-    double step = f / df;
-    // Damp enormous steps caused by the exponential blowing up.
-    const double limit = std::max(1.0, std::abs(i)) * 10.0 + 1.0;
-    if (std::abs(step) > limit) step = step > 0.0 ? limit : -limit;
-    const double next = i - step;
-    if (std::abs(next - i) < 1e-12 * (1.0 + std::abs(next))) {
+  for (int iter = 0; iter < kNewtonMaxIters; ++iter) {
+    const double next = newton_next(params_, v, il, i);
+    if (newton_converged(i, next)) {
       if (iters != nullptr) *iters = static_cast<std::uint32_t>(iter + 1);
       return next;
     }
     i = next;
   }
-  if (iters != nullptr) *iters = 100;
+  if (iters != nullptr) *iters = kNewtonMaxIters;
   return i;  // best effort; residual tests bound the error
 }
 

@@ -14,6 +14,8 @@
 // Isc ~ 1.15 A, Voc ~ 6.8 V, MPP ~ 5.4 W at 5.3 V.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "util/interp.hpp"
@@ -29,6 +31,38 @@ struct SolarCellParams {
   double il_ref;  ///< photo-current at reference irradiance (A)
   double g_ref;   ///< reference irradiance (W/m^2), typically 1000
 };
+
+/// One damped Newton update of the residual of eq. 4 from current `i`:
+///   F(I)  = Il - I0*(exp((V+Rs*I)/vt) - 1) - (V+Rs*I)/Rp - I
+///   dF/dI = -I0*Rs/vt * exp((V+Rs*I)/vt) - Rs/Rp - 1   (always < -1)
+/// F and dF/dI share one exp; the step is clamped so the exponential
+/// blowing up cannot throw the iterate away. The scalar solver and the
+/// batched solve (ehsim/solar_cell_simd) both iterate this one function,
+/// which is what makes them bit-identical -- provided every caller is
+/// compiled without FMA contraction (a PNS_BITEXACT_SOURCES TU, see
+/// CMakeLists.txt). Keep the expressions and their association order as
+/// they are: the published rk23 outputs are pinned to these bits.
+inline double newton_next(const SolarCellParams& p, double v, double il,
+                          double i) {
+  const double vd = v + p.rs * i;
+  const double e = std::exp(vd / p.vt_eff);
+  const double f = il - p.i0 * (e - 1.0) - vd / p.rp - i;
+  const double df = -p.i0 * p.rs / p.vt_eff * e - p.rs / p.rp - 1.0;
+  double step = f / df;
+  const double limit = std::max(1.0, std::abs(i)) * 10.0 + 1.0;
+  if (std::abs(step) > limit) step = step > 0.0 ? limit : -limit;
+  return i - step;
+}
+
+/// Convergence test of the Newton solve: the update from `i` to `next`
+/// is below 1e-12 relative. Same contraction caveat as newton_next.
+inline bool newton_converged(double i, double next) {
+  return std::abs(next - i) < 1e-12 * (1.0 + std::abs(next));
+}
+
+/// Iteration cap of the Newton solve; a lane still moving after this
+/// many updates returns its last iterate (best effort).
+inline constexpr int kNewtonMaxIters = 100;
 
 /// Maximum-power-point summary for a given irradiance.
 struct MppPoint {

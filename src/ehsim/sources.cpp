@@ -29,7 +29,7 @@ PvSource::PvSource(SolarCell cell, std::function<double(double)> irradiance,
 
 double PvSource::current(double v, double t) const {
   // current() is the plan executed inline, so the scalar path and the
-  // batched kernel path (plan -> packed solve -> commit) share one copy
+  // batched path (plan -> batched solve -> commit) share one copy
   // of the classification, seeding and cache logic -- they cannot drift.
   const SolvePlan plan = plan_current(v, t);
   switch (plan.path) {
@@ -43,7 +43,7 @@ double PvSource::current(double v, double t) const {
   std::uint32_t iters = 0;
   const double i =
       cell_.current_from_photo_counted(plan.v, plan.il, plan.seed, &iters);
-  commit_newton(plan, i, iters, /*packed=*/false);
+  commit_newton(plan, i, iters, /*batched=*/false);
   return i;
 }
 
@@ -83,12 +83,12 @@ PvSource::SolvePlan PvSource::plan_current(double v, double t) const {
 }
 
 void PvSource::commit_newton(const SolvePlan& plan, double i,
-                             std::uint32_t iters, bool packed) const {
+                             std::uint32_t iters, bool batched) const {
   PNS_EXPECTS(plan.path == SolvePlan::Path::kNewton);
   ++stats_.newton_solves;
   stats_.newton_iterations += iters;
   if (plan.warm) ++stats_.warm_starts;
-  if (packed) ++stats_.simd_lanes;
+  if (batched) ++stats_.simd_lanes;
   solve_cache_ = {plan.v, plan.il, i, true};
 }
 

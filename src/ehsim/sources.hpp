@@ -19,7 +19,7 @@
 namespace pns::ehsim {
 
 /// Accounting of the PV implicit solves behind a PvSource (and of the
-/// packed kernel executing them in batched runs). Pure observability:
+/// batched solve executing them in lockstep runs). Pure observability:
 /// counting changes no arithmetic, and none of these numbers reach the
 /// default CSV/JSON emitters -- they surface through pnsbench's
 /// `ehsim.pv_*` metrics and the batch stepper stats, where kernel wins
@@ -31,7 +31,10 @@ struct PvSolveStats {
   std::uint64_t newton_solves = 0; ///< damped-Newton solves executed
   std::uint64_t newton_iterations = 0;  ///< iterations across those solves
   std::uint64_t warm_starts = 0;   ///< solves seeded from a nearby point
-  std::uint64_t simd_lanes = 0;    ///< solves executed inside a packed kernel
+  /// Solves executed through newton_current_batch (ehsim/solar_cell_simd)
+  /// -- every Newton solve of a BatchRhs evaluation with two or more
+  /// Newton-biased lanes, a lone lane of a chunk included.
+  std::uint64_t simd_lanes = 0;
 
   PvSolveStats& operator+=(const PvSolveStats& o) {
     calls += o.calls;
@@ -109,10 +112,10 @@ class PvSource : public CurrentSource {
 
   double current(double v, double t) const override;
 
-  /// Decomposition of one current(v, t) evaluation for the batched SIMD
-  /// kernel (ehsim/solar_cell_simd.hpp): plan_current() classifies the
+  /// Decomposition of one current(v, t) evaluation for the batched
+  /// solve (ehsim/solar_cell_simd.hpp): plan_current() classifies the
   /// evaluation without solving, the caller executes the table / Newton
-  /// paths (possibly packed across lanes), and commit_newton() applies
+  /// paths (possibly batched across lanes), and commit_newton() applies
   /// the cache update a direct current() call would have made. The
   /// classification and the seed are computed with exactly the
   /// operations current() uses, so plan -> execute -> commit is
@@ -139,9 +142,10 @@ class PvSource : public CurrentSource {
 
   /// Records the solved current of a kNewton plan: advances the
   /// memo/warm-start cache exactly as current() would and accounts
-  /// `iters` Newton iterations (`packed` marks kernel-executed solves).
+  /// `iters` Newton iterations (`batched` marks solves executed by
+  /// newton_current_batch).
   void commit_newton(const SolvePlan& plan, double i, std::uint32_t iters,
-                     bool packed) const;
+                     bool batched) const;
 
   /// Lifetime solve accounting of this source (see PvSolveStats).
   const PvSolveStats& solve_stats() const { return stats_; }

@@ -52,10 +52,9 @@ struct BatchEngineOptions {
   /// Pack the lockstep rounds (ehsim::Rk23BatchStepper::run_rounds with a
   /// bound BatchRhs): whenever two or more lanes are in lockstep, RK
   /// stages and error norms are evaluated across lanes and the
-  /// exact-mode PV Newton solves packed (ehsim/solar_cell_simd.hpp).
-  /// Execution strategy only -- results stay bit-identical; on platforms
-  /// where the packed kernel fails its startup self-test it degrades to
-  /// scalar automatically.
+  /// exact-mode PV Newton solves batched (ehsim/solar_cell_simd.hpp).
+  /// Execution strategy only -- results stay bit-identical; a platform
+  /// where the batched solve fails its self-test stops the run instead.
   bool simd = false;
 };
 

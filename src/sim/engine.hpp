@@ -196,8 +196,8 @@ class SimEngine {
   double voltage() const { return cur_vc_; }
   ehsim::Rk23Integrator& integrator() { return integrator_; }
   std::span<const ehsim::EventSpec> events() const { return events_; }
-  /// The ODE system integrator() integrates. The batched SIMD stepper
-  /// binds this to evaluate the PV solves packed across lanes
+  /// The ODE system integrator() integrates. The batched stepper binds
+  /// this to evaluate the PV solves batched across lanes
   /// (ehsim/solar_cell_simd.hpp).
   const ehsim::EhCircuit& circuit() const { return circuit_; }
 

@@ -106,14 +106,12 @@ void IntegratorAxis::register_builtins(IntegratorRegistry& registry) {
 
   // rk23pi's numerics executed in lockstep batches: the runner groups
   // adjacent compatible rows into work units of up to `width` lanes, one
-  // BatchEngine each, and rounds with two or more lanes in lockstep run
-  // data-parallel -- RK stages and error norms in vector chunks, PV
-  // Newton solves and table lookups packed (ehsim/solar_cell_simd).
-  // Output bytes are independent of the width and of how rows land in
-  // batches, so `width` is an execution-only key (journals interchange
-  // across widths; width=1 degenerates to plain rk23pi). Platforms whose
-  // packed kernels fail the startup self-test degrade to scalar
-  // execution automatically.
+  // BatchEngine each, and rounds with two or more lanes in lockstep stage
+  // across lanes -- RK stages and error norms lane by lane, exact-mode PV
+  // Newton solves interleaved (ehsim/solar_cell_simd). Output bytes are
+  // independent of the width and of how rows land in batches, so `width`
+  // is an execution-only key (journals interchange across widths;
+  // width=1 degenerates to plain rk23pi).
   IntegratorEntry simd{
       "rk23simd",
       "rk23pi numerics, SIMD lockstep batches (bit-identical to rk23pi)",

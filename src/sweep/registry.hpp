@@ -93,7 +93,7 @@ struct IntegratorEntry {
   bool batch_capable = false;
   /// Batched runs of this kind pack their lockstep rounds
   /// (BatchEngineOptions::simd): RK stages evaluated across lanes and PV
-  /// solves packed, still without changing any output byte. Implies
+  /// solves batched, still without changing any output byte. Implies
   /// batch_capable semantics for everything else.
   bool batch_simd = false;
 };

@@ -1,7 +1,9 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,7 +24,7 @@ bool save_trace_csv(const std::string& path, const pns::TimeSeries& series) {
 pns::PiecewiseLinear load_trace_csv(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("load_trace_csv: cannot open " + path);
-  std::vector<std::pair<double, double>> pts;
+  std::vector<double> ts, vs;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(f, line)) {
@@ -44,12 +46,30 @@ pns::PiecewiseLinear load_trace_csv(const std::string& path) {
       throw std::runtime_error("load_trace_csv: non-numeric data at line " +
                                std::to_string(line_no) + " in " + path);
     }
-    pts.emplace_back(t, v);
+    ts.push_back(t);
+    vs.push_back(v);
   }
-  if (pts.size() < 2)
+  if (ts.size() < 2)
     throw std::runtime_error("load_trace_csv: fewer than 2 samples in " +
                              path);
-  return pns::PiecewiseLinear::from_pairs(std::move(pts));
+  // Recorded traces arrive in time order; anything else is put in order
+  // here (a repeated time still fails PiecewiseLinear's strictly
+  // increasing knots).
+  if (!std::is_sorted(ts.begin(), ts.end())) {
+    std::vector<std::size_t> order(ts.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return ts[a] < ts[b];
+    });
+    std::vector<double> sorted_ts(ts.size()), sorted_vs(vs.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      sorted_ts[k] = ts[order[k]];
+      sorted_vs[k] = vs[order[k]];
+    }
+    ts.swap(sorted_ts);
+    vs.swap(sorted_vs);
+  }
+  return pns::PiecewiseLinear(std::move(ts), std::move(vs));
 }
 
 }  // namespace pns::trace

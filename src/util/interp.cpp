@@ -16,19 +16,6 @@ PiecewiseLinear::PiecewiseLinear(std::vector<double> xs,
   for (std::size_t i = 1; i < xs_.size(); ++i) PNS_EXPECTS(xs_[i] > xs_[i - 1]);
 }
 
-PiecewiseLinear PiecewiseLinear::from_pairs(
-    std::vector<std::pair<double, double>> pts) {
-  std::sort(pts.begin(), pts.end());
-  std::vector<double> xs, ys;
-  xs.reserve(pts.size());
-  ys.reserve(pts.size());
-  for (const auto& [x, y] : pts) {
-    xs.push_back(x);
-    ys.push_back(y);
-  }
-  return PiecewiseLinear(std::move(xs), std::move(ys));
-}
-
 double PiecewiseLinear::x_front() const {
   PNS_EXPECTS(!empty());
   return xs_.front();

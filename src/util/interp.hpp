@@ -23,10 +23,6 @@ class PiecewiseLinear {
   /// strictly increasing xs.
   PiecewiseLinear(std::vector<double> xs, std::vector<double> ys);
 
-  /// Builds from (x, y) pairs; pairs are sorted by x first.
-  static PiecewiseLinear from_pairs(
-      std::vector<std::pair<double, double>> pts);
-
   /// Number of knots.
   std::size_t size() const { return xs_.size(); }
   bool empty() const { return xs_.empty(); }

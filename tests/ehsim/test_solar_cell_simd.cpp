@@ -1,15 +1,16 @@
-// The packed PV Newton kernel vs. its scalar counterpart, bit for bit.
+// The batched PV Newton solve vs. the scalar solver, bit for bit.
 //
 // The differential batch-parity suite (tests/sim/test_batch_parity)
 // proves the end-to-end contract; these tests aim the microscope at the
-// kernel layer itself: newton_packed against
-// SolarCell::current_from_photo_counted on adversarial operating points,
-// the scalar fallback routing, the startup self-test, and the
-// plan/execute/commit decomposition of PvSource::current that the
-// batched evaluator relies on.
+// solve itself: newton_current_batch against
+// SolarCell::current_from_photo_counted on adversarial and seeded-random
+// operating points, the self-test, and the plan/execute/commit
+// decomposition of PvSource::current that the batched evaluator relies
+// on.
 #include "ehsim/solar_cell_simd.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "ehsim/pv_table.hpp"
 #include "ehsim/solar_cell.hpp"
 #include "ehsim/sources.hpp"
+#include "util/rng.hpp"
 
 namespace pns::ehsim {
 namespace {
@@ -51,7 +53,7 @@ TEST(SolarCellSimd, NewtonPackedIsBitIdenticalToScalar) {
   const auto lanes = newton_probes(cell);
   std::vector<double> got(lanes.size());
   std::vector<std::uint32_t> got_iters(lanes.size());
-  simd_detail::newton_packed(lanes, got.data(), got_iters.data());
+  newton_current_batch(lanes, got.data(), got_iters.data());
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     std::uint32_t want_iters = 0;
     const double want = cell.current_from_photo_counted(
@@ -63,17 +65,15 @@ TEST(SolarCellSimd, NewtonPackedIsBitIdenticalToScalar) {
 }
 
 TEST(SolarCellSimd, NewtonPackedHandlesEveryRemainder) {
-  // 1..9 lanes cover: scalar-only, one half chunk, full chunk, full+1,
-  // full+half, full+half+1, two full chunks and beyond.
+  // 1..9 lanes cover a lone lane, partial chunks, one full chunk, and
+  // full chunks followed by every partial remainder.
   const SolarCell cell = test_cell();
   const auto all = newton_probes(cell);
   for (std::size_t n = 1; n <= 9; ++n) {
     std::vector<NewtonLane> lanes(all.begin(), all.begin() + n);
     std::vector<double> got(n);
     std::vector<std::uint32_t> iters(n);
-    const std::size_t packed =
-        simd_detail::newton_packed(lanes, got.data(), iters.data());
-    EXPECT_LE(packed, n);
+    newton_current_batch(lanes, got.data(), iters.data());
     for (std::size_t k = 0; k < n; ++k) {
       const double want = cell.current_from_photo(lanes[k].v, lanes[k].il);
       EXPECT_EQ(bits(got[k]), bits(want)) << "n=" << n << " lane " << k;
@@ -81,43 +81,71 @@ TEST(SolarCellSimd, NewtonPackedHandlesEveryRemainder) {
   }
 }
 
-TEST(SolarCellSimd, SelfTestPassesHere) {
-  // If this fails, the platform contracts vector expressions differently
-  // from scalar ones and every packed entry point must degrade -- which
-  // the routing test below would then exercise for real.
-  EXPECT_TRUE(simd_kernel_self_test());
-}
-
-TEST(SolarCellSimd, ForcedScalarRoutingStillAnswersEveryLane) {
-  struct ForceScalar {
-    ForceScalar() { simd_force_scalar(true); }
-    ~ForceScalar() { simd_force_scalar(false); }
-  } guard;
-  EXPECT_FALSE(simd_kernel_active());
-  const SolarCell cell = test_cell();
-  const auto lanes = newton_probes(cell);
-  std::vector<double> got(lanes.size());
-  std::vector<std::uint32_t> iters(lanes.size());
-  const std::size_t packed =
-      newton_current_batch(lanes, got.data(), iters.data());
-  EXPECT_EQ(packed, 0u);  // everything drained scalar
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    std::uint32_t want_iters = 0;
-    const double want = cell.current_from_photo_counted(
-        lanes[k].v, lanes[k].il, lanes[k].seed, &want_iters);
-    EXPECT_EQ(bits(got[k]), bits(want)) << "lane " << k;
-    EXPECT_EQ(iters[k], want_iters) << "lane " << k;
+TEST(SolarCellSimd, BatchMatchesScalarOnSeededFuzz) {
+  // Random cells well beyond the calibrated array -- i0 over nine
+  // decades, sharp to soft knees, ideal to lossy parasitics -- mixed in
+  // one call, at voltages from below 0 to past Voc, dark and lit, with
+  // cold, warm and far-off seeds (the last drive the damped branch).
+  pns::Rng rng(0x5EEDF022ull);
+  struct Cell {
+    SolarCell cell;
+    double voc;
+  };
+  std::vector<Cell> cells;
+  for (int c = 0; c < 12; ++c) {
+    const SolarCell cell(SolarCellParams{
+        std::pow(10.0, rng.uniform(-15.0, -6.0)),  // i0
+        rng.uniform(0.05, 2.5),                    // vt_eff
+        rng.uniform(0.0, 2.0),                     // rs
+        std::pow(10.0, rng.uniform(0.5, 4.0)),     // rp
+        rng.uniform(0.0, 3.0),                     // il_ref
+        1000.0});
+    cells.push_back({cell, cell.open_circuit_voltage(1000.0)});
+  }
+  for (int round = 0; round < 360; ++round) {
+    const std::size_t n = 1 + static_cast<std::size_t>(round % 9);
+    std::vector<NewtonLane> lanes;
+    for (std::size_t k = 0; k < n; ++k) {
+      const Cell& c = cells[rng.uniform_index(cells.size())];
+      NewtonLane ln{&c.cell, rng.uniform(-0.5 * c.voc - 1.0, 1.5 * c.voc + 1.0),
+                    rng.bernoulli(0.2)
+                        ? 0.0
+                        : rng.uniform(0.0, 1.2 * c.cell.params().il_ref),
+                    0.0};
+      switch (rng.uniform_index(3)) {
+        case 0:  // cold: the photo-current, as current_from_photo
+          ln.seed = ln.il;
+          break;
+        case 1:  // warm: near the root, as the PvSource memo seeds
+          ln.seed = c.cell.current_from_photo(ln.v, ln.il) +
+                    rng.normal(0.0, 1e-3);
+          break;
+        default:  // far off
+          ln.seed = rng.uniform(-10.0, 10.0);
+          break;
+      }
+      lanes.push_back(ln);
+    }
+    std::vector<double> got(n);
+    std::vector<std::uint32_t> got_iters(n);
+    newton_current_batch(lanes, got.data(), got_iters.data());
+    for (std::size_t k = 0; k < n; ++k) {
+      std::uint32_t want_iters = 0;
+      const double want = lanes[k].cell->current_from_photo_counted(
+          lanes[k].v, lanes[k].il, lanes[k].seed, &want_iters);
+      ASSERT_EQ(bits(got[k]), bits(want))
+          << "round " << round << " lane " << k << " v=" << lanes[k].v
+          << " il=" << lanes[k].il << " seed=" << lanes[k].seed;
+      ASSERT_EQ(got_iters[k], want_iters)
+          << "round " << round << " lane " << k;
+    }
   }
 }
 
-TEST(SolarCellSimd, KernelCompiledMatchesBuildConfiguration) {
-#ifdef PNS_SIMD_DISABLE
-  EXPECT_FALSE(simd_kernel_compiled());
-#else
-#if defined(__GNUC__) || defined(__clang__)
-  EXPECT_TRUE(simd_kernel_compiled());
-#endif
-#endif
+TEST(SolarCellSimd, SelfTestPassesHere) {
+  // If this fails, the batched solve disagrees with the scalar solver on
+  // this platform and newton_current_batch refuses to run.
+  EXPECT_TRUE(simd_kernel_self_test());
 }
 
 // ---------------------------------------------------------------- PvSource

@@ -97,9 +97,9 @@ journalled table2_rk23simd table2 --minutes 2 --integrator rk23simd:width=4
 journalled quick quick
 golden fig6 fig6
 # rk23simd is an execution strategy over the rk23pi numerics: any width,
-# any thread count, either PV mode, with or without the SIMD kernels
-# (the PNS_SIMD=off build runs this script too) -- identical bytes. The
-# retired spelling rk23batch resolves to the same engine.
+# any thread count, either PV mode, every build leg (the sanitizer builds
+# run this script too) -- identical bytes. The retired spelling rk23batch
+# resolves to the same engine.
 golden quick_rk23pi quick --integrator rk23pi
 same_as quick_rk23pi quick --integrator rk23simd
 same_as quick_rk23pi quick --integrator rk23simd:width=8 --threads 4

@@ -6,9 +6,9 @@
 // *identical* (to the last bit, asserted via the shortest_double
 // round-trip serialisation) to running it alone under rk23pi. The batched
 // path has the machinery that could break it: RK stages staged across
-// lanes, packed masked Newton, table lookups answered inline inside a
-// packed evaluation (mixed-mode batches), one-lane rounds stepped scalar,
-// and a scalar kernel fallback that must agree with all of the above.
+// lanes, interleaved batched Newton, table lookups answered inline inside
+// a batched evaluation (mixed-mode batches), and one-lane rounds stepped
+// scalar.
 // The grids come from tests/support/scenario_grid.hpp: seeded, diverse
 // (controls, weather, windows, capacitances, brownout-provoking start
 // voltages) and deterministic, so a failure reproduces from its seed.
@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "../support/scenario_grid.hpp"
-#include "ehsim/solar_cell_simd.hpp"
 #include "governors/governor.hpp"
 #include "sim/experiment.hpp"
 #include "sweep/assets.hpp"
@@ -245,7 +244,7 @@ TEST(BatchParity, AnOnOutcomeThrowPropagatesAndIsNotRetried) {
 TEST(BatchParity, NewtonStressGridsMatchAtEveryWidth) {
   // Dawn/dusk irradiance ramps, near-brownout stiff spans, and lanes
   // mixing tabulated and exact PV: the inputs most likely to expose a
-  // packed kernel that is almost-but-not-quite the scalar sequence.
+  // batched solve that is almost-but-not-quite the scalar sequence.
   GridOptions opt;
   opt.count = 9;
   const auto specs = testsupport::make_newton_stress_grid(0x57E55EEDull, opt);
@@ -264,24 +263,6 @@ TEST(BatchParity, NewtonStressGridsMatchAtEveryWidth) {
       EXPECT_EQ(got[i], ref[i])
           << "width=" << width << " diverged on " << specs[i].label;
   }
-}
-
-TEST(BatchParity, ForcedScalarKernelFallbackMatchesToo) {
-  // Platforms whose packed kernels fail the startup self-test degrade to
-  // per-lane scalar execution; force that path and hold it to the same
-  // contract. (Restore the override even if an assertion throws.)
-  struct ForceScalar {
-    ForceScalar() { ehsim::simd_force_scalar(true); }
-    ~ForceScalar() { ehsim::simd_force_scalar(false); }
-  } guard;
-  ASSERT_FALSE(ehsim::simd_kernel_active());
-  GridOptions opt;
-  opt.count = 6;
-  const auto specs = testsupport::make_newton_stress_grid(0xFA11BAC2ull, opt);
-  const auto ref = scalar_reference(specs);
-  const auto got = batched_run(specs, 4);
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_EQ(got[i], ref[i]) << "forced-scalar " << specs[i].label;
 }
 
 TEST(BatchParity, BatchedStaysWithinToleranceOfRk23Reference) {

@@ -99,7 +99,7 @@ inline std::vector<sweep::ScenarioSpec> make_scenario_grid(
 }
 
 /// Newton-stress variant: specs engineered to hammer the PV solve paths
-/// the packed SIMD kernels accelerate, where bit-divergence would be most
+/// the batched Newton solve runs, where bit-divergence would be most
 /// likely to hide. Dawn/dusk starts put the irradiance ramp right at the
 /// solve's hard region (tiny photo-currents, long cold Newton runs);
 /// near-brownout starting voltages make the span stiff (events, rejected

@@ -347,7 +347,7 @@ TEST(SweepRunner, Rk23SimdBitIdenticalToRk23PiAcrossWidthsAndThreads) {
 // ------------------------------------------------- batch compatibility
 // batch_compatible decides which adjacent rows share a lockstep unit. Its
 // pv_mode clause is also what keeps every unit single-mode, so a
-// tabulated unit never enters BatchRhs's packed Newton path.
+// tabulated unit never enters BatchRhs's batched Newton path.
 
 TEST(BatchCompatible, RowsDifferingOnlyInControlOrSeedShareAUnit) {
   ScenarioSpec a = tiny_solar_spec();

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "trace/supply_profiles.hpp"
 #include "trace/trace_io.hpp"
@@ -101,6 +102,28 @@ TEST(TraceIo, LoadsHeaderlessCsv) {
   }
   auto loaded = load_trace_csv(path);
   EXPECT_DOUBLE_EQ(loaded(0.5), 1.5);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, LoadsUnsortedRowsInTimeOrder) {
+  const std::string path = ::testing::TempDir() + "/pns_trace_unsorted.csv";
+  {
+    std::ofstream f(path);
+    f << "t,value\n2,20\n0,0\n3,35\n1,10\n";
+  }
+  auto loaded = load_trace_csv(path);
+  EXPECT_EQ(loaded.xs(), (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
+  EXPECT_EQ(loaded.ys(), (std::vector<double>{0.0, 10.0, 20.0, 35.0}));
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, DuplicateTimeThrows) {
+  const std::string path = ::testing::TempDir() + "/pns_trace_dup.csv";
+  {
+    std::ofstream f(path);
+    f << "t,value\n1,10\n0,0\n1,11\n";
+  }
+  EXPECT_THROW(load_trace_csv(path), pns::ContractViolation);
   std::remove(path.c_str());
 }
 

@@ -114,12 +114,6 @@ TEST(PiecewiseLinear, EvalHintedBitIdenticalToOperator) {
   sweep_all(xs, ys);
 }
 
-TEST(PiecewiseLinear, FromPairsSorts) {
-  auto f = PiecewiseLinear::from_pairs({{2.0, 20.0}, {0.0, 0.0}, {1.0, 10.0}});
-  EXPECT_DOUBLE_EQ(f(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(f(1.5), 15.0);
-}
-
 TEST(PiecewiseLinear, ScaledMultipliesValues) {
   auto f = ramp().scaled(3.0);
   EXPECT_DOUBLE_EQ(f(1.0), 6.0);
