@@ -140,13 +140,13 @@ void BM_Rk23SecondOfCircuit(benchmark::State& state) {
   const ehsim::ConstantPowerLoad load(3.5);
   const ehsim::EhCircuit circuit(
       source, load,
-      ehsim::Capacitor{47e-3, 0.0, 50e3});
+      ehsim::Capacitor{47e-3, 50e3});
   ehsim::Rk23Options opt;
   opt.max_step = 0.01;
   for (auto _ : state) {
     ehsim::Rk23Integrator ig(circuit, opt);
     const double v0 = 5.2;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, v0);
     benchmark::DoNotOptimize(ig.advance(1.0).steps_taken);
   }
 }
@@ -161,7 +161,7 @@ void BM_Rk23PiSecondOfCircuit(benchmark::State& state) {
   const ehsim::PvSource source(cell, [](double) { return 900.0; });
   const ehsim::ConstantPowerLoad load(3.5);
   const ehsim::EhCircuit circuit(source, load,
-                                 ehsim::Capacitor{47e-3, 0.0, 50e3});
+                                 ehsim::Capacitor{47e-3, 50e3});
   ehsim::Rk23Options opt;
   opt.max_step = 0.25;
   opt.step_control = ehsim::StepControl::kPi;
@@ -169,50 +169,34 @@ void BM_Rk23PiSecondOfCircuit(benchmark::State& state) {
   for (auto _ : state) {
     ehsim::Rk23Integrator ig(circuit, opt);
     const double v0 = 5.2;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, v0);
     benchmark::DoNotOptimize(ig.advance(1.0).steps_taken);
   }
 }
 BENCHMARK(BM_Rk23PiSecondOfCircuit);
 
 // Event-path cost of one integrated second with a (never-firing) watch
-// level, in both event representations. The threshold form evaluates as a
-// subtract; the callback form pays the type-erased call.
-void bench_rk23_event_path(benchmark::State& state,
-                           const ehsim::EventSpec& ev) {
+// level.
+void BM_Rk23EventPathThreshold(benchmark::State& state) {
+  const auto ev =
+      ehsim::EventSpec::threshold(1.0, ehsim::EventDirection::kFalling, 1);
   const auto cell = sim::paper_pv_array();
   const ehsim::PvSource source(cell, [](double) { return 900.0; });
   const ehsim::ConstantPowerLoad load(3.5);
   const ehsim::EhCircuit circuit(source, load,
-                                 ehsim::Capacitor{47e-3, 0.0, 50e3});
+                                 ehsim::Capacitor{47e-3, 50e3});
   ehsim::Rk23Options opt;
   opt.max_step = 0.01;
   ehsim::Rk23Integrator ig(circuit, opt);
   for (auto _ : state) {
     const double v0 = 5.2;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, v0);
     benchmark::DoNotOptimize(
         ig.advance(1.0, std::span<const ehsim::EventSpec>(&ev, 1))
             .steps_taken);
   }
 }
-
-void BM_Rk23EventPathThreshold(benchmark::State& state) {
-  bench_rk23_event_path(state,
-                        ehsim::EventSpec::threshold(
-                            1.0, ehsim::EventDirection::kFalling, 1));
-}
 BENCHMARK(BM_Rk23EventPathThreshold);
-
-void BM_Rk23EventPathCallback(benchmark::State& state) {
-  bench_rk23_event_path(
-      state,
-      ehsim::EventSpec{[](double, std::span<const double> y) {
-                         return y[0] - 1.0;
-                       },
-                       ehsim::EventDirection::kFalling, 1});
-}
-BENCHMARK(BM_Rk23EventPathCallback);
 
 void BM_DenseOutputEventPath(benchmark::State& state) {
   // A *firing* threshold localised by the dense-output cubic root solve:
@@ -223,7 +207,7 @@ void BM_DenseOutputEventPath(benchmark::State& state) {
   const ehsim::ConstantCurrentSource source(0.0);
   const ehsim::ConstantPowerLoad load(3.5);
   const ehsim::EhCircuit circuit(source, load,
-                                 ehsim::Capacitor{47e-3, 0.0, 50e3});
+                                 ehsim::Capacitor{47e-3, 50e3});
   ehsim::Rk23Options opt;
   opt.max_step = 0.05;
   opt.step_control = ehsim::StepControl::kPi;
@@ -233,7 +217,7 @@ void BM_DenseOutputEventPath(benchmark::State& state) {
       ehsim::EventSpec::threshold(5.0, ehsim::EventDirection::kFalling, 1);
   for (auto _ : state) {
     const double v0 = 5.2;
-    ig.reset(0.0, std::span<const double>(&v0, 1));
+    ig.reset(0.0, v0);
     auto res = ig.advance(1.0, std::span<const ehsim::EventSpec>(&ev, 1));
     benchmark::DoNotOptimize(res.event_fired);
     res = ig.advance(1.0);

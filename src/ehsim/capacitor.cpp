@@ -15,15 +15,6 @@ double Capacitor::leakage_current(double v) const {
   return v / leakage_resistance;
 }
 
-double Capacitor::terminal_voltage(double v, double i_out) const {
-  return v - i_out * esr;
-}
-
-double Capacitor::voltage_drop_for_charge(double dq) const {
-  PNS_EXPECTS(capacitance > 0.0);
-  return dq / capacitance;
-}
-
 double required_capacitance(double q, double dv_allowed) {
   PNS_EXPECTS(q >= 0.0);
   PNS_EXPECTS(dv_allowed > 0.0);

@@ -2,35 +2,26 @@
 //
 // The paper's whole point is that only a *tiny* capacitor (47 mF vs the
 // multi-farad supercapacitors of energy-neutral designs) is needed when
-// consumption tracks harvest. The model includes the two parasitics that
-// matter at this scale: equivalent series resistance (voltage step under
-// load-current steps) and a parallel leakage resistance.
+// consumption tracks harvest. The model includes the parasitic that
+// matters to the node equation at this scale: a parallel leakage
+// resistance.
 #pragma once
 
 namespace pns::ehsim {
 
-/// Capacitor with ESR and parallel leakage.
+/// Capacitor with parallel leakage.
 struct Capacitor {
   double capacitance;          ///< F
-  double esr = 0.0;            ///< ohm, equivalent series resistance
   double leakage_resistance = 1e9;  ///< ohm, parallel self-discharge path
 
-  /// Stored energy at internal voltage v: E = C v^2 / 2 (J).
+  /// Stored energy at voltage v: E = C v^2 / 2 (J).
   double energy(double v) const;
 
-  /// Stored charge at internal voltage v: Q = C v (C).
+  /// Stored charge at voltage v: Q = C v (C).
   double charge(double v) const;
 
-  /// Self-discharge current at internal voltage v (A).
+  /// Self-discharge current at voltage v (A).
   double leakage_current(double v) const;
-
-  /// Terminal voltage when sourcing `i_out` amps from internal voltage v
-  /// (drops across the ESR).
-  double terminal_voltage(double v, double i_out) const;
-
-  /// Voltage change produced by extracting charge `dq` (C) at voltage v,
-  /// ignoring parasitics: dv = dq / C. Used in capacitance sizing.
-  double voltage_drop_for_charge(double dq) const;
 };
 
 /// Returns the capacitance (F) required to supply charge `q` while the

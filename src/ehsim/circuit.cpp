@@ -13,13 +13,8 @@ EhCircuit::EhCircuit(const CurrentSource& source, const Load& load,
   PNS_EXPECTS(cap_.capacitance > 0.0);
 }
 
-void EhCircuit::derivatives(double t, std::span<const double> y,
-                            std::span<double> dydt) const {
-  const double v = y[0];
-  double dv = net_current(v, t) / cap_.capacitance;
-  // The node voltage cannot go negative: clamp the derivative at 0 V.
-  if (v <= 0.0 && dv < 0.0) dv = 0.0;
-  dydt[0] = dv;
+double EhCircuit::derivative(double t, double v) const {
+  return derivative_with_source(t, v, source_->current(v, t));
 }
 
 double EhCircuit::net_current(double v, double t) const {
@@ -29,11 +24,12 @@ double EhCircuit::net_current(double v, double t) const {
 
 double EhCircuit::derivative_with_source(double t, double v,
                                          double i_source) const {
-  // Mirrors derivatives()/net_current() term for term (same association
-  // order), with the source term already evaluated.
+  // net_current() term for term (same association order), with the
+  // source term already evaluated.
   const double net =
       i_source - load_->current(v, t) - cap_.leakage_current(v);
   double dv = net / cap_.capacitance;
+  // The node voltage cannot go negative: clamp the derivative at 0 V.
   if (v <= 0.0 && dv < 0.0) dv = 0.0;
   return dv;
 }

@@ -1,4 +1,4 @@
-// The storage-node circuit of Fig. 2/Fig. 8 as an ODE system.
+// The storage-node circuit of Fig. 2/Fig. 8 as a scalar ODE system.
 //
 // One state variable: the capacitor voltage VC.
 //
@@ -23,10 +23,8 @@ class EhCircuit : public OdeSystem {
   /// Both `source` and `load` are borrowed and must outlive the circuit.
   EhCircuit(const CurrentSource& source, const Load& load, Capacitor cap);
 
-  std::size_t dimension() const override { return 1; }
-
-  void derivatives(double t, std::span<const double> y,
-                   std::span<double> dydt) const override;
+  /// dVC/dt at node voltage v, time t.
+  double derivative(double t, double v) const override;
 
   const Capacitor& capacitor() const { return cap_; }
 
@@ -36,11 +34,11 @@ class EhCircuit : public OdeSystem {
   /// Net current into the node at voltage v, time t (A).
   double net_current(double v, double t) const;
 
-  /// derivatives() with the source current supplied by the caller: the
-  /// batched path (ehsim/solar_cell_simd.hpp) evaluates the PV solves
-  /// batched across lanes and feeds each lane's current back
-  /// through here. Must stay bit-identical to derivatives() when
-  /// `i_source == source().current(v, t)`.
+  /// dVC/dt with the source current supplied by the caller -- the one
+  /// body of the node equation; derivative() calls it with
+  /// source().current(v, t). The batched path (ehsim/solar_cell_simd.hpp)
+  /// evaluates the PV solves batched across lanes and feeds each lane's
+  /// current in here.
   double derivative_with_source(double t, double v, double i_source) const;
 
   /// Latest time T >= t such that the whole right-hand side is provably

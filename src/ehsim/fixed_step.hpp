@@ -6,17 +6,13 @@
 // implementation.
 #pragma once
 
-#include <span>
-#include <vector>
-
 #include "ehsim/ode.hpp"
 
 namespace pns::ehsim {
 
 /// Integrates y' = f(t,y) from (t0, y0) to t_end with fixed step h using
-/// the classic 4th-order Runge-Kutta method. The final state overwrites
-/// `y0`.
-void integrate_rk4(const OdeSystem& system, double t0, std::span<double> y0,
-                   double t_end, double h);
+/// the classic 4th-order Runge-Kutta method; returns the final state.
+double integrate_rk4(const OdeSystem& system, double t0, double y0,
+                     double t_end, double h);
 
 }  // namespace pns::ehsim

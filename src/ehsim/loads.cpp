@@ -40,11 +40,4 @@ double ResistiveLoad::current(double v, double /*t*/) const {
   return v / ohms_;
 }
 
-CallbackLoad::CallbackLoad(std::function<double(double, double)> fn)
-    : fn_(std::move(fn)) {
-  PNS_EXPECTS(static_cast<bool>(fn_));
-}
-
-double CallbackLoad::current(double v, double t) const { return fn_(v, t); }
-
 }  // namespace pns::ehsim

@@ -3,12 +3,11 @@
 // The ODROID board behaves as a constant-power load over its 4.1-5.7 V
 // input range (its on-board regulators hold the rails, so I = P / Vin).
 // ConstantPowerLoad captures that with a minimum-voltage cutoff below
-// which the regulators drop out and draw only residual current.
-// CallbackLoad is the hook the co-simulation engine uses to couple the SoC
-// power model into the circuit.
+// which the regulators drop out and draw only residual current. The
+// co-simulation engine couples the SoC power model into the circuit
+// through its own Load (SimEngine::OdeLoad, sim/engine.hpp).
 #pragma once
 
-#include <functional>
 #include <limits>
 
 namespace pns::ehsim {
@@ -61,17 +60,6 @@ class ResistiveLoad : public Load {
 
  private:
   double ohms_;
-};
-
-/// Adapts an arbitrary callable (v, t) -> amps. The co-simulation engine
-/// wires the SoC power model in through this.
-class CallbackLoad : public Load {
- public:
-  explicit CallbackLoad(std::function<double(double, double)> fn);
-  double current(double v, double t) const override;
-
- private:
-  std::function<double(double, double)> fn_;
 };
 
 }  // namespace pns::ehsim

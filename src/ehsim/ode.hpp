@@ -1,20 +1,20 @@
 // ODE system interface and event specification.
 //
-// The energy-harvesting circuit (Fig. 2 of the paper) is a stiff-ish first
-// order system d(VC)/dt = (I_harvest - I_load) / C with discontinuous load
-// current (OPP changes) and threshold events (comparator crossings,
-// brownout). The paper validates its controller with Matlab's ODE23; we
-// provide the same integrator family (Bogacki-Shampine RK2(3)) plus event
-// localisation, defined against this minimal system interface.
+// The energy-harvesting circuit (Figs. 2 and 8 of the paper) is a first
+// order system in one state variable, the storage-node voltage:
+// C * dVC/dt = I_harvest - I_load - VC / R_leak, with a discontinuous
+// load current (OPP changes) and threshold events (comparator crossings,
+// brownout, recovery). The paper validates its controller with Matlab's
+// ODE23; we provide the same integrator family (Bogacki-Shampine RK2(3))
+// plus threshold-event localisation, defined against this scalar system
+// interface.
 #pragma once
 
-#include <functional>
-#include <span>
-#include <vector>
+#include <cstddef>
 
 namespace pns::ehsim {
 
-/// Right-hand side of an autonomous-in-form ODE y' = f(t, y).
+/// Right-hand side of a scalar ODE y' = f(t, y).
 ///
 /// Implementations must be side-effect free: the integrator evaluates the
 /// derivative at trial points that may be discarded.
@@ -22,19 +22,14 @@ class OdeSystem {
  public:
   virtual ~OdeSystem() = default;
 
-  /// Number of state variables.
-  virtual std::size_t dimension() const = 0;
-
-  /// Writes f(t, y) into dydt (both spans have dimension() elements).
-  virtual void derivatives(double t, std::span<const double> y,
-                           std::span<double> dydt) const = 0;
+  /// f(t, y).
+  virtual double derivative(double t, double y) const = 0;
 };
 
 /// Crossing direction an event fires on.
 enum class EventDirection {
   kRising,   ///< g goes from negative to non-negative
   kFalling,  ///< g goes from positive to non-positive
-  kAny,      ///< any sign change
 };
 
 /// The discrete crossing test: did g move across zero in `direction`
@@ -49,47 +44,25 @@ inline bool event_direction_matches(EventDirection direction, double g0,
       return g0 < 0.0 && g1 >= 0.0;
     case EventDirection::kFalling:
       return g0 > 0.0 && g1 <= 0.0;
-    case EventDirection::kAny:
-      return (g0 < 0.0 && g1 >= 0.0) || (g0 > 0.0 && g1 <= 0.0);
   }
   return false;
 }
 
-/// Scalar event function g(t, y); a root of g marks the event.
-///
-/// Two representations share this struct:
-///   * the dominant case -- a linear threshold on the first state variable,
-///     g(t, y) = y[0] - level -- is stored as plain data (`g` left empty),
-///     so evaluating it is a subtract instead of a type-erased call and
-///     building it never allocates;
-///   * anything else supplies a callable `g`.
-/// Use EventSpec::threshold() for the first form; aggregate-initialising
-/// `{fn, direction, tag}` keeps working for the general form.
+/// A threshold event: the state crosses `level` in `direction`, i.e. a
+/// root of g(y) = y - level.
 struct EventSpec {
-  std::function<double(double t, std::span<const double> y)> g;
-  EventDirection direction = EventDirection::kAny;
+  double level = 0.0;
+  EventDirection direction = EventDirection::kRising;
   /// Opaque tag returned to the caller when this event fires.
   int tag = 0;
-  /// Threshold level for the fast path (used only when `g` is empty).
-  double level = 0.0;
 
-  /// Builds the allocation-free "y[0] crosses `level`" event.
   static EventSpec threshold(double level, EventDirection direction,
                              int tag) {
-    EventSpec e;
-    e.direction = direction;
-    e.tag = tag;
-    e.level = level;
-    return e;
+    return {level, direction, tag};
   }
 
-  /// True when this is the data-only threshold form.
-  bool is_threshold() const { return !g; }
-
-  /// Evaluates the event function.
-  double eval(double t, std::span<const double> y) const {
-    return g ? g(t, y) : y[0] - level;
-  }
+  /// Evaluates the event function g(y).
+  double eval(double y) const { return y - level; }
 };
 
 /// Outcome of advancing an integrator to a time limit.

@@ -1,4 +1,5 @@
-// Adaptive Bogacki-Shampine RK2(3) integrator with event localisation.
+// Adaptive Bogacki-Shampine RK2(3) integrator for the scalar storage node
+// with threshold-event localisation.
 //
 // This is the method behind Matlab's ODE23, which the paper uses for its
 // Simulink parameter-selection study (Section III). The embedded 2nd-order
@@ -6,11 +7,17 @@
 // FSAL (first-same-as-last) gives 3 derivative evaluations per accepted
 // step. Dense output is cubic Hermite over the accepted step, which is
 // enough to localise threshold/brownout events to ~1 us.
+//
+// A step has one form, Rk23StepAttempt: attempt_open() chooses the step
+// size and exposes the stage inputs, the three stage derivatives are
+// evaluated, and attempt_close() accepts or rejects and scans the events.
+// step_window() is those three parts for one trajectory; the lockstep
+// stepper (ehsim/rk23_batch) calls the same two halves and evaluates the
+// stages across lanes.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,9 +26,9 @@
 
 namespace pns::ehsim {
 
-/// The Bogacki-Shampine tableau, per state component. Rk23Integrator's
-/// step_window() and the batched stepper's stage_packed() (ehsim/rk23_batch)
-/// both evaluate their stages through these helpers, so the two paths
+/// The Bogacki-Shampine tableau. Rk23Integrator's step_window() and the
+/// batched stepper's stage_packed() (ehsim/rk23_batch) both evaluate
+/// their stages and error norm through these helpers, so the two paths
 /// share every coefficient and every association order. The helpers are
 /// bit-safe only when called from a PNS_BITEXACT_SOURCES TU
 /// (-ffp-contract=off, CMakeLists.txt); anywhere else the compiler may
@@ -56,13 +63,16 @@ inline double embedded_error(double y, double ynew, double h, double k1,
   return ynew - z;
 }
 
-/// One component's error scaled by atol + rtol * max(|y0|, |y1|); the
-/// step's error norm is the RMS of these.
-inline double scaled_error(double err, double y0, double y1, double rel_tol,
-                           double abs_tol) {
+/// The step's error norm: the error scaled by
+/// atol + rtol * max(|y0|, |y1|), as a one-component RMS. It stays
+/// sqrt(e * e) rather than |e|: the two differ where e * e under- or
+/// overflows, and the byte-frozen rk23 outputs come from this form.
+inline double error_norm(double err, double y0, double y1, double rel_tol,
+                         double abs_tol) {
   const double scale =
       abs_tol + rel_tol * std::max(std::abs(y0), std::abs(y1));
-  return err / scale;
+  const double e = err / scale;
+  return std::sqrt(e * e);
 }
 
 }  // namespace bs23
@@ -82,8 +92,7 @@ enum class StepControl {
 enum class EventLocalization {
   /// Bisection on the Hermite dense output (the original scheme).
   kBisection,
-  /// Direct root solve on the dense-output cubic (ehsim/dense_output.hpp)
-  /// for data-only threshold events; callback events still bisect.
+  /// Direct root solve on the dense-output cubic (ehsim/dense_output.hpp).
   kDenseRoot,
 };
 
@@ -100,22 +109,21 @@ struct Rk23Options {
   EventLocalization event_localization = EventLocalization::kBisection;
 };
 
-/// One step attempt of an open window. step_window() fills it for
-/// itself; the batched stepper (ehsim/rk23_batch) stages it across lanes:
-/// attempt_open() runs the shared step prologue (runaway guard,
-/// step-size choice) and exposes the stage inputs, the caller evaluates
-/// the four RK stages and the scaled error norm -- packed across lanes,
-/// with the exact scalar arithmetic -- and attempt_close() feeds them
-/// back into the shared accept/reject epilogue.
+/// One step attempt of an open window, the one form of a step:
+/// attempt_open() (runaway guard, step-size choice) fills the step size
+/// and the stage inputs, the caller evaluates the three remaining stage
+/// derivatives and the error norm through bs23::, and attempt_close()
+/// accepts or rejects it. step_window() does this for one trajectory;
+/// the batched stepper (ehsim/rk23_batch) stages it across lanes with the
+/// same arithmetic.
 struct Rk23StepAttempt {
-  // Filled by the step prologue:
+  // Filled by attempt_open():
   double h = 0.0;           ///< step size of this attempt
   bool end_capped = false;  ///< h shortened only to land on t_end
   double h_limit = 0.0;     ///< min(h_, max_step) before the end cap
-  // Filled by attempt_open() for dimension-1 systems:
-  double t = 0.0;   ///< time at the start of the attempt
-  double y = 0.0;   ///< state at the start of the attempt
-  double k1 = 0.0;  ///< FSAL stage: derivative at (t, y)
+  double t = 0.0;           ///< time at the start of the attempt
+  double y = 0.0;           ///< state at the start of the attempt
+  double k1 = 0.0;          ///< FSAL stage: derivative at (t, y)
   // Filled by the caller before attempt_close():
   double k2 = 0.0, k3 = 0.0, k4 = 0.0;
   double ynew = 0.0;  ///< 3rd-order solution at t + h
@@ -126,7 +134,7 @@ struct Rk23StepAttempt {
 /// Single-trajectory adaptive integrator. Typical use:
 ///
 ///   Rk23Integrator ig(system, opts);
-///   ig.reset(0.0, y0);
+///   ig.reset(0.0, v0);
 ///   auto res = ig.advance(t_end, events);
 ///   if (res.event_fired) { ...handle, maybe mutate system..., }
 ///   res = ig.advance(t_end, events);   // continues from the event time
@@ -139,10 +147,10 @@ class Rk23Integrator {
   Rk23Integrator(const OdeSystem& system, Rk23Options options = {});
 
   /// Sets the current time and state, discarding integration history.
-  void reset(double t0, std::span<const double> y0);
+  void reset(double t0, double y0);
 
   double time() const { return t_; }
-  std::span<const double> state() const { return y_; }
+  double state() const { return y_; }
 
   /// Integrates forward until `t_end` or until the first event root,
   /// whichever comes first. Events are tested on every accepted step.
@@ -164,26 +172,19 @@ class Rk23Integrator {
   /// one accepted step (with event scan and possible rewind), accumulating
   /// into the same `result` given to begin_window(). Returns true while
   /// the window is still open; false once it completed -- `result` then
-  /// equals what advance() would have returned. The interleaved sequence
-  /// of FP operations per trajectory is identical to advance()'s, so a
-  /// window-stepped run is bit-identical to a plain advance().
+  /// equals what advance() would have returned. It is attempt_open(),
+  /// the three stage evaluations and attempt_close().
   bool step_window(IntegrationResult& result);
 
-  /// Split form of step_window() for the batched stepper's packed
-  /// rounds: performs the same prologue and fills the attempt's inputs.
-  /// Returns false (and completes `result`) when the window is already
-  /// done -- exactly when step_window() would have returned false
-  /// without attempting a step.
-  /// Only dimension-1 systems are supported (the batched engine
-  /// integrates the single-node circuit).
+  /// First half of a step: runaway guard and step-size choice, and the
+  /// attempt's stage inputs (t, y, the FSAL k1). Returns false (and
+  /// completes `result`) when the window is already done.
   bool attempt_open(Rk23StepAttempt& at, IntegrationResult& result);
 
-  /// Completes the attempt: accept/reject, step-size control, event scan
+  /// Second half of a step: accept/reject, step-size control, event scan
   /// and possible rewind. Same return convention as step_window(). The
-  /// caller must have filled k2..k4/ynew/yerr/err with values
-  /// bit-identical to what step_window() would have computed; the
-  /// epilogue is the very same code (finish_attempt), so the resulting
-  /// trajectory is bit-identical too.
+  /// caller must have filled k2..k4/ynew/yerr/err through bs23:: as
+  /// step_window() does; the trajectory is then bit-identical to it.
   bool attempt_close(const Rk23StepAttempt& at, IntegrationResult& result);
 
   const Rk23Options& options() const { return opt_; }
@@ -203,47 +204,26 @@ class Rk23Integrator {
 
  private:
   /// Cubic Hermite interpolation inside the last accepted step.
-  void interpolate(double t, std::span<double> y_out) const;
-
-  /// Cubic Hermite interpolation of a single state component.
-  double interpolate_one(double t, std::size_t i) const;
-
-  /// Evaluates event g at (t, y interpolated inside last step). Threshold
-  /// events interpolate only y[0]; general events use the event_y_ scratch
-  /// buffer (hence non-const).
-  double event_value(const EventSpec& ev, double t);
+  double interpolate(double t) const;
 
   double initial_step_guess(double t_end) const;
-
-  /// Shared prologue of step_window()/attempt_open(): runaway guard and
-  /// step-size choice (h_limit, end cap, min_step floor) into `at`.
-  /// Returns false, completing `result`, once the window reached t_end.
-  bool step_prologue(Rk23StepAttempt& at, IntegrationResult& result);
-
-  /// Shared epilogue of step_window()/attempt_close(): reject (with
-  /// step-size cut) or accept (commit, FSAL, step growth, event scan and
-  /// rewind). Reads the stage buffers k1_..k4_/ynew_/yerr_.
-  bool finish_attempt(double h, bool end_capped, double h_limit, double err,
-                      IntegrationResult& result);
 
   const OdeSystem* system_;
   Rk23Options opt_;
 
   double t_ = 0.0;
-  std::vector<double> y_;
-  std::vector<double> f0_;  // derivative at (t_, y_) -- FSAL cache
+  double y_ = 0.0;
+  double f0_ = 0.0;  // derivative at (t_, y_) -- FSAL cache
   bool have_f0_ = false;
 
-  // Last accepted step (for dense output / event bisection).
+  // Last accepted step (for dense output / event localisation).
   double step_t0_ = 0.0, step_t1_ = 0.0;
-  std::vector<double> step_y0_, step_y1_, step_f0_, step_f1_;
+  double step_y0_ = 0.0, step_y1_ = 0.0, step_f0_ = 0.0, step_f1_ = 0.0;
 
-  // Work arrays. advance() is allocation-free in steady state: the event
-  // buffers below grow once to the largest event count seen and are then
+  // Event values across a step. advance() is allocation-free in steady
+  // state: these grow once to the largest event count seen and are then
   // reused across calls.
-  std::vector<double> k1_, k2_, k3_, k4_, ytmp_, yerr_, ynew_;
-  std::vector<double> g_prev_, g_curr_;  // event values across a step
-  std::vector<double> event_y_;          // scratch for general-event eval
+  std::vector<double> g_prev_, g_curr_;
 
   double h_ = 0.0;  // current step size
   PiStepController pi_;  // used only in StepControl::kPi

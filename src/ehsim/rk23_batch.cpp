@@ -1,7 +1,6 @@
 #include "ehsim/rk23_batch.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "ehsim/solar_cell_simd.hpp"
 #include "util/contracts.hpp"
@@ -88,9 +87,9 @@ void Rk23BatchStepper::stage_packed(
     return attempts_[active_[j]];
   };
 
-  // Each stage is the scalar step_window() loop body for n = 1, through
-  // the same bs23:: helpers; rhs.eval keeps each lane's derivative
-  // evaluation order exactly scalar and batches the PV solves across lanes.
+  // Each stage is step_window()'s stage evaluation through the same
+  // bs23:: helpers; rhs.eval keeps each lane's derivative evaluation
+  // order exactly scalar and batches the PV solves across lanes.
   for (std::size_t j = 0; j < m; ++j) {
     const Rk23StepAttempt& at = attempt(j);
     ts_[j] = at.t + bs23::kC2 * at.h;
@@ -115,17 +114,13 @@ void Rk23BatchStepper::stage_packed(
   }
   rhs.eval(ids, ts_.data(), ys_.data(), k_.data());
 
-  // error_norm() specialised to dimension 1: sqrt((0 + e*e) / 1) is
-  // exactly sqrt(e*e).
   for (std::size_t j = 0; j < m; ++j) {
     Rk23StepAttempt& at = attempt(j);
     at.k4 = k_[j];
     at.yerr = bs23::embedded_error(at.y, at.ynew, at.h, at.k1, at.k2, at.k3,
                                    at.k4);
     const Rk23Options& o = integrators[active_[j]]->options();
-    const double e =
-        bs23::scaled_error(at.yerr, at.y, at.ynew, o.rel_tol, o.abs_tol);
-    at.err = std::sqrt(e * e);
+    at.err = bs23::error_norm(at.yerr, at.y, at.ynew, o.rel_tol, o.abs_tol);
   }
 }
 

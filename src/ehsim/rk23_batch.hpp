@@ -4,25 +4,24 @@
 // their open windows (begin_window .. window completion) in round-robin
 // rounds: every lane still in lockstep attempts exactly one step per
 // round, in lane order. Because each lane's numerics live entirely
-// inside its own integrator and every step runs through the integrator's
-// one prologue and one epilogue (see ehsim/rk23.hpp), the *interleave*
-// is pure execution strategy: per lane, the sequence of floating-point
-// operations -- and therefore the trajectory, the event roots, every
-// output bit -- is exactly what a scalar advance() would produce, for
-// any batch width and any lane order.
+// inside its own integrator and every step is the integrator's one step
+// form -- attempt_open(), the stages, attempt_close() (ehsim/rk23.hpp) --
+// the *interleave* is pure execution strategy: per lane, the sequence of
+// floating-point operations -- and therefore the trajectory, the event
+// roots, every output bit -- is exactly what a scalar advance() would
+// produce, for any batch width and any lane order.
 //
 // Packed rounds: given a BatchRhs bound to the lanes' circuits, a round
 // with at least two lanes in lockstep opens every lane's attempt
-// (attempt_open), evaluates the four RK stages and the error norm across
-// the whole active set -- the stage arithmetic lane by lane through the
-// integrator's own bs23:: helpers, the derivative evaluations through the
-// BatchRhs with the exact-mode PV Newton solves batched
-// (ehsim/solar_cell_simd.hpp) -- and closes each
-// attempt in lane order (attempt_close). A round with one lane in
-// lockstep, or any round without a BatchRhs, steps each lane through
-// step_window(): one lane has nothing to pack across. Both forms
-// replicate the scalar sequence exactly, so the choice changes
-// scheduling, never bits.
+// (attempt_open), evaluates the three remaining RK stages and the error
+// norm across the whole active set -- the stage arithmetic lane by lane
+// through the integrator's own bs23:: helpers, the derivative
+// evaluations through the BatchRhs with the exact-mode PV Newton solves
+// batched (ehsim/solar_cell_simd.hpp) -- and closes each attempt in lane
+// order (attempt_close). A round with one lane in lockstep, or any round
+// without a BatchRhs, steps each lane through step_window(): one lane
+// has nothing to pack across. Both forms replicate the scalar sequence
+// exactly, so the choice changes scheduling, never bits.
 //
 // Divergence fallback: a lane whose window drags on (its step size
 // collapsed while its peers finished -- e.g. a stiff transient after

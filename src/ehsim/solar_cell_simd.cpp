@@ -124,7 +124,7 @@ void BatchRhs::eval(std::span<const std::size_t> lane_ids, const double* t,
   // lookups are too cheap to recover it. Enter it only when the call
   // has at least two lanes whose solves are Newton-biased (exact-mode PV,
   // no table); otherwise answer every lane through its circuit's scalar
-  // derivatives() -- same bits either way.
+  // derivative() -- same bits either way.
   std::size_t newton_lanes = 0;
   for (std::size_t k = 0; k < n; ++k)
     if (lanes_[lane_ids[k]].newton_biased) ++newton_lanes;
@@ -132,8 +132,7 @@ void BatchRhs::eval(std::span<const std::size_t> lane_ids, const double* t,
     for (std::size_t k = 0; k < n; ++k) {
       const Binding& b = lanes_[lane_ids[k]];
       PNS_EXPECTS(b.circuit != nullptr);
-      b.circuit->derivatives(t[k], std::span<const double>(&y[k], 1),
-                             std::span<double>(&f[k], 1));
+      f[k] = b.circuit->derivative(t[k], y[k]);
     }
     return;
   }
@@ -150,8 +149,7 @@ void BatchRhs::eval(std::span<const std::size_t> lane_ids, const double* t,
     const Binding& b = lanes_[lane_ids[k]];
     PNS_EXPECTS(b.circuit != nullptr);
     if (b.pv == nullptr) {
-      b.circuit->derivatives(t[k], std::span<const double>(&y[k], 1),
-                             std::span<double>(&f[k], 1));
+      f[k] = b.circuit->derivative(t[k], y[k]);
       continue;
     }
     const PvSource::SolvePlan plan = b.pv->plan_current(y[k], t[k]);

@@ -64,8 +64,8 @@ void newton_current_batch(std::span<const NewtonLane> lanes, double* out,
 /// into memo hits, table lookups and Newton solves; the Newton solves run
 /// through newton_current_batch above and the cache update is re-applied
 /// through PvSource::commit_newton. Everything else falls back to the
-/// circuit's scalar derivatives() per lane. Either way eval() is
-/// bit-identical to calling derivatives() lane by lane in lane order,
+/// circuit's scalar derivative() per lane. Either way eval() is
+/// bit-identical to calling derivative() lane by lane in lane order,
 /// because plan/execute/commit *is* PvSource::current (one copy of the
 /// logic, see sources.cpp), and the PvSource counts every solve in its
 /// own solve_stats().

@@ -15,6 +15,12 @@
 
 namespace pns::gov {
 
+/// Tolerance (s) of every due-time comparison on the sampling-tick grid,
+/// shared by the engine's segment planner (sim/engine.cpp) and the
+/// per-domain governor (governors/multi_domain.cpp) so both agree on
+/// when a tick is due.
+inline constexpr double kTickEps = 1e-9;
+
 /// Inputs available to a governor at each sampling tick.
 struct GovernorContext {
   double t = 0.0;             ///< current time (s)

@@ -11,10 +11,6 @@ namespace pns::gov {
 
 namespace {
 
-// Mirrors sim/engine.cpp's tick tolerance so due-time comparisons agree
-// with the engine's own grid arithmetic.
-constexpr double kTickEps = 1e-9;
-
 bool accepts_period(const std::string& name) {
   for (const pns::ParamInfo& p : governor_params(name))
     if (p.key == "period") return true;

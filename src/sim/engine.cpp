@@ -16,7 +16,7 @@ constexpr int kTagHigh = 2;      // node rose through the HIGH trip
 constexpr int kTagBrownout = 3;  // node fell through v_min
 constexpr int kTagRecover = 4;   // node rose through the reboot level
 
-constexpr double kTimeEps = 1e-9;
+using gov::kTickEps;
 
 }  // namespace
 
@@ -54,8 +54,7 @@ SimEngine::SimEngine(const soc::Platform& platform,
       governor_(std::move(governor)),
       load_(*this),
       circuit_(*source_, load_,
-               ehsim::Capacitor{cfg_.capacitance_f, cfg_.cap_esr_ohm,
-                                cfg_.cap_leak_ohm}),
+               ehsim::Capacitor{cfg_.capacitance_f, cfg_.cap_leak_ohm}),
       integrator_(circuit_,
                   ehsim::Rk23Options{
                       .rel_tol = cfg_.rel_tol,
@@ -180,12 +179,7 @@ bool SimEngine::try_coast(double t, double vc, double next_gov_tick,
   if (span <= 2.0 * cfg_.max_segment_s) return false;
 
   const double tol = cfg_.coast_dv_tol_v;
-  auto dvdt = [&](double v) {
-    double d = 0.0;
-    circuit_.derivatives(t, std::span<const double>(&v, 1),
-                         std::span<double>(&d, 1));
-    return d;
-  };
+  auto dvdt = [&](double v) { return circuit_.derivative(t, v); };
   // Quiescence: the drift at vc stays within the tolerance over the whole
   // span, and the flow at vc +/- tol points inward (or is equally tiny).
   // The inward check distinguishes a *stable* equilibrium -- where a
@@ -197,10 +191,8 @@ bool SimEngine::try_coast(double t, double vc, double next_gov_tick,
   if (dvdt(vc + tol) * span > tol) return false;
   if (dvdt(vc - tol) * span < -tol) return false;
   // Every watched threshold must be out of reach of the bounded drift.
-  for (const auto& ev : events_) {
-    if (!ev.is_threshold()) return false;  // can't bound a callback event
+  for (const auto& ev : events_)
     if (std::abs(vc - ev.level) <= 2.0 * tol) return false;
-  }
   // So must the comparator channels' *unwatched* trip levels: hysteresis
   // re-arm crossings are caught by the quiet-stop monitor sync, which a
   // coast jump would postpone by the whole span if VC drifted across one.
@@ -213,7 +205,7 @@ bool SimEngine::try_coast(double t, double vc, double next_gov_tick,
   }
 
   const double v_new = vc + f * span;
-  integrator_.reset(horizon, std::span<const double>(&v_new, 1));
+  integrator_.reset(horizon, v_new);
   out = {};
   out.t = horizon;
   return true;
@@ -279,7 +271,7 @@ void SimEngine::begin() {
     kick_if_outside(cur_vc_, cur_t_);
   }
 
-  integrator_.reset(cur_t_, std::span<const double>(&cur_vc_, 1));
+  integrator_.reset(cur_t_, cur_vc_);
 
   next_gov_tick_ = governor_
                        ? cur_t_ + governor_->sampling_period()
@@ -299,7 +291,7 @@ void SimEngine::begin() {
   ode_p_base_ = std::numeric_limits<double>::quiet_NaN();
 }
 
-bool SimEngine::finished() const { return cur_t_ >= cfg_.t_end - kTimeEps; }
+bool SimEngine::finished() const { return cur_t_ >= cfg_.t_end - kTickEps; }
 
 SimEngine::SegmentPlan SimEngine::plan_segment() {
   seg_t0_ = cur_t_;
@@ -338,7 +330,7 @@ SimEngine::SegmentPlan SimEngine::plan_segment() {
         gov_stop_ = std::numeric_limits<double>::infinity();
       } else {
         const double period = governor_->sampling_period();
-        while (gov_stop_ + kTimeEps < hold) gov_stop_ += period;
+        while (gov_stop_ + kTickEps < hold) gov_stop_ += period;
       }
     }
   }
@@ -357,7 +349,7 @@ SimEngine::SegmentPlan SimEngine::plan_segment() {
 
 void SimEngine::commit_segment(const ehsim::IntegrationResult& res) {
   const double t = res.t;
-  const double vc = integrator_.state()[0];
+  const double vc = integrator_.state();
   cur_t_ = t;
   cur_vc_ = vc;
 
@@ -412,11 +404,11 @@ void SimEngine::commit_segment(const ehsim::IntegrationResult& res) {
   // Timed boundaries are checked even when an event fired at the same
   // instant (an event landing exactly on a step boundary must not leave
   // the completed step pending, or the next segment would be empty).
-  if (t + kTimeEps >= soc_.next_boundary()) {
+  if (t + kTickEps >= soc_.next_boundary()) {
     soc_.complete_step(t);
     force_record = true;
   }
-  if (t + kTimeEps >= soc_.boot_complete_time()) {
+  if (t + kTickEps >= soc_.boot_complete_time()) {
     soc_.complete_boot(t);
     if (controller_) {
       controller_->calibrate(vc, t);
@@ -430,11 +422,11 @@ void SimEngine::commit_segment(const ehsim::IntegrationResult& res) {
     // provably a no-op (strictly before gov_stop_) is consumed without
     // running the handler, staying on the sampling grid throughout.
     const double period = governor_->sampling_period();
-    while (next_gov_tick_ + kTimeEps < gov_stop_ &&
-           next_gov_tick_ <= t + kTimeEps)
+    while (next_gov_tick_ + kTickEps < gov_stop_ &&
+           next_gov_tick_ <= t + kTickEps)
       next_gov_tick_ += period;
   }
-  if (governor_ && t + kTimeEps >= next_gov_tick_) {
+  if (governor_ && t + kTickEps >= next_gov_tick_) {
     next_gov_tick_ = t + governor_->sampling_period();
     if (soc_.is_on()) {
       latched_util_ = workload_->utilization(t);

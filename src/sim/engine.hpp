@@ -41,7 +41,6 @@ struct SimConfig {
 
   // Storage node (the paper's validation system uses 47 mF).
   double capacitance_f = 47e-3;
-  double cap_esr_ohm = 0.0;        ///< modelled inside the node lump
   double cap_leak_ohm = 50.0e3;    ///< supercap self-discharge
   double vc0 = 5.3;                ///< initial node voltage (V)
 

@@ -114,7 +114,7 @@ void IntegratorAxis::register_builtins(IntegratorRegistry& registry) {
   // width=1 degenerates to plain rk23pi).
   IntegratorEntry simd{
       "rk23simd",
-      "rk23pi numerics, SIMD lockstep batches (bit-identical to rk23pi)",
+      "rk23pi numerics, lockstep batches (bit-identical to rk23pi)",
       pi_family_params(),
       [](const ScenarioSpec&, const ParamMap& params, sim::SimConfig& cfg) {
         apply_pi_family(params, cfg);

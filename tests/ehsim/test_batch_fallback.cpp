@@ -40,11 +40,7 @@ namespace {
 class ExpDecay : public OdeSystem {
  public:
   explicit ExpDecay(double k) : k_(k) {}
-  std::size_t dimension() const override { return 1; }
-  void derivatives(double, std::span<const double> y,
-                   std::span<double> dydt) const override {
-    dydt[0] = -k_ * y[0];
-  }
+  double derivative(double, double y) const override { return -k_ * y; }
 
  private:
   double k_;
@@ -60,12 +56,11 @@ ScalarRun scalar_window(const OdeSystem& sys, double y0, double t_end,
                         std::span<const EventSpec> events,
                         const Rk23Options& opts) {
   Rk23Integrator ig(sys, opts);
-  const double y0v[] = {y0};
-  ig.reset(0.0, y0v);
+  ig.reset(0.0, y0);
   ScalarRun run;
   run.result = ig.advance(t_end, events);
   run.t = ig.time();
-  run.y = ig.state()[0];
+  run.y = ig.state();
   return run;
 }
 
@@ -94,8 +89,7 @@ TEST(BatchFallback, DivergentTailWindowIsBitIdenticalToScalar) {
   for (const double k : ks) {
     systems.push_back(std::make_unique<ExpDecay>(k));
     owned.push_back(std::make_unique<Rk23Integrator>(*systems.back(), opts));
-    const double y0[] = {1.0};
-    owned.back()->reset(0.0, y0);
+    owned.back()->reset(0.0, 1.0);
     igs.push_back(owned.back().get());
   }
   std::vector<LaneStatus> status(igs.size(), LaneStatus::kIdle);
@@ -113,7 +107,7 @@ TEST(BatchFallback, DivergentTailWindowIsBitIdenticalToScalar) {
     EXPECT_EQ(results[i].rejected_steps, ref.result.rejected_steps)
         << "k=" << ks[i];
     EXPECT_EQ(igs[i]->time(), ref.t) << "k=" << ks[i];
-    EXPECT_EQ(igs[i]->state()[0], ref.y) << "k=" << ks[i];
+    EXPECT_EQ(igs[i]->state(), ref.y) << "k=" << ks[i];
     EXPECT_EQ(status[i], LaneStatus::kIdle);
   }
 }
@@ -129,8 +123,7 @@ TEST(BatchFallback, EventRootStopsTheLaneExactlyWhereScalarDoes) {
   for (const double k : ks) {
     systems.push_back(std::make_unique<ExpDecay>(k));
     owned.push_back(std::make_unique<Rk23Integrator>(*systems.back(), opts));
-    const double y0[] = {1.0};
-    owned.back()->reset(0.0, y0);
+    owned.back()->reset(0.0, 1.0);
     igs.push_back(owned.back().get());
   }
   std::vector<LaneStatus> status(igs.size(), LaneStatus::kIdle);
@@ -147,7 +140,7 @@ TEST(BatchFallback, EventRootStopsTheLaneExactlyWhereScalarDoes) {
     EXPECT_EQ(results[i].event_tag, 7);
     EXPECT_EQ(results[i].t, ref.result.t) << "k=" << ks[i];
     EXPECT_EQ(igs[i]->time(), ref.t) << "k=" << ks[i];
-    EXPECT_EQ(igs[i]->state()[0], ref.y) << "k=" << ks[i];
+    EXPECT_EQ(igs[i]->state(), ref.y) << "k=" << ks[i];
   }
 }
 

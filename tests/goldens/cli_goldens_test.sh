@@ -90,8 +90,17 @@ journalled() {
   check "$name.canon.jsonl"
 }
 
+# Sweeps are deterministic across thread counts, for each engine and
+# both PV modes.
 golden table2_rk23 table2 --minutes 2
+same_as table2_rk23 table2 --minutes 2 --threads 1
+same_as table2_rk23 table2 --minutes 2 --threads 4
 golden table2_rk23pi table2 --minutes 2 --integrator rk23pi
+same_as table2_rk23pi table2 --minutes 2 --integrator rk23pi --threads 1
+same_as table2_rk23pi table2 --minutes 2 --integrator rk23pi --threads 4
+golden table2_tabulated table2 --minutes 2 --pv-mode tabulated
+same_as table2_tabulated table2 --minutes 2 --pv-mode tabulated --threads 1
+same_as table2_tabulated table2 --minutes 2 --pv-mode tabulated --threads 4
 # width is execution-only: the identity in the header drops it.
 journalled table2_rk23simd table2 --minutes 2 --integrator rk23simd:width=4
 journalled quick quick
