@@ -85,7 +85,6 @@ PowerNeutralController::PowerNeutralController(const soc::Platform& platform,
                                   ? config.v_ceiling
                                   : platform.v_max}),
       }),
-      dvfs_(1),
       hotplug_(HotplugParams{config.alpha, config.beta}),
       planner_(platform) {}
 

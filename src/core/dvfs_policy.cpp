@@ -8,20 +8,12 @@ const char* to_string(ScaleDirection d) {
   return d == ScaleDirection::kDown ? "down" : "up";
 }
 
-LinearDvfsPolicy::LinearDvfsPolicy(int steps_per_crossing)
-    : steps_(steps_per_crossing) {
-  PNS_EXPECTS(steps_per_crossing >= 1);
-}
-
 std::size_t LinearDvfsPolicy::next_index(const soc::OppTable& table,
                                          std::size_t current,
                                          ScaleDirection direction) const {
   PNS_EXPECTS(current < table.size());
-  std::size_t idx = current;
-  for (int s = 0; s < steps_; ++s)
-    idx = direction == ScaleDirection::kDown ? table.step_down(idx)
-                                             : table.step_up(idx);
-  return idx;
+  return direction == ScaleDirection::kDown ? table.step_down(current)
+                                            : table.step_up(current);
 }
 
 }  // namespace pns::ctl

@@ -24,16 +24,9 @@ const char* to_string(ScaleDirection d);
 /// One-ladder-step frequency policy.
 class LinearDvfsPolicy {
  public:
-  explicit LinearDvfsPolicy(int steps_per_crossing = 1);
-
   /// Next frequency index after a crossing (saturates at ladder ends).
   std::size_t next_index(const soc::OppTable& table, std::size_t current,
                          ScaleDirection direction) const;
-
-  int steps_per_crossing() const { return steps_; }
-
- private:
-  int steps_;
 };
 
 }  // namespace pns::ctl

@@ -12,15 +12,6 @@ DerivativeHotplugPolicy::DerivativeHotplugPolicy(HotplugParams params)
   PNS_EXPECTS(params_.beta > params_.alpha);
 }
 
-CoreScale DerivativeHotplugPolicy::factors(double dv_dt) const {
-  CoreScale s;
-  if (dv_dt > params_.beta) s.s_big = 1;
-  if (dv_dt < -params_.beta) s.s_big = -1;
-  if (dv_dt > params_.alpha) s.s_little = 1;
-  if (dv_dt < -params_.alpha) s.s_little = -1;
-  return s;
-}
-
 CoreScale DerivativeHotplugPolicy::decide(double tau_s, double v_q,
                                           ScaleDirection direction) const {
   PNS_EXPECTS(v_q > 0.0);

@@ -40,10 +40,6 @@ class DerivativeHotplugPolicy {
 
   const HotplugParams& params() const { return params_; }
 
-  /// Raw eq. 2: both factors from a signed slope (V/s). Both may be
-  /// non-zero (|slope| > beta implies |slope| > alpha).
-  CoreScale factors(double dv_dt) const;
-
   /// Fig. 5 flowchart semantics: slope magnitude from tau (eq. 3), big
   /// checked first, at most one factor set.
   CoreScale decide(double tau_s, double v_q, ScaleDirection direction) const;

@@ -31,9 +31,6 @@ class EhCircuit : public OdeSystem {
   /// The harvester feeding the node (borrowed at construction).
   const CurrentSource& source() const { return *source_; }
 
-  /// Net current into the node at voltage v, time t (A).
-  double net_current(double v, double t) const;
-
   /// dVC/dt with the source current supplied by the caller -- the one
   /// body of the node equation; derivative() calls it with
   /// source().current(v, t). The batched path (ehsim/solar_cell_simd.hpp)
@@ -47,11 +44,6 @@ class EhCircuit : public OdeSystem {
   /// the ODE is autonomous, which is what licenses the engine's
   /// steady-state coasting jump.
   double time_invariant_until(double t) const;
-
-  /// Finds the equilibrium node voltage in [v_lo, v_hi] where net current
-  /// is zero, by bisection; returns the boundary with smaller |net| when no
-  /// sign change exists in the bracket.
-  double equilibrium_voltage(double t, double v_lo, double v_hi) const;
 
  private:
   const CurrentSource* source_;

@@ -37,7 +37,7 @@ double refine_root(const HermiteCubic& cubic, double level, double lo,
     } else {
       hi = s;
     }
-    const double d = cubic.deriv(s);
+    const double d = (3.0 * cubic.c3 * s + 2.0 * cubic.c2) * s + cubic.c1;
     double next = d != 0.0 ? s - g / d : lo;
     // Newton step outside the bracket (or stalled): bisect instead.
     if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);

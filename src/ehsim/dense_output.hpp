@@ -29,7 +29,6 @@ struct HermiteCubic {
                                 double f1);
 
   double eval(double s) const { return ((c3 * s + c2) * s + c1) * s + c0; }
-  double deriv(double s) const { return (3.0 * c3 * s + 2.0 * c2) * s + c1; }
 };
 
 /// Result of a threshold-crossing search inside one step.

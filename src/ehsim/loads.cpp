@@ -27,11 +27,6 @@ double ConstantPowerLoad::current(double v, double /*t*/) const {
   return watts_ / divisor;
 }
 
-void ConstantPowerLoad::set_watts(double watts) {
-  PNS_EXPECTS(watts >= 0.0);
-  watts_ = watts;
-}
-
 ResistiveLoad::ResistiveLoad(double ohms) : ohms_(ohms) {
   PNS_EXPECTS(ohms > 0.0);
 }

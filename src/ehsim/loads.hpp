@@ -40,9 +40,6 @@ class ConstantPowerLoad : public Load {
     return std::numeric_limits<double>::infinity();
   }
 
-  double watts() const { return watts_; }
-  void set_watts(double watts);
-
  private:
   double watts_;
   double v_cutoff_;

@@ -115,21 +115,6 @@ MppPoint SolarCell::mpp(double irradiance) const {
   return {v, i, v * i};
 }
 
-pns::PiecewiseLinear SolarCell::iv_curve(double irradiance,
-                                         std::size_t points) const {
-  PNS_EXPECTS(points >= 2);
-  const double voc = open_circuit_voltage(irradiance);
-  const double vmax = voc > 0.0 ? voc : 1.0;
-  std::vector<double> vs(points), is(points);
-  for (std::size_t k = 0; k < points; ++k) {
-    const double v =
-        vmax * static_cast<double>(k) / static_cast<double>(points - 1);
-    vs[k] = v;
-    is[k] = current(v, irradiance);
-  }
-  return pns::PiecewiseLinear(std::move(vs), std::move(is));
-}
-
 SolarCell SolarCell::scaled_area(double factor) const {
   PNS_EXPECTS(factor > 0.0);
   SolarCellParams p = params_;

@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "util/interp.hpp"
 
 namespace pns::ehsim {
 
@@ -112,11 +111,6 @@ class SolarCell {
 
   /// Maximum power point under irradiance `g` (golden-section search).
   MppPoint mpp(double irradiance) const;
-
-  /// Samples the IV curve at `points` evenly spaced voltages in
-  /// [0, Voc(g)]; returns V -> I as a piecewise-linear function.
-  pns::PiecewiseLinear iv_curve(double irradiance,
-                                std::size_t points = 64) const;
 
   /// Returns an electrically equivalent array scaled in area by `factor`
   /// (currents scale up, resistances scale down).

@@ -172,7 +172,6 @@ class PvSource : public CurrentSource {
   const PvTable* table() const { return table_.get(); }
 
   const SolarCell& cell() const { return cell_; }
-  double irradiance_at(double t) const { return irradiance_(t); }
 
  private:
   SolarCell cell_;
@@ -208,8 +207,6 @@ class ControlledSupply : public CurrentSource {
 
   double current(double v, double t) const override;
   double available_power(double t) const override;
-
-  double source_voltage_at(double t) const { return v_source_(t); }
 
  private:
   std::function<double(double)> v_source_;

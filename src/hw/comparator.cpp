@@ -7,7 +7,6 @@ namespace pns::hw {
 Comparator::Comparator(ComparatorParams params) : params_(params) {
   PNS_EXPECTS(params_.v_ref > 0.0);
   PNS_EXPECTS(params_.hysteresis_v >= 0.0);
-  PNS_EXPECTS(params_.prop_delay_s >= 0.0);
 }
 
 double Comparator::rising_trip() const {

@@ -2,9 +2,9 @@
 //
 // Stateful: real comparators have hysteresis (built-in or via positive
 // feedback) which we model explicitly because it prevents interrupt storms
-// when the divided node voltage sits exactly on the reference. Offset and
-// propagation delay are modelled so the monitor's threshold accuracy
-// analysis (tests) can bound end-to-end error.
+// when the divided node voltage sits exactly on the reference. The input
+// offset is modelled so the monitor's threshold accuracy analysis (tests)
+// can bound end-to-end error.
 #pragma once
 
 namespace pns::hw {
@@ -14,7 +14,6 @@ struct ComparatorParams {
   double v_ref = 0.400;       ///< internal reference (V)
   double offset_v = 0.0005;   ///< input offset voltage (V)
   double hysteresis_v = 0.0065;  ///< total input hysteresis band (V)
-  double prop_delay_s = 18e-6;   ///< propagation delay (s)
 };
 
 /// Comparator with hysteresis. Output is high when (input - offset)

@@ -27,10 +27,6 @@ double Mcp4131::resistance_at(int code) const {
              static_cast<double>(kSteps - 1);
 }
 
-double Mcp4131::step_resistance() const {
-  return r_full_scale_ / static_cast<double>(kSteps - 1);
-}
-
 double Mcp4131::program_time_s(double spi_hz) const {
   PNS_EXPECTS(spi_hz > 0.0);
   // One command = 16 SPI clocks plus chip-select framing (~4 clocks).

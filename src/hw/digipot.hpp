@@ -33,9 +33,6 @@ class Mcp4131 {
   /// Resistance at an arbitrary code (no state change).
   double resistance_at(int code) const;
 
-  /// Resistance quantum of one wiper step.
-  double step_resistance() const;
-
   /// Time to clock one 16-bit SPI command at `spi_hz` (default 1 MHz).
   double program_time_s(double spi_hz = 1.0e6) const;
 

@@ -17,9 +17,4 @@ double PotentialDivider::input_for_output(double v_out) const {
   return v_out / ratio();
 }
 
-double PotentialDivider::bias_current(double v_in) const {
-  PNS_EXPECTS(r_top > 0.0 && r_bottom > 0.0);
-  return v_in / (r_top + r_bottom);
-}
-
 }  // namespace pns::hw

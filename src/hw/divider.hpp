@@ -21,9 +21,6 @@ struct PotentialDivider {
 
   /// Input voltage that produces `v_out` at the tap.
   double input_for_output(double v_out) const;
-
-  /// Quiescent current drawn from the node at `v_in` (A).
-  double bias_current(double v_in) const;
 };
 
 }  // namespace pns::hw

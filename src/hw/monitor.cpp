@@ -1,6 +1,5 @@
 #include "hw/monitor.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/contracts.hpp"
@@ -81,16 +80,6 @@ double ThresholdChannel::threshold() const {
   return threshold_for_code(pot_.code());
 }
 
-double ThresholdChannel::quantization_error() const {
-  const int c = pot_.code();
-  const double here = threshold_for_code(c);
-  double worst = 0.0;
-  if (c > 0) worst = std::max(worst, std::abs(threshold_for_code(c - 1) - here) / 2.0);
-  if (c < Mcp4131::kSteps - 1)
-    worst = std::max(worst, std::abs(threshold_for_code(c + 1) - here) / 2.0);
-  return worst;
-}
-
 bool ThresholdChannel::sample(double v_node) {
   return comp_.update(v_node * ratio_);
 }
@@ -141,12 +130,6 @@ std::optional<MonitorEdge> VoltageMonitor::sample(double v_node) {
   if (!high_before && high_after) return MonitorEdge::kHighRising;
   if (high_before && !high_after) return MonitorEdge::kHighFalling;
   return std::nullopt;
-}
-
-double VoltageMonitor::interrupt_latency() const {
-  // Comparator propagation + MOSFET stage + GPIO ISR dispatch on the SoC.
-  constexpr double kIsrDispatch = 80e-6;
-  return low_.propagation_delay() + kIsrDispatch;
 }
 
 }  // namespace pns::hw

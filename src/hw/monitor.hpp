@@ -57,10 +57,6 @@ class ThresholdChannel {
   /// Programmed wiper code.
   int code() const { return pot_.code(); }
 
-  /// Worst-case threshold quantisation error (half a wiper step, in V)
-  /// around the current code.
-  double quantization_error() const;
-
   /// Presents the node voltage; returns the comparator output (true =
   /// node above threshold).
   bool sample(double v_node);
@@ -73,9 +69,6 @@ class ThresholdChannel {
 
   /// Node voltage at which the comparator output flips low.
   double node_falling_trip() const;
-
-  /// Comparator propagation delay (s), exposed for interrupt timing.
-  double propagation_delay() const { return comp_.params().prop_delay_s; }
 
   /// SPI programming latency for one threshold move (s).
   double program_time() const { return pot_.program_time_s(); }
@@ -139,10 +132,6 @@ class VoltageMonitor {
   /// Samples the node voltage; returns at most one edge (low-channel edges
   /// take priority -- the falling threshold is the safety-critical one).
   std::optional<MonitorEdge> sample(double v_node);
-
-  /// Interrupt latency from node crossing to ISR entry: comparator
-  /// propagation plus GPIO/ISR dispatch (~us scale).
-  double interrupt_latency() const;
 
   const ThresholdChannel& low_channel() const { return low_; }
   const ThresholdChannel& high_channel() const { return high_; }

@@ -73,30 +73,16 @@ SimEngine::SimEngine(const soc::Platform& platform,
   events_.reserve(3);  // brownout + low + high is the largest watch set
 }
 
-double SimEngine::load_power(double v) const {
-  return base_power() + ovp_power(v);
-}
-
 double SimEngine::base_power() const {
   double p = soc_.power(latched_util_);
   if (monitor_) p += hw::VoltageMonitor::kPowerW;
   return p;
 }
 
-double SimEngine::ovp_power(double v) const {
-  if (cfg_.ovp_shunt_v > 0.0 && v > cfg_.ovp_shunt_v)
-    return v * (v - cfg_.ovp_shunt_v) / cfg_.ovp_shunt_ohm;
-  return 0.0;
-}
-
 void SimEngine::refresh_segment_power() { seg_p_base_ = base_power(); }
 
-double SimEngine::segment_load_power(double v) const {
-  return seg_p_base_ + ovp_power(v);
-}
-
 double SimEngine::segment_load_current(double v) const {
-  return segment_load_power(v) / std::max(v, cfg_.load_v_floor_v);
+  return seg_p_base_ / std::max(v, cfg_.load_v_floor_v);
 }
 
 Snapshot SimEngine::snapshot(double vc, double t) const {
@@ -107,7 +93,7 @@ Snapshot SimEngine::snapshot(double vc, double t) const {
       soc_.is_on() ? platform_->opps.frequency(opp.freq_index) : 0.0;
   s.n_little = soc_.is_on() ? opp.cores.n_little : 0;
   s.n_big = soc_.is_on() ? opp.cores.n_big : 0;
-  s.p_consumed = load_power(vc);
+  s.p_consumed = base_power();
   s.p_available = source_->available_power(t);
   if (controller_) {
     s.v_low = controller_->thresholds().v_low();
@@ -302,7 +288,6 @@ SimEngine::SegmentPlan SimEngine::plan_segment() {
     integrator_.notify_discontinuity();
     ode_p_base_ = seg_p_base_;
   }
-  seg_p_load_ = segment_load_power(seg_v0_);
   seg_p_harv0_ = source_->current(seg_v0_, cur_t_) * seg_v0_;
   seg_instr_rate_ = soc_.instruction_rate(latched_util_);
   if (platform_->domains)
@@ -355,7 +340,7 @@ void SimEngine::commit_segment(const ehsim::IntegrationResult& res) {
 
   // --- segment accounting ---------------------------------------------
   acc_->add_segment(seg_t0_, t, seg_v0_, vc, seg_p_harv0_,
-                    source_->current(vc, t) * vc, seg_p_load_,
+                    source_->current(vc, t) * vc, seg_p_base_,
                     seg_instr_rate_, soc_.is_on());
   workload_->advance(seg_t0_, t - seg_t0_, seg_instr_rate_);
   if (platform_->domains) {

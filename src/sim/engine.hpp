@@ -89,10 +89,6 @@ struct SimConfig {
   bool enable_reboot = true;
   double reboot_margin_v = 0.5;  ///< boot when VC > v_min + margin
 
-  // Optional over-voltage shunt (protects bench-supply experiments).
-  double ovp_shunt_v = 0.0;  ///< 0 disables
-  double ovp_shunt_ohm = 0.5;
-
   /// Lower clamp on the node voltage in the I = P / V conversion of the
   /// constant-power load. Keeps the current finite through node collapse;
   /// platforms whose regulators stay alive below 50 mV (or sweeps over
@@ -206,16 +202,12 @@ class SimEngine {
             SimConfig config, ctl::ControllerConfig* controller_config,
             std::unique_ptr<gov::Governor> governor);
 
-  double load_power(double v) const;
   /// SoC + threshold-monitor draw at the latched utilisation (W).
   double base_power() const;
-  /// Over-voltage shunt dissipation at node voltage v (0 when disabled).
-  double ovp_power(double v) const;
-  /// load_power with the SoC + monitor term pre-computed (seg_p_base_).
-  /// The SoC draw is constant between stop points, so the ODE callback
-  /// only adds the voltage-dependent OVP term instead of re-walking the
-  /// power model on every derivative evaluation.
-  double segment_load_power(double v) const;
+  /// I = P / V of the segment's load power (seg_p_base_). The SoC draw is
+  /// constant between stop points, so the ODE callback divides a cached
+  /// power instead of re-walking the power model on every derivative
+  /// evaluation.
   double segment_load_current(double v) const;
   /// Recomputes seg_p_base_ from the current SoC state and latched
   /// utilisation. Must run before every integrator_.advance().
@@ -305,7 +297,6 @@ class SimEngine {
   // Carried from plan_segment() into commit_segment().
   double seg_t0_ = 0.0;
   double seg_v0_ = 0.0;
-  double seg_p_load_ = 0.0;
   double seg_p_harv0_ = 0.0;
   double seg_instr_rate_ = 0.0;
 

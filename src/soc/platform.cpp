@@ -1,21 +1,11 @@
 #include "soc/platform.hpp"
 
-#include <algorithm>
-
 #include "soc/topology.hpp"
 #include "util/literals.hpp"
 
 namespace pns::soc {
 
 using namespace pns::literals;
-
-CoreConfig Platform::clamp_cores(const CoreConfig& c) const {
-  CoreConfig out = c;
-  out.n_little = std::clamp(c.n_little, min_cores.n_little,
-                            max_cores.n_little);
-  out.n_big = std::clamp(c.n_big, min_cores.n_big, max_cores.n_big);
-  return out;
-}
 
 bool Platform::valid_cores(const CoreConfig& c) const {
   return c.within(min_cores, max_cores);

@@ -52,9 +52,6 @@ struct Platform {
   /// ladder and board_power()/instruction_rate() dispatch per level.
   std::shared_ptr<const MultiDomainModel> domains;
 
-  /// Clamps a configuration into [min_cores, max_cores].
-  CoreConfig clamp_cores(const CoreConfig& c) const;
-
   /// True when `c` lies within the hot-plug limits.
   bool valid_cores(const CoreConfig& c) const;
 

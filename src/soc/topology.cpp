@@ -60,20 +60,6 @@ double MultiDomainModel::instruction_rate(std::size_t level, double u) const {
   return rate;
 }
 
-std::vector<double> MultiDomainModel::budget_shares(std::size_t level,
-                                                    double u) const {
-  std::vector<double> shares(domains.size(), 0.0);
-  double total = 0.0;
-  for (std::size_t d = 0; d < domains.size(); ++d) {
-    shares[d] = domain_power(level, d, u);
-    total += shares[d];
-  }
-  if (total > 0.0) {
-    for (double& s : shares) s /= total;
-  }
-  return shares;
-}
-
 namespace {
 
 using LevelRow = std::vector<std::size_t>;

@@ -105,10 +105,6 @@ struct MultiDomainModel {
 
   /// Sum of per-domain instruction rates.
   double instruction_rate(std::size_t level, double u) const;
-
-  /// Fraction of the (base-exclusive) domain budget allocated to each
-  /// domain at `level`; sums to 1 whenever any domain draws power.
-  std::vector<double> budget_shares(std::size_t level, double u) const;
 };
 
 /// A composition of heterogeneous domains plus the arbiter policy,

@@ -128,11 +128,4 @@ double TransitionPlanner::total_charge(
   return q;
 }
 
-double TransitionPlanner::total_energy(
-    const std::vector<TransitionStep>& steps) {
-  double e = 0.0;
-  for (const auto& s : steps) e += s.power_w * s.duration_s;
-  return e;
-}
-
 }  // namespace pns::soc

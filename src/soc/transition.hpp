@@ -77,9 +77,6 @@ class TransitionPlanner {
   static double total_charge(const std::vector<TransitionStep>& steps,
                              double v_node);
 
-  /// Total energy (J) burned while the plan executes.
-  static double total_energy(const std::vector<TransitionStep>& steps);
-
  private:
   void plan_core_phase(std::vector<TransitionStep>& out, OperatingPoint& cur,
                        const CoreConfig& target, double utilization) const;

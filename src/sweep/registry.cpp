@@ -93,11 +93,6 @@ ehsim::PvSource resolve_source(const ScenarioSpec& spec,
       spec, spec.source.params, assets);
 }
 
-ehsim::PvSource resolve_source(const ScenarioSpec& spec) {
-  ScenarioAssets assets;
-  return resolve_source(spec, assets);
-}
-
 void resolve_integrator(const ScenarioSpec& spec, sim::SimConfig& cfg) {
   IntegratorRegistry::instance().entry_for(spec.integrator).apply(
       spec, spec.integrator.params, cfg);

@@ -174,9 +174,6 @@ sim::ControlSelection resolve_control(const ControlSpec& control,
 ehsim::PvSource resolve_source(const ScenarioSpec& spec,
                                ScenarioAssets& assets);
 
-/// Convenience overload with a throwaway asset cache.
-ehsim::PvSource resolve_source(const ScenarioSpec& spec);
-
 /// Applies `spec.integrator` onto `cfg` through the integrator registry
 /// (same diagnostics contract as resolve_control). Called by
 /// make_sim_config.

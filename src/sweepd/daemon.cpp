@@ -12,10 +12,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <utility>
 
 #include "sweep/runner.hpp"
+#include "util/params.hpp"
 
 namespace pns::sweepd {
 
@@ -31,17 +33,16 @@ std::string journal_filename(const std::string& job_id) {
   return job_id + ".jsonl";
 }
 
-/// Numeric suffix of a "job-N" id; nullopt for anything else.
+/// Numeric suffix of a "job-N" id (N all digits, below the largest
+/// uint64 so the next id cannot wrap); nullopt for anything else.
 std::optional<std::uint64_t> job_number(const std::string& id) {
   if (id.rfind("job-", 0) != 0) return std::nullopt;
-  const std::string digits = id.substr(4);
-  if (digits.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(digits.c_str(), &end, 10);
-  if (errno != 0 || end != digits.c_str() + digits.size())
+  try {
+    return parse_count("job id", id.substr(4),
+                       std::numeric_limits<std::uint64_t>::max() - 1);
+  } catch (const ParamError&) {
     return std::nullopt;
-  return n;
+  }
 }
 
 }  // namespace

@@ -22,17 +22,6 @@ double ClearSky::irradiance(double t_of_day) const {
   return params_.peak_wm2 * std::pow(s, params_.shape);
 }
 
-double ClearSky::daily_insolation() const {
-  // Simpson integration over the daylight window; the integrand is smooth.
-  const int n = 2048;  // even
-  const double a = params_.sunrise_s, b = params_.sunset_s;
-  const double h = (b - a) / n;
-  double acc = irradiance(a) + irradiance(b);
-  for (int i = 1; i < n; ++i)
-    acc += irradiance(a + h * i) * (i % 2 ? 4.0 : 2.0);
-  return acc * h / 3.0;
-}
-
 double ClearSky::solar_noon() const {
   return 0.5 * (params_.sunrise_s + params_.sunset_s);
 }

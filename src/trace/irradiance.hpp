@@ -30,9 +30,6 @@ class ClearSky {
   /// Zero outside [sunrise, sunset].
   double irradiance(double t_of_day) const;
 
-  /// Integrated irradiance over the whole day (J/m^2 = Ws/m^2).
-  double daily_insolation() const;
-
   /// Time of solar noon (seconds since midnight).
   double solar_noon() const;
 

@@ -6,11 +6,6 @@ namespace pns::fault {
 
 namespace {
 
-constexpr const char* kSiteNames[kFaultSiteCount] = {
-    "conn_drop", "short_read", "short_write",
-    "eintr",     "fsync",      "torn_append",
-};
-
 /// Validates a probability knob (ParamError keeps the CLI diagnostics
 /// convention: name the key, show the offending value).
 double checked_probability(const ParamMap& params, const char* key) {
@@ -75,10 +70,6 @@ std::string FaultSpec::spec_string() const {
     map.set_uint("fsync_fail_from", fsync_fail_from);
   if (torn_append > 0.0) map.set_double("torn_append", torn_append);
   return "fault:" + map.serialize();
-}
-
-const char* fault_site_name(FaultSite site) {
-  return kSiteNames[static_cast<std::size_t>(site)];
 }
 
 FaultInjector::FaultInjector(FaultSpec spec) : spec_(spec) {

@@ -73,9 +73,6 @@ enum class FaultSite {
 };
 inline constexpr std::size_t kFaultSiteCount = 6;
 
-/// Stable lowercase name of a site ("conn_drop", ...).
-const char* fault_site_name(FaultSite site);
-
 /// Per-site counters: opportunities seen and faults actually injected.
 struct SiteStats {
   std::uint64_t ops = 0;

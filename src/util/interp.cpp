@@ -100,36 +100,6 @@ double PiecewiseLinear::flat_until_hinted(double x, std::size_t& hint) const {
   return i + 1 < n ? xs_[i] : std::numeric_limits<double>::infinity();
 }
 
-double PiecewiseLinear::slope_at(double x) const {
-  PNS_EXPECTS(!empty());
-  if (xs_.size() < 2 || x < xs_.front() || x > xs_.back()) return 0.0;
-  auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  if (it == xs_.end()) --it;  // x == x_back: use last segment
-  auto i = static_cast<std::size_t>(it - xs_.begin());
-  if (i == 0) i = 1;
-  return (ys_[i] - ys_[i - 1]) / (xs_[i] - xs_[i - 1]);
-}
-
-double PiecewiseLinear::integrate(double a, double b) const {
-  PNS_EXPECTS(!empty());
-  PNS_EXPECTS(a <= b);
-  if (a == b) return 0.0;
-  // Integrate the clamped-extrapolated function by splitting at knots.
-  double total = 0.0;
-  double x_prev = a;
-  double y_prev = (*this)(a);
-  for (double knot : xs_) {
-    if (knot <= a) continue;
-    if (knot >= b) break;
-    const double y = (*this)(knot);
-    total += 0.5 * (y_prev + y) * (knot - x_prev);
-    x_prev = knot;
-    y_prev = y;
-  }
-  total += 0.5 * (y_prev + (*this)(b)) * (b - x_prev);
-  return total;
-}
-
 PiecewiseLinear PiecewiseLinear::scaled(double factor) const& {
   return PiecewiseLinear(*this).scaled(factor);
 }
@@ -137,21 +107,6 @@ PiecewiseLinear PiecewiseLinear::scaled(double factor) const& {
 PiecewiseLinear PiecewiseLinear::scaled(double factor) && {
   for (auto& y : ys_) y *= factor;
   return std::move(*this);
-}
-
-double PiecewiseLinear::first_crossing(double level, double fallback) const {
-  PNS_EXPECTS(!empty());
-  for (std::size_t i = 1; i < xs_.size(); ++i) {
-    const double y0 = ys_[i - 1] - level;
-    const double y1 = ys_[i] - level;
-    if (y0 == 0.0) return xs_[i - 1];
-    if (y0 * y1 < 0.0) {
-      const double t = y0 / (y0 - y1);
-      return xs_[i - 1] + t * (xs_[i] - xs_[i - 1]);
-    }
-  }
-  if (ys_.back() == level) return xs_.back();
-  return fallback;
 }
 
 }  // namespace pns

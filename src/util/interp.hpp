@@ -56,22 +56,10 @@ class PiecewiseLinear {
   /// search over the whole trace every segment.
   double flat_until_hinted(double x, std::size_t& hint) const;
 
-  /// Derivative dy/dx of the segment containing x (one-sided at knots,
-  /// 0 outside the knot range).
-  double slope_at(double x) const;
-
-  /// Trapezoidal integral of y dx over [a, b] (a <= b), with the same
-  /// clamped extrapolation as operator().
-  double integrate(double a, double b) const;
-
   /// Returns a new function with every y multiplied by `factor`.
   PiecewiseLinear scaled(double factor) const&;
   /// Same result, scaling this function's own knots instead of a copy.
   PiecewiseLinear scaled(double factor) &&;
-
-  /// Smallest x in [x_front, x_back] where y crosses `level`, searching
-  /// segment by segment; returns `fallback` when no crossing exists.
-  double first_crossing(double level, double fallback) const;
 
  private:
   std::vector<double> xs_;

@@ -117,7 +117,6 @@ class JsonValue {
   JsonValue() = default;
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
 
   bool as_bool() const;
   double as_double() const;        ///< exact for shortest_double() output

@@ -117,10 +117,6 @@ void ParamMap::set_uint(const std::string& key, std::uint64_t v) {
   set(key, std::to_string(v));
 }
 
-void ParamMap::set_bool(const std::string& key, bool v) {
-  set(key, v ? "true" : "false");
-}
-
 double ParamMap::get_double(const std::string& key, double fallback) const {
   const std::string* v = find(key);
   return v ? parse_double(key, *v) : fallback;

@@ -75,7 +75,6 @@ class ParamMap {
   void set_double(const std::string& key, double v);
   void set_int(const std::string& key, std::int64_t v);
   void set_uint(const std::string& key, std::uint64_t v);
-  void set_bool(const std::string& key, bool v);
 
   /// Typed getters return `fallback` when the key is absent and throw
   /// ParamError (naming the key, the expected type and the offending

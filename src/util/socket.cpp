@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "util/fault.hpp"
+#include "util/params.hpp"
 
 namespace pns::net {
 
@@ -23,17 +24,6 @@ namespace {
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw SocketError(what + ": " + std::strerror(errno));
-}
-
-bool parse_port(const std::string& text, std::uint16_t& port) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size() || v > 65535)
-    return false;
-  port = static_cast<std::uint16_t>(v);
-  return true;
 }
 
 sockaddr_un unix_addr(const std::string& path) {
@@ -83,14 +73,18 @@ Endpoint Endpoint::parse(const std::string& spec) {
   if (rest.rfind("tcp:", 0) == 0) rest = rest.substr(4);
   const auto colon = rest.rfind(':');
   if (colon == std::string::npos) {
-    // "tcp:PORT" -- loopback on the given port.
-    if (rest == spec || !parse_port(rest, ep.port)) throw invalid();
-    return ep;
+    // "tcp:PORT" -- loopback on the given port; a bare PORT is not one.
+    if (rest == spec) throw invalid();
+  } else {
+    ep.host = rest.substr(0, colon);
+    if (ep.host.empty()) throw invalid();
+    rest = rest.substr(colon + 1);
   }
-  const std::string host = rest.substr(0, colon);
-  if (host.empty() || !parse_port(rest.substr(colon + 1), ep.port))
+  try {
+    ep.port = static_cast<std::uint16_t>(parse_count("port", rest, 65535));
+  } catch (const ParamError&) {
     throw invalid();
-  ep.host = host;
+  }
   return ep;
 }
 

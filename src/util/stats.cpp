@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "util/contracts.hpp"
 
@@ -62,30 +61,5 @@ void RunningStats::merge(const RunningStats& other) {
 }
 
 void RunningStats::reset() { *this = RunningStats{}; }
-
-double percentile(std::vector<double> samples, double q) {
-  PNS_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-double mean_of(const std::vector<double>& samples) {
-  if (samples.empty()) return 0.0;
-  return std::accumulate(samples.begin(), samples.end(), 0.0) /
-         static_cast<double>(samples.size());
-}
-
-double stddev_of(const std::vector<double>& samples) {
-  if (samples.size() < 2) return 0.0;
-  const double m = mean_of(samples);
-  double acc = 0.0;
-  for (double s : samples) acc += (s - m) * (s - m);
-  return std::sqrt(acc / static_cast<double>(samples.size() - 1));
-}
 
 }  // namespace pns

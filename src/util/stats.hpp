@@ -1,13 +1,10 @@
-// Streaming and batch statistics.
+// Streaming statistics.
 //
 // RunningStats uses Welford's online algorithm so six-hour simulations can
-// accumulate voltage/power statistics without retaining samples. Percentile
-// helpers operate on explicit sample vectors (used by the experiment
-// harnesses when a full series is recorded anyway).
+// accumulate voltage/power statistics without retaining samples.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace pns {
 
@@ -54,15 +51,5 @@ class RunningStats {
   double max_ = 0.0;
   bool has_minmax_ = false;
 };
-
-/// Returns the q-quantile (q in [0,1]) of `samples` by linear interpolation
-/// between order statistics. The input is copied and sorted.
-double percentile(std::vector<double> samples, double q);
-
-/// Arithmetic mean of a sample vector; 0 if empty.
-double mean_of(const std::vector<double>& samples);
-
-/// Sample standard deviation (n-1 denominator); 0 if fewer than 2 samples.
-double stddev_of(const std::vector<double>& samples);
 
 }  // namespace pns

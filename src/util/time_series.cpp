@@ -1,7 +1,6 @@
 #include "util/time_series.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/contracts.hpp"
 
@@ -62,41 +61,6 @@ double TimeSeries::integral(double a, double b) const {
   return total;
 }
 
-double TimeSeries::time_weighted_mean() const {
-  if (empty()) return 0.0;
-  const double d = duration();
-  if (d <= 0.0) return vs_.back();
-  return integral() / d;
-}
-
-double TimeSeries::fraction_within(double lo, double hi) const {
-  PNS_EXPECTS(lo <= hi);
-  if (size() < 2) return 0.0;
-  double inside = 0.0;
-  for (std::size_t i = 1; i < ts_.size(); ++i) {
-    const double dt = ts_[i] - ts_[i - 1];
-    if (dt <= 0.0) continue;
-    double v0 = vs_[i - 1];
-    double v1 = vs_[i];
-    if (v0 > v1) std::swap(v0, v1);  // segment range [v0, v1]
-    if (v1 <= lo || v0 >= hi) {
-      if ((v0 >= lo && v1 <= hi)) inside += dt;  // degenerate equal-edge case
-      continue;
-    }
-    if (v1 == v0) {
-      if (v0 >= lo && v0 <= hi) inside += dt;
-      continue;
-    }
-    // Fraction of the segment's value span that overlaps [lo, hi]; since the
-    // reconstruction is linear in t, value-fraction == time-fraction.
-    const double span = v1 - v0;
-    const double overlap = std::min(v1, hi) - std::max(v0, lo);
-    if (overlap > 0.0) inside += dt * overlap / span;
-  }
-  const double d = duration();
-  return d > 0.0 ? inside / d : 0.0;
-}
-
 double TimeSeries::min_value() const {
   PNS_EXPECTS(!empty());
   return *std::min_element(vs_.begin(), vs_.end());
@@ -105,38 +69,6 @@ double TimeSeries::min_value() const {
 double TimeSeries::max_value() const {
   PNS_EXPECTS(!empty());
   return *std::max_element(vs_.begin(), vs_.end());
-}
-
-void TimeSeries::fill_histogram(Histogram& h) const {
-  for (std::size_t i = 1; i < ts_.size(); ++i) {
-    const double dt = ts_[i] - ts_[i - 1];
-    if (dt <= 0.0) continue;
-    h.add_weighted(0.5 * (vs_[i] + vs_[i - 1]), dt);
-  }
-}
-
-RunningStats TimeSeries::segment_stats() const {
-  RunningStats rs;
-  for (std::size_t i = 1; i < ts_.size(); ++i) {
-    const double dt = ts_[i] - ts_[i - 1];
-    if (dt <= 0.0) continue;
-    rs.add_weighted(0.5 * (vs_[i] + vs_[i - 1]), dt);
-  }
-  return rs;
-}
-
-TimeSeries TimeSeries::downsampled(std::size_t max_points) const {
-  PNS_EXPECTS(max_points >= 2);
-  if (size() <= max_points) return *this;
-  TimeSeries out;
-  const double step = static_cast<double>(size() - 1) /
-                      static_cast<double>(max_points - 1);
-  for (std::size_t k = 0; k < max_points; ++k) {
-    const auto i = static_cast<std::size_t>(
-        std::llround(static_cast<double>(k) * step));
-    out.append(ts_[std::min(i, size() - 1)], vs_[std::min(i, size() - 1)]);
-  }
-  return out;
 }
 
 }  // namespace pns

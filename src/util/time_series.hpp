@@ -8,10 +8,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "util/histogram.hpp"
-#include "util/interp.hpp"
-#include "util/stats.hpp"
-
 namespace pns {
 
 /// Sampled signal: parallel vectors of time stamps (non-decreasing) and
@@ -44,29 +40,9 @@ class TimeSeries {
   /// Trapezoidal integral over [a, b].
   double integral(double a, double b) const;
 
-  /// Time-weighted mean over the full duration; plain mean for < 2 samples.
-  double time_weighted_mean() const;
-
-  /// Fraction of total duration during which the (interpolated) signal lies
-  /// within [lo, hi]. Crossings inside a sampling interval are resolved by
-  /// linear interpolation, so the result is exact for the piecewise-linear
-  /// reconstruction.
-  double fraction_within(double lo, double hi) const;
-
   /// Minimum / maximum sampled value (contract violation when empty).
   double min_value() const;
   double max_value() const;
-
-  /// Accumulates the series into a histogram, weighting each segment's
-  /// midpoint value by the segment duration ("time spent at each value").
-  void fill_histogram(Histogram& h) const;
-
-  /// Time-weighted running statistics over all segments.
-  RunningStats segment_stats() const;
-
-  /// Returns a copy downsampled to at most `max_points` samples (always
-  /// keeps first and last). Used to bound bench output sizes.
-  TimeSeries downsampled(std::size_t max_points) const;
 
  private:
   std::vector<double> ts_;

@@ -82,6 +82,25 @@ done
 "$BIN" quick --refine --refine-metric bogus --quiet 2>/dev/null && \
   fail "unknown --refine-metric accepted"
 
+# --- a flag the chosen command would ignore is refused, naming the flag,
+# instead of running as if it were absent (an unread --refine-metric
+# would not even be validated)
+for bad in "quick --once" "quick --fault fault:seed=1,conn_drop=0.5" \
+           "quick --max-reconnects 3" "submit quick --once" \
+           "status --fault fault:seed=1" "quick --refine-metric nonsense" \
+           "quick --refine-tol 0.1" "quick --refine-depth 2" \
+           "merge --refine-depth 2 m.jsonl" "quick --out o.jsonl" \
+           "quick --connect tcp:127.0.0.1:1"; do
+  flag=$(printf '%s\n' "$bad" | sed 's/.*\(--[a-z-]*\).*/\1/')
+  status=0
+  # shellcheck disable=SC2086 # split the command line into words
+  "$BIN" $bad --quiet >out.txt 2>err.txt || status=$?
+  [ "$status" -eq 2 ] || fail "'$bad' exited $status, not 2"
+  grep -q -- "$flag only applies to" err.txt || \
+    fail "'$bad': flag not named in diagnostics"
+  [ -s out.txt ] && fail "'$bad' ran the sweep"
+done
+
 # --- submit refuses the flags only a local run honours (the daemon
 # journals the job; `results` publishes it) before contacting anyone
 for flag in "--journal j.jsonl" "--csv s.csv" "--json s.json" \

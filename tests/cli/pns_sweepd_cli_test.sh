@@ -6,10 +6,10 @@
 # Covers the daemon-mode error surfaces, then the distributed workflows
 # end-to-end over real processes and sockets: a 2-worker run, a run with
 # a worker kill -9'd mid-sweep (re-lease path), a daemon restart
-# (journal reload path), and a seeded `--fault` chaos run (injected
-# connection drops, short IO, a failed fsync) must all publish a
-# canonical journal, CSV and JSON byte-identical to a single-machine run
-# of the same sweep.
+# (journal reload path), a 2-domain platform job, and a seeded `--fault`
+# chaos run (injected connection drops, short IO, a failed fsync) must
+# all publish a canonical journal, CSV and JSON byte-identical to a
+# single-machine run of the same sweep.
 set -eu
 
 BIN=$1
@@ -177,6 +177,33 @@ grep -q "job-2" status2.txt || fail "restart: job-2 lost"
 "$BIN" results job-2 --connect "$ADDR" --quiet --csv restart.csv \
   >/dev/null || fail "results after restart failed"
 cmp -s t2.csv restart.csv || fail "CSV differs after daemon restart"
+
+# --- multi-domain platform: the spec string travels in the job ---------
+# A 2-domain table2 job through 2 pull-workers (each compiles the
+# topology locally) publishes the bytes of the single-machine run.
+MD="table2 --minutes 2 --platform biglittle:arbiter=demand \
+    --control mdgov:ondemand --control pns"
+# shellcheck disable=SC2086 # split $MD into words
+"$BIN" submit $MD --connect "$ADDR" >submit3.txt || fail "biglittle submit failed"
+grep -q "job-3" submit3.txt || fail "biglittle job id is not job-3"
+"$BIN" worker --connect "$ADDR" --once --quiet >w5.txt &
+W5=$!
+"$BIN" worker --connect "$ADDR" --once --quiet >w6.txt &
+W6=$!
+wait "$W5" || fail "biglittle worker 1 failed"
+wait "$W6" || fail "biglittle worker 2 failed"
+"$BIN" results job-3 --connect "$ADDR" --quiet --journal md-dist.canon.jsonl \
+  --csv md-dist.csv --json md-dist.json >/dev/null || \
+  fail "biglittle results failed"
+# shellcheck disable=SC2086
+"$BIN" $MD --quiet --journal md.jsonl --csv md.csv --json md.json \
+  >/dev/null || fail "local biglittle reference failed"
+"$BIN" merge --quiet --journal md.canon.jsonl md.jsonl >/dev/null || \
+  fail "biglittle merge --journal failed"
+cmp -s md.canon.jsonl md-dist.canon.jsonl || \
+  fail "biglittle canonical journal differs from local run"
+cmp -s md.csv md-dist.csv || fail "biglittle CSV differs from local run"
+cmp -s md.json md-dist.json || fail "biglittle JSON differs from local run"
 
 # --- orderly shutdown over the protocol -------------------------------
 "$BIN" shutdown --connect "$ADDR" >shutdown.txt || fail "shutdown failed"

@@ -1,5 +1,6 @@
 // Tests for the control policies (core/dvfs_policy, core/hotplug_policy):
-// eq. 2 factors, Fig. 5 exclusive decision, and bounded application.
+// the one-step DVFS ladder, the Fig. 5 exclusive decision, and bounded
+// application.
 #include <gtest/gtest.h>
 
 #include "core/dvfs_policy.hpp"
@@ -30,35 +31,6 @@ TEST(LinearDvfsPolicy, SaturatesAtLadderEnds) {
   LinearDvfsPolicy p;
   EXPECT_EQ(p.next_index(xu4().opps, 0, ScaleDirection::kDown), 0u);
   EXPECT_EQ(p.next_index(xu4().opps, 7, ScaleDirection::kUp), 7u);
-}
-
-TEST(LinearDvfsPolicy, MultiStepVariant) {
-  LinearDvfsPolicy p(2);
-  EXPECT_EQ(p.next_index(xu4().opps, 4, ScaleDirection::kDown), 2u);
-  EXPECT_EQ(p.next_index(xu4().opps, 1, ScaleDirection::kDown), 0u);
-  EXPECT_THROW(LinearDvfsPolicy(0), pns::ContractViolation);
-}
-
-TEST(HotplugPolicy, Eq2FactorsBothSet) {
-  // |slope| > beta implies both factors fire in the raw eq. 2 form.
-  auto s = policy().factors(0.6);
-  EXPECT_EQ(s.s_big, 1);
-  EXPECT_EQ(s.s_little, 1);
-  s = policy().factors(-0.6);
-  EXPECT_EQ(s.s_big, -1);
-  EXPECT_EQ(s.s_little, -1);
-}
-
-TEST(HotplugPolicy, Eq2FactorsLittleOnly) {
-  auto s = policy().factors(0.2);
-  EXPECT_EQ(s.s_big, 0);
-  EXPECT_EQ(s.s_little, 1);
-}
-
-TEST(HotplugPolicy, Eq2FactorsNone) {
-  auto s = policy().factors(0.05);
-  EXPECT_EQ(s.s_big, 0);
-  EXPECT_EQ(s.s_little, 0);
 }
 
 TEST(HotplugPolicy, DecideBigOnFastCrossing) {

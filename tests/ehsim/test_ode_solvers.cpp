@@ -307,9 +307,9 @@ TEST(DenseOutput, HermiteCubicReproducesEndpointData) {
   const auto c = HermiteCubic::from_step(0.5, 2.0, 1.0, -3.0, -1.0);
   EXPECT_NEAR(c.eval(0.0), 2.0, 1e-12);
   EXPECT_NEAR(c.eval(1.0), 1.0, 1e-12);
-  // deriv is d/ds = h * dy/dt.
-  EXPECT_NEAR(c.deriv(0.0), 0.5 * -3.0, 1e-12);
-  EXPECT_NEAR(c.deriv(1.0), 0.5 * -1.0, 1e-12);
+  // d/ds = c1 + 2 c2 s + 3 c3 s^2 = h * dy/dt at both ends.
+  EXPECT_NEAR(c.c1, 0.5 * -3.0, 1e-12);
+  EXPECT_NEAR(c.c1 + 2.0 * c.c2 + 3.0 * c.c3, 0.5 * -1.0, 1e-12);
 }
 
 TEST(DenseOutput, FindsEarliestOfMultipleCrossings) {

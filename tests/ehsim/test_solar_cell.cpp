@@ -110,14 +110,6 @@ TEST(SolarCell, ResidualOfImplicitEquationIsSmall) {
   }
 }
 
-TEST(SolarCell, IvCurveMatchesDirectEvaluation) {
-  auto cell = paper_cell();
-  auto curve = cell.iv_curve(1000.0, 128);
-  for (double v : {0.5, 2.5, 4.9, 6.1}) {
-    EXPECT_NEAR(curve(v), cell.current(v, 1000.0), 5e-3) << "at v=" << v;
-  }
-}
-
 TEST(SolarCell, ScaledAreaScalesCurrentsNotVoltages) {
   auto cell = paper_cell();
   auto half = cell.scaled_area(0.5);

@@ -21,11 +21,6 @@ TEST(PotentialDivider, InverseConsistent) {
   }
 }
 
-TEST(PotentialDivider, BiasCurrent) {
-  PotentialDivider d{400e3, 100e3};
-  EXPECT_NEAR(d.bias_current(5.0), 1e-5, 1e-12);
-}
-
 TEST(PotentialDivider, ContractOnNonPositiveResistors) {
   PotentialDivider d{0.0, 100e3};
   EXPECT_THROW(d.ratio(), pns::ContractViolation);
@@ -54,13 +49,6 @@ TEST(Mcp4131, ResistanceMonotoneInCode) {
     EXPECT_GT(r, prev);
     prev = r;
   }
-}
-
-TEST(Mcp4131, StepResistance) {
-  Mcp4131 pot(12.8e3);
-  EXPECT_NEAR(pot.step_resistance(), 100.0, 1e-9);
-  EXPECT_NEAR(pot.resistance_at(10) - pot.resistance_at(9),
-              pot.step_resistance(), 1e-9);
 }
 
 TEST(Mcp4131, ProgramTimeScalesWithSpiClock) {

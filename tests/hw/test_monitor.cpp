@@ -35,13 +35,6 @@ TEST(ThresholdChannel, SetThresholdQuantisesClosely) {
   }
 }
 
-TEST(ThresholdChannel, QuantizationErrorSmall) {
-  ThresholdChannel ch;
-  ch.set_threshold(5.0, 5.2);
-  EXPECT_LT(ch.quantization_error(), 0.015);
-  EXPECT_GT(ch.quantization_error(), 0.0);
-}
-
 TEST(ThresholdChannel, SeedingPreventsSelfTrigger) {
   ThresholdChannel ch;
   ch.set_threshold(5.0, 5.5);  // node above threshold
@@ -127,12 +120,6 @@ TEST(VoltageMonitor, NoEdgeWhenStable) {
   EXPECT_FALSE(m.sample(5.0).has_value());
   EXPECT_FALSE(m.sample(5.05).has_value());
   EXPECT_FALSE(m.sample(4.95).has_value());
-}
-
-TEST(VoltageMonitor, InterruptLatencyMicrosecondScale) {
-  VoltageMonitor m;
-  EXPECT_GT(m.interrupt_latency(), 1e-6);
-  EXPECT_LT(m.interrupt_latency(), 1e-3);
 }
 
 TEST(VoltageMonitor, PowerDrawMatchesPaper) {

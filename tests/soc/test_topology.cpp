@@ -124,22 +124,6 @@ TEST(MultiDomainModel, BoardPowerIsBasePlusDomainSum) {
   }
 }
 
-TEST(MultiDomainModel, BudgetSharesSumToOne) {
-  const Platform p =
-      two_domain_topology(ArbiterPolicy::kProportional).compile();
-  const MultiDomainModel& m = *p.domains;
-  for (std::size_t l = 0; l < m.level_count(); ++l) {
-    const auto shares = m.budget_shares(l, 1.0);
-    ASSERT_EQ(shares.size(), m.domain_count());
-    double total = 0.0;
-    for (const double s : shares) {
-      EXPECT_GE(s, 0.0);
-      total += s;
-    }
-    EXPECT_NEAR(total, 1.0, 1e-12) << "level " << l;
-  }
-}
-
 TEST(MultiDomainModel, InstructionRatesScaleByWorkloadShare) {
   const Platform p = two_domain_topology(ArbiterPolicy::kDemand).compile();
   const MultiDomainModel& m = *p.domains;

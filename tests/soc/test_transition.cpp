@@ -124,7 +124,8 @@ TEST(TransitionPlanner, ChargeConsistentWithEnergy) {
   const auto steps = planner().plan({7, {4, 4}}, {0, {1, 0}},
                                     OrderingPolicy::kCoreFirst);
   const double q = TransitionPlanner::total_charge(steps, 5.0);
-  const double e = TransitionPlanner::total_energy(steps);
+  double e = 0.0;
+  for (const auto& s : steps) e += s.power_w * s.duration_s;
   EXPECT_NEAR(q, e / 5.0, 1e-12);
 }
 

@@ -203,8 +203,9 @@ TEST(Registry, UnknownAndMalformedParamsRejectedAtParseTime) {
 TEST(Registry, BadWeatherParamNamesTheConditions) {
   auto spec = tiny_solar_spec();
   spec.source = SourceSpec::parse("solar:weather=apocalypse");
+  ScenarioAssets assets;
   try {
-    resolve_source(spec);
+    resolve_source(spec, assets);
     FAIL() << "expected ParamError";
   } catch (const ParamError& e) {
     const std::string what = e.what();

@@ -619,6 +619,37 @@ TEST(Daemon, ReloadSkipsAJobWhoseJournalRowsDoNotMatchItsSpecs) {
       << "no line starts with: " << diagnostic;
 }
 
+TEST(Daemon, ReloadIgnoresAJobIdThatIsNotJobDigits) {
+  TempDir state("pns-sweepd-jobid");
+  const JobSpec spec = quick_job();
+  {
+    TestDaemon td(state.path());
+    ASSERT_EQ(submit_job(td.endpoint(), spec).job, "job-1");
+  }
+
+  // Re-home job-1 as "job--1". A signed suffix is not a job number: read
+  // as 2^64 - 1 it would wrap the next id to job-0.
+  std::string doc;
+  {
+    std::ifstream in(state.path() + "/job-1.spec.json");
+    ASSERT_TRUE(std::getline(in, doc));
+  }
+  const std::string id_field = "\"job\":\"job-1\"";
+  const std::size_t at = doc.find(id_field);
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, id_field.size(), "\"job\":\"job--1\"");
+  {
+    std::ofstream out(state.path() + "/job--1.spec.json");
+    out << doc << '\n';
+  }
+  fs::remove(state.path() + "/job-1.spec.json");
+  fs::rename(state.path() + "/job-1.jsonl", state.path() + "/job--1.jsonl");
+
+  TestDaemon td(state.path());
+  EXPECT_TRUE(fetch_status(td.endpoint()).jobs.empty());
+  EXPECT_EQ(submit_job(td.endpoint(), spec).job, "job-1");
+}
+
 // ------------------------------------------------------------- robustness
 
 TEST(Daemon, SurvivesGarbageAndOversizedFrames) {

@@ -41,34 +41,6 @@ TEST(PiecewiseLinear, ClampsOutsideRange) {
   EXPECT_DOUBLE_EQ(f(99.0), 2.0);
 }
 
-TEST(PiecewiseLinear, SlopePerSegment) {
-  auto f = ramp();
-  EXPECT_DOUBLE_EQ(f.slope_at(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(f.slope_at(2.0), 0.0);
-  EXPECT_DOUBLE_EQ(f.slope_at(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(f.slope_at(4.0), 0.0);
-}
-
-TEST(PiecewiseLinear, IntegrateFullRange) {
-  auto f = ramp();
-  // triangle 0..1 (area 1) + rectangle 1..3 (area 4)
-  EXPECT_NEAR(f.integrate(0.0, 3.0), 5.0, 1e-12);
-}
-
-TEST(PiecewiseLinear, IntegratePartialAndClamped) {
-  auto f = ramp();
-  EXPECT_NEAR(f.integrate(0.0, 0.5), 0.25, 1e-12);
-  // extrapolated flat at 2.0 beyond x=3
-  EXPECT_NEAR(f.integrate(3.0, 5.0), 4.0, 1e-12);
-  // extrapolated flat at 0.0 before x=0
-  EXPECT_NEAR(f.integrate(-2.0, 0.0), 0.0, 1e-12);
-}
-
-TEST(PiecewiseLinear, IntegrateRejectsInvertedRange) {
-  auto f = ramp();
-  EXPECT_THROW(f.integrate(1.0, 0.0), ContractViolation);
-}
-
 TEST(PiecewiseLinear, EvalHintedBitIdenticalToOperator) {
   // Compare hinted vs plain evaluation -- eval_hinted against operator()
   // and flat_until_hinted against flat_until -- for forward sweeps,
@@ -130,26 +102,10 @@ TEST(PiecewiseLinear, ScaledInPlaceMatchesScaledCopy) {
   EXPECT_EQ(moved.ys(), copy.ys());
 }
 
-TEST(PiecewiseLinear, FirstCrossingFindsRoot) {
-  auto f = ramp();
-  EXPECT_NEAR(f.first_crossing(1.0, -1.0), 0.5, 1e-12);
-}
-
-TEST(PiecewiseLinear, FirstCrossingFallback) {
-  auto f = ramp();
-  EXPECT_DOUBLE_EQ(f.first_crossing(5.0, -1.0), -1.0);
-}
-
-TEST(PiecewiseLinear, FirstCrossingAtKnotStart) {
-  PiecewiseLinear f({0.0, 1.0}, {1.0, 2.0});
-  EXPECT_DOUBLE_EQ(f.first_crossing(1.0, -1.0), 0.0);
-}
-
 TEST(PiecewiseLinear, SingleKnotBehavesAsConstant) {
   PiecewiseLinear f({2.0}, {7.0});
   EXPECT_DOUBLE_EQ(f(0.0), 7.0);
   EXPECT_DOUBLE_EQ(f(5.0), 7.0);
-  EXPECT_DOUBLE_EQ(f.slope_at(2.0), 0.0);
 }
 
 TEST(PiecewiseLinear, FlatUntilWalksLevelRuns) {

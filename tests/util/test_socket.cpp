@@ -44,6 +44,15 @@ TEST(Endpoint, ParsesTheThreeSpellings) {
   EXPECT_THROW(Endpoint::parse("unix:"), std::invalid_argument);
   EXPECT_THROW(Endpoint::parse("carrier-pigeon:coop"),
                std::invalid_argument);
+  // A port is digits only and at most 65535: no sign, blank or suffix.
+  for (const char* bad :
+       {"tcp:+80", "tcp: 80", "tcp:-0", "tcp:80 ", "tcp:0x50", "tcp:8o",
+        "tcp:65536", "tcp:99999999999999999999", "tcp:host:+80",
+        "tcp:host:-0", "tcp:host:", "tcp::80", "localhost:-1"}) {
+    EXPECT_THROW(Endpoint::parse(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(Endpoint::parse("tcp:65535").port, 65535);
+  EXPECT_EQ(Endpoint::parse("localhost:080").port, 80);
 }
 
 TEST(LineConnFault, EintrStormsNeverBreakFramingOrProgress) {

@@ -1,9 +1,10 @@
-// Tests for streaming and batch statistics (util/stats).
+// Tests for the streaming statistics (util/stats).
 #include "util/stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "util/contracts.hpp"
 
@@ -96,42 +97,6 @@ TEST(RunningStats, ResetClears) {
   s.reset();
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Percentile, MedianOfOddSet) {
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 0.5), 2.0);
-}
-
-TEST(Percentile, InterpolatesBetweenOrderStats) {
-  // sorted: 10, 20; q=0.25 -> 12.5
-  EXPECT_DOUBLE_EQ(percentile({20.0, 10.0}, 0.25), 12.5);
-}
-
-TEST(Percentile, Extremes) {
-  const std::vector<double> xs{5.0, 1.0, 9.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 9.0);
-}
-
-TEST(Percentile, EmptyReturnsZero) {
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-}
-
-TEST(Percentile, RejectsOutOfRangeQ) {
-  EXPECT_THROW(percentile({1.0}, -0.1), ContractViolation);
-  EXPECT_THROW(percentile({1.0}, 1.1), ContractViolation);
-}
-
-TEST(BatchStats, MeanAndStddev) {
-  const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(mean_of(xs), 5.0, 1e-12);
-  EXPECT_NEAR(stddev_of(xs), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(BatchStats, DegenerateSizes) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev_of({3.0}), 0.0);
 }
 
 }  // namespace

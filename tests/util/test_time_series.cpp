@@ -40,11 +40,6 @@ TEST(TimeSeries, IntegralTrapezoid) {
   EXPECT_NEAR(ts.integral(0.5, 1.5), 0.375 + 0.5, 1e-12);
 }
 
-TEST(TimeSeries, TimeWeightedMean) {
-  auto ts = make_ramp();
-  EXPECT_NEAR(ts.time_weighted_mean(), 2.0 / 3.0, 1e-12);
-}
-
 TEST(TimeSeries, DurationAndEndpoints) {
   auto ts = make_ramp();
   EXPECT_DOUBLE_EQ(ts.t_front(), 0.0);
@@ -52,74 +47,10 @@ TEST(TimeSeries, DurationAndEndpoints) {
   EXPECT_DOUBLE_EQ(ts.duration(), 3.0);
 }
 
-TEST(TimeSeries, FractionWithinWholeBand) {
-  auto ts = make_ramp();
-  EXPECT_NEAR(ts.fraction_within(-1.0, 2.0), 1.0, 1e-12);
-}
-
-TEST(TimeSeries, FractionWithinPartialBand) {
-  auto ts = make_ramp();
-  // Band [0.5, 1.0]: ramp up contributes 0.5 s of its 1 s; plateau 1 s;
-  // ramp down 0.5 s -> 2.0/3.0 of the total.
-  EXPECT_NEAR(ts.fraction_within(0.5, 1.0), 2.0 / 3.0, 1e-12);
-}
-
-TEST(TimeSeries, FractionWithinFlatSegmentOnEdge) {
-  TimeSeries ts;
-  ts.append(0.0, 1.0);
-  ts.append(2.0, 1.0);
-  EXPECT_NEAR(ts.fraction_within(1.0, 2.0), 1.0, 1e-12);
-  EXPECT_NEAR(ts.fraction_within(1.5, 2.0), 0.0, 1e-12);
-}
-
-TEST(TimeSeries, FractionWithinEmptyOrSingle) {
-  TimeSeries ts;
-  EXPECT_DOUBLE_EQ(ts.fraction_within(0.0, 1.0), 0.0);
-  ts.append(0.0, 0.5);
-  EXPECT_DOUBLE_EQ(ts.fraction_within(0.0, 1.0), 0.0);
-}
-
 TEST(TimeSeries, MinMax) {
   auto ts = make_ramp();
   EXPECT_DOUBLE_EQ(ts.min_value(), 0.0);
   EXPECT_DOUBLE_EQ(ts.max_value(), 1.0);
-}
-
-TEST(TimeSeries, HistogramFillUsesDwellTime) {
-  TimeSeries ts;
-  ts.append(0.0, 0.5);
-  ts.append(3.0, 0.5);  // 3 s at 0.5
-  ts.append(4.0, 2.5);  // 1 s ramping, midpoint 1.5
-  Histogram h(0.0, 3.0, 3);
-  ts.fill_histogram(h);
-  EXPECT_DOUBLE_EQ(h.weight(0), 3.0);
-  EXPECT_DOUBLE_EQ(h.weight(1), 1.0);
-}
-
-TEST(TimeSeries, SegmentStatsTimeWeighted) {
-  TimeSeries ts;
-  ts.append(0.0, 1.0);
-  ts.append(3.0, 1.0);
-  ts.append(4.0, 5.0);
-  const auto s = ts.segment_stats();
-  // 3 s at 1.0, 1 s at midpoint 3.0 -> mean 1.5
-  EXPECT_NEAR(s.mean(), 1.5, 1e-12);
-  EXPECT_NEAR(s.total_weight(), 4.0, 1e-12);
-}
-
-TEST(TimeSeries, DownsampleKeepsEndpointsAndBound) {
-  TimeSeries ts;
-  for (int i = 0; i <= 1000; ++i) ts.append(i * 0.1, i * 1.0);
-  auto d = ts.downsampled(11);
-  EXPECT_EQ(d.size(), 11u);
-  EXPECT_DOUBLE_EQ(d.times().front(), 0.0);
-  EXPECT_DOUBLE_EQ(d.times().back(), 100.0);
-}
-
-TEST(TimeSeries, DownsampleNoopWhenSmall) {
-  auto ts = make_ramp();
-  auto d = ts.downsampled(100);
-  EXPECT_EQ(d.size(), ts.size());
 }
 
 TEST(TimeSeries, EmptyContracts) {

@@ -46,6 +46,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -514,12 +515,14 @@ int main(int argc, char** argv) {
                           command == "watch" || command == "shutdown";
   Options opt;
   std::vector<std::string> positionals;
+  std::set<std::string> given;  ///< every --flag on the command line
 
   // Numeric flag values follow util/params' whole-string rule; a
   // malformed or out-of-range one exits 2 naming the flag.
   try {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
+      if (arg.rfind("--", 0) == 0) given.insert(arg);
       auto next = [&]() -> const char* {
         if (i + 1 >= argc) {
           std::fprintf(stderr, "%s requires a value\n", arg.c_str());
@@ -628,18 +631,31 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!compacting && !opt.out_path.empty()) {
-    std::fprintf(stderr, "--out only applies to the compact subcommand\n");
-    return 2;
-  }
-  if (!daemon_cmd && !opt.connect.empty()) {
-    std::fprintf(stderr,
-                 "--connect only applies to the worker/submit/status/"
-                 "results/watch/shutdown subcommands\n");
-    return 2;
+  // Flags that only some commands read: anywhere else they would be
+  // silently ignored, so they are refused, naming the flag.
+  const bool working = command == "worker";
+  const struct {
+    const char* flag;
+    bool applies;
+    const char* where;
+  } scoped[] = {{"--out", compacting, "the compact subcommand"},
+                {"--connect", daemon_cmd,
+                 "the worker/submit/status/results/watch/shutdown "
+                 "subcommands"},
+                {"--once", working, "the worker subcommand"},
+                {"--fault", working, "the worker subcommand"},
+                {"--max-reconnects", working, "the worker subcommand"},
+                {"--refine-metric", opt.refine, "runs with --refine"},
+                {"--refine-tol", opt.refine, "runs with --refine"},
+                {"--refine-depth", opt.refine, "runs with --refine"}};
+  for (const auto& s : scoped) {
+    if (!s.applies && given.count(s.flag) != 0) {
+      std::fprintf(stderr, "%s only applies to %s\n", s.flag, s.where);
+      return 2;
+    }
   }
   try {
-    if (command == "worker") return run_worker_cmd(opt);
+    if (working) return run_worker_cmd(opt);
     if (command == "status") return run_status_cmd(opt, positionals);
     if (command == "results") return run_results_cmd(opt, positionals);
     if (command == "watch") return run_watch_cmd(opt, positionals);
