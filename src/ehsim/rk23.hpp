@@ -30,8 +30,8 @@ namespace pns::ehsim {
 /// batched stepper's stage_packed() (ehsim/rk23_batch) both evaluate
 /// their stages and error norm through these helpers, so the two paths
 /// share every coefficient and every association order. The helpers are
-/// bit-safe only when called from a PNS_BITEXACT_SOURCES TU
-/// (-ffp-contract=off, CMakeLists.txt); anywhere else the compiler may
+/// bit-safe only in a TU built with -ffp-contract=off (a PUBLIC option
+/// of the pns target, CMakeLists.txt); anywhere else the compiler may
 /// fuse them differently on an FMA target.
 namespace bs23 {
 

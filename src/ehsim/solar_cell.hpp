@@ -38,8 +38,8 @@ struct SolarCellParams {
 /// blowing up cannot throw the iterate away. The scalar solver and the
 /// batched solve (ehsim/solar_cell_simd) both iterate this one function,
 /// which is what makes them bit-identical -- provided every caller is
-/// compiled without FMA contraction (a PNS_BITEXACT_SOURCES TU, see
-/// CMakeLists.txt). Keep the expressions and their association order as
+/// compiled without FMA contraction (the pns target's PUBLIC
+/// -ffp-contract=off). Keep the expressions and their association order as
 /// they are: the published rk23 outputs are pinned to these bits.
 inline double newton_next(const SolarCellParams& p, double v, double il,
                           double i) {

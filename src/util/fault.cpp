@@ -164,13 +164,6 @@ SiteStats FaultInjector::stats(FaultSite site) const {
   return stats_[static_cast<std::size_t>(site)];
 }
 
-std::uint64_t FaultInjector::total_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const SiteStats& s : stats_) total += s.hits;
-  return total;
-}
-
 std::shared_ptr<FaultInjector> make_injector(
     const std::string& spec_text) {
   if (spec_text.empty()) return nullptr;

@@ -111,8 +111,6 @@ class FaultInjector {
   std::size_t tear_append(std::size_t n);
 
   SiteStats stats(FaultSite site) const;
-  /// Faults injected across all sites (quick "did anything fire?").
-  std::uint64_t total_hits() const;
 
  private:
   /// One Bernoulli decision on `site`'s stream; counts the opportunity.

@@ -4,8 +4,11 @@
 #   pns_sweep_cli_test.sh /path/to/pns_sweep
 #
 # Covers the error surfaces (unknown sweep/flag must name the valid
-# choices and exit non-zero, inconsistent flag combinations are refused),
-# `list` byte for byte against list.golden, and the checkpoint workflows end-to-end on the quick preset: a 2-shard
+# choices and exit non-zero, inconsistent flag combinations are refused,
+# every command refuses the flags it does not read), `list` and `--help`
+# byte for byte against list.golden and help.golden, every --help flag
+# documented in docs/sweeps.md, and the checkpoint workflows end-to-end
+# on the quick preset: a 2-shard
 # run merged, and an interrupted run resumed, must both produce a CSV
 # byte-identical to a single uninterrupted run.
 set -eu
@@ -13,6 +16,8 @@ set -eu
 BIN=$1
 [ -x "$BIN" ] || { echo "pns_sweep binary not found: $BIN"; exit 1; }
 LIST_GOLDEN=$(cd "$(dirname "$0")" && pwd)/list.golden
+HELP_GOLDEN=$(cd "$(dirname "$0")" && pwd)/help.golden
+SWEEPS_DOC=$(cd "$(dirname "$0")/../.." && pwd)/docs/sweeps.md
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -114,6 +119,69 @@ for flag in "--journal j.jsonl" "--csv s.csv" "--json s.json" \
   grep -q -- "${flag%% *} does not apply to submit" err.txt || \
     fail "submit with $flag: flag not named"
 done
+
+# --- every command refuses the flags it does not read, naming the first
+# one in command-line order, before any work: exit 2, nothing on stdout,
+# no file written and no daemon contacted (nothing listens on $EP, so a
+# contact attempt would exit 1)
+EP="unix:$WORK/no-daemon.sock"
+while IFS='|' read -r flag args; do
+  status=0
+  # shellcheck disable=SC2086 # split the command line into words
+  "$BIN" $args >out.txt 2>err.txt || status=$?
+  [ "$status" -eq 2 ] || fail "'$args' exited $status, not 2"
+  grep -q -- "^$flag only applies to" err.txt || \
+    fail "'$args': $flag not named"
+  [ -s out.txt ] && fail "'$args' wrote to stdout"
+  for f in w.csv x.csv r.csv r.json none.jsonl; do
+    [ -e "$f" ] && fail "'$args' wrote $f"
+  done
+done <<EOF
+--minutes|worker --connect $EP --minutes 5 --control pns --csv w.csv --refine
+--control|worker --connect $EP --once --control pns
+--csv|worker --connect $EP --csv w.csv
+--threads|status --connect $EP --threads 3 --pv-mode tabulated
+--quiet|status job-1 --connect $EP --quiet
+--refine|results job-1 --connect $EP --refine
+--threads|results job-1 --connect $EP --csv r.csv --threads 2
+--json|watch job-1 --connect $EP --json r.json
+--minutes|watch job-1 --connect $EP --quiet --minutes 5
+--quiet|shutdown --connect $EP --quiet
+--control|shutdown --connect $EP --control pns
+--minutes|merge --minutes 5 --integrator rk23pi m.jsonl
+--threads|merge --csv x.csv --threads 2 m.jsonl
+--csv|compact --csv x.csv none.jsonl
+--resume|compact --out none.jsonl --resume m.jsonl
+--csv|list --csv x.csv
+EOF
+status=0
+"$BIN" submit quick --connect "$EP" --threads 2 >out.txt 2>err.txt || \
+  status=$?
+[ "$status" -eq 2 ] || fail "submit with --threads exited $status, not 2"
+grep -q -- "--threads does not apply to submit" err.txt || \
+  fail "submit with --threads: flag not named"
+
+# --- --help and -h are accepted by every command
+for cmd in quick list merge compact worker submit status results watch \
+           shutdown; do
+  "$BIN" "$cmd" --help >/dev/null 2>&1 || fail "$cmd --help exited non-zero"
+  "$BIN" "$cmd" -h >/dev/null 2>&1 || fail "$cmd -h exited non-zero"
+done
+
+# --- --help is generated from the flag table: pinned byte for byte
+# (argv[0] reads "pns_sweep" when the binary is found through PATH), and
+# every flag it prints has a row in the options table of docs/sweeps.md
+PATH="$(dirname "$BIN"):$PATH" pns_sweep --help >help.txt 2>&1 || \
+  fail "--help exited non-zero"
+cmp -s help.txt "$HELP_GOLDEN" || {
+  diff "$HELP_GOLDEN" help.txt || true
+  fail "--help: output differs from tests/cli/help.golden"
+}
+for flag in $(sed -n 's/^  \(--[a-z-]*\).*/\1/p' help.txt); do
+  grep -q "^| \`$flag[ \`]" "$SWEEPS_DOC" || \
+    fail "docs/sweeps.md: no options-table row for $flag"
+done
+[ "$(grep -c '^  --' help.txt)" -ge 24 ] || fail "--help lists too few flags"
 
 # --- the list subcommand is generated from the registries
 "$BIN" list >list.txt 2>&1 || fail "list exited non-zero"

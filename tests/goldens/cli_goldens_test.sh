@@ -128,6 +128,13 @@ same_as fig6_rk23pi fig6 --integrator rk23simd
 same_as fig6_rk23pi fig6 --integrator rk23simd:width=2 --threads 3
 # one multi-domain run: JSON-only per-domain arrays, platform identity.
 journalled table2_biglittle table2 --minutes 2 --platform biglittle
+# Parameterized spec strings on both registry axes, and a multi-domain
+# platform with its own parameters under an mdgov wrapper.
+golden quick_gov_flicker quick --control gov:ondemand:period=0.05 \
+  --source flicker:period=30,depth=0.5
+golden quick_biglittle_mdgov quick \
+  --platform biglittle:arbiter=demand,uncore=true \
+  --control mdgov:conservative:stagger=2.5 --control pns
 
 [ "$fails" -eq 0 ] || { echo "$fails golden(s) failed"; exit 1; }
 echo "cli goldens: all match"

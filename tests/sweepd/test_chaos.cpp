@@ -228,9 +228,11 @@ void run_chaos_storm(std::uint64_t seed, std::string* out) {
   t2.join();
 
   // The chaos genuinely happened -- this was not a clean-path walkover.
-  EXPECT_GT(daemon_fault->total_hits() + w1.fault->total_hits() +
-                w2.fault->total_hits(),
-            0u);
+  std::uint64_t hits = 0;
+  for (const auto* f : {daemon_fault.get(), w1.fault.get(), w2.fault.get()})
+    for (std::size_t i = 0; i < fault::kFaultSiteCount; ++i)
+      hits += f->stats(static_cast<fault::FaultSite>(i)).hits;
+  EXPECT_GT(hits, 0u);
 
   // And the output is as if none of it had: byte-identical to local.
   expect_results_equal_local(ep, submitted.job, spec);

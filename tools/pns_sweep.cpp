@@ -41,19 +41,18 @@
 // only change wall-clock and durability, never the published aggregate.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
-#include <set>
+#include <optional>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "ehsim/sources.hpp"
+#include "flag_table.hpp"
 #include "sweep/aggregate.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/presets.hpp"
@@ -63,13 +62,35 @@
 #include "sweep/scenario.hpp"
 #include "sweepd/client.hpp"
 #include "sweepd/worker.hpp"
-#include "util/json.hpp"
 #include "util/params.hpp"
 #include "util/socket.hpp"
 
 namespace {
 
 using namespace pns;
+
+// The commands; bit i of a flag's `commands` mask is kCommands[i]. A first
+// word that names none of them is a sweep preset: a sweep run.
+enum Command : unsigned {
+  kRun = 1u << 0,
+  kSubmit = 1u << 1,
+  kWorker = 1u << 2,
+  kMerge = 1u << 3,
+  kCompact = 1u << 4,
+  kResults = 1u << 5,
+  kWatch = 1u << 6,
+  kStatus = 1u << 7,
+  kShutdown = 1u << 8,
+  kList = 1u << 9,
+};
+constexpr const char* kCommands[] = {
+    "sweep runs", "submit", "worker", "merge",    "compact",
+    "results",    "watch",  "status", "shutdown", "list"};
+constexpr unsigned kAxes = kRun | kSubmit;
+constexpr unsigned kOutputs = kRun | kMerge | kResults;
+/// The daemon-mode commands (docs/sweepd.md); each requires --connect.
+constexpr unsigned kDaemon =
+    kSubmit | kWorker | kResults | kWatch | kStatus | kShutdown;
 
 struct Options {
   /// The sweep: preset, window, PV mode, axis overrides, integrator and
@@ -82,6 +103,9 @@ struct Options {
 
   // Checkpointing / sharding.
   std::string journal_path;
+  /// fsync journal appends so acknowledged rows survive a machine crash;
+  /// a disk round-trip per row.
+  bool fsync = false;
   bool resume = false;
   bool sharded = false;
   std::size_t shard_k = 0;
@@ -95,105 +119,185 @@ struct Options {
   bool refine = false;
   sweep::RefineOptions refine_options;
 
-  // Daemon mode (worker/submit/status/results/watch/shutdown).
-  std::string connect;  ///< daemon endpoint spec string
-  bool once = false;    ///< worker: exit when the work runs dry
-  std::string fault_spec;   ///< worker: --fault chaos injection spec
-  long max_reconnects = -1; ///< worker: -1 = library default
-  /// fsync journal appends (sweep runs) so acknowledged rows survive a
-  /// machine crash; a disk round-trip per row.
-  bool fsync = false;
+  // Daemon mode: the endpoint, and the worker's own knobs.
+  std::optional<net::Endpoint> connect;
+  sweepd::WorkerOptions worker;
+};
+
+/// Parses a spec string into `out`, or appends it when `out` is an axis.
+/// Specs are validated against the registries as they parse, so a typo
+/// fails in milliseconds, not after the sweep ran.
+template <class T>
+void spec(T& out, const std::string& flag, const std::string& text) {
+  try {
+    if constexpr (requires { out.emplace_back(); })
+      out.push_back(T::value_type::parse(text));
+    else
+      out = T::parse(text);
+  } catch (const std::exception& e) {
+    throw ParamError("invalid " + flag + " '" + text + "': " + e.what() +
+                     "\nrun 'pns_sweep list' for every registered kind "
+                     "and its parameters");
+  }
+}
+
+/// `--shard K/N`; each half follows parse_count's whole-string rule.
+void set_shard(Options& o, const std::string& flag, const std::string& text) {
+  const std::size_t slash = text.find('/');
+  try {
+    if (slash == std::string::npos) throw ParamError("no '/'");
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    o.shard_k = parse_count(flag, text.substr(0, slash), kMax);
+    o.shard_n = parse_count(flag, text.substr(slash + 1), kMax);
+    if (o.shard_k >= o.shard_n) throw ParamError("K >= N");
+  } catch (const ParamError&) {
+    throw ParamError("invalid " + flag + " '" + text +
+                     "': expected K/N with 0 <= K < N (e.g. " + flag +
+                     " 0/4)");
+  }
+  o.sharded = true;
+}
+
+const char* needs_journal(const Options& o) {
+  return o.journal_path.empty() ? "requires --journal" : nullptr;
+}
+const char* needs_refine(const Options& o) {
+  return o.refine ? nullptr : "only applies to runs with --refine";
+}
+
+// Every flag, declared once. The last column refuses the combinations
+// whose output would be partial or ambiguous.
+constexpr cli::Flag<Options> kFlags[] = {
+    {"--control", "SPEC",
+     [](auto& o, auto& f, auto& v) { spec(o.job.controls, f, v); },
+     "replace the control axis (repeatable; 'list' has kinds)", kAxes},
+    {"--source", "SPEC",
+     [](auto& o, auto& f, auto& v) { spec(o.job.sources, f, v); },
+     "replace the source axis (repeatable; 'list' has kinds)", kAxes},
+    {"--integrator", "SPEC",
+     [](auto& o, auto& f, auto& v) { spec(o.job.integrator, f, v); },
+     "engine: rk23 (default), rk23pi or rk23simd[:width=N]", kAxes},
+    {"--platform", "SPEC",
+     [](auto& o, auto& f, auto& v) { spec(o.job.platform, f, v); },
+     "topology: mono (default) or multi-domain, e.g. biglittle", kAxes},
+    {"--minutes", "M",
+     [](auto& o, auto& f, auto& v) { o.job.minutes = parse_number(f, v); },
+     "simulated window where the preset takes one (default 60)", kAxes},
+    {"--pv-mode", "MODE",
+     [](auto& o, auto& f, auto& v) {
+       if (v != "exact" && v != "tabulated")
+         throw ParamError("unknown " + f + ": " + v +
+                          " (valid: exact, tabulated)");
+       o.job.pv_mode = v == "exact" ? ehsim::PvSource::Mode::kExact
+                                    : ehsim::PvSource::Mode::kTabulated;
+     },
+     "PV solve: exact (default, bit-reproducible) or tabulated", kAxes},
+    {"--threads", "N",
+     [](auto& o, auto& f, auto& v) {
+       o.threads = static_cast<unsigned>(
+           parse_count(f, v, std::numeric_limits<unsigned>::max()));
+     },
+     "worker threads (default: hardware concurrency)", kRun | kWorker},
+    {"--csv", "PATH", [](auto& o, auto&, auto& v) { o.csv_path = v; },
+     "write the aggregate rows as CSV", kOutputs},
+    {"--json", "PATH", [](auto& o, auto&, auto& v) { o.json_path = v; },
+     "write the aggregate rows as JSON", kOutputs},
+    {"--journal", "PATH", [](auto& o, auto&, auto& v) { o.journal_path = v; },
+     "checkpoint each row (merge/results: canonical journal)", kOutputs},
+    {"--fsync", nullptr, [](auto& o, auto&, auto&) { o.fsync = true; },
+     "fsync the journal after every append", kRun, needs_journal},
+    {"--resume", nullptr, [](auto& o, auto&, auto&) { o.resume = true; },
+     "reuse the completed rows of an existing journal", kRun,
+     needs_journal},
+    {"--shard", "K/N", set_shard,
+     "run only the K-th (0-based) of N spec shards", kRun,
+     [](auto& o) -> const char* {
+       if (o.journal_path.empty())
+         return "requires --journal (each worker writes a partial journal; "
+                "fold them with 'pns_sweep merge')";
+       if (!o.csv_path.empty() || !o.json_path.empty())
+         return "produces a partial result; write the aggregate with "
+                "'pns_sweep merge --csv/--json JOURNAL...'";
+       return nullptr;
+     }},
+    {"--cost-journal", "PATH",
+     [](auto& o, auto&, auto& v) { o.cost_journal_path = v; },
+     "balance the shards by a prior journal's wall_s", kRun,
+     [](auto& o) -> const char* {
+       return o.sharded ? nullptr
+                        : "only balances sharded runs; pass --shard K/N";
+     }},
+    {"--refine", nullptr, [](auto& o, auto&, auto&) { o.refine = true; },
+     "bisect capacitance intervals whose neighbours diverge", kRun,
+     [](auto& o) -> const char* {
+       return o.sharded ? "needs the full pass; run it on the merged sweep "
+                          "instead of a shard"
+                        : nullptr;
+     }},
+    {"--refine-metric", "M",
+     [](auto& o, auto&, auto& v) { o.refine_options.metric = v; },
+     "aggregate column compared (default brownouts)", kRun, needs_refine},
+    {"--refine-tol", "T",
+     [](auto& o, auto& f, auto& v) {
+       o.refine_options.tolerance =
+           parse_number(f, v, NumberSign::kNonNegative);
+     },
+     "relative divergence threshold (default 0.25)", kRun, needs_refine},
+    {"--refine-depth", "D",
+     [](auto& o, auto& f, auto& v) {
+       o.refine_options.max_depth = static_cast<int>(
+           parse_count(f, v, std::numeric_limits<int>::max()));
+     },
+     "maximum bisection rounds (default 3)", kRun, needs_refine},
+    {"--quiet", nullptr, [](auto& o, auto&, auto&) { o.quiet = true; },
+     "suppress progress output", kOutputs | kWorker | kCompact | kWatch},
+    {"--out", "PATH", [](auto& o, auto&, auto& v) { o.out_path = v; },
+     "compacted journal destination (default: in place)", kCompact},
+    {"--connect", "EP",
+     [](auto& o, auto& f, auto& v) {
+       o.connect = cli::parse_value(f, v, net::Endpoint::parse);
+     },
+     "daemon endpoint: unix:PATH, tcp:HOST:PORT or tcp:PORT", kDaemon},
+    {"--once", nullptr, [](auto& o, auto&, auto&) { o.worker.once = true; },
+     "exit once every job is complete instead of polling", kWorker},
+    {"--fault", "SPEC",
+     [](auto& o, auto& f, auto& v) {
+       o.worker.fault = cli::parse_value(f, v, fault::make_injector);
+       // The same seed also drives the backoff jitter, so a whole chaos
+       // session is reproducible from one number.
+       o.worker.backoff_seed = o.worker.fault->spec().seed;
+     },
+     "fault injection on the daemon connection (chaos runs)", kWorker},
+    {"--max-reconnects", "N",
+     [](auto& o, auto& f, auto& v) {
+       o.worker.max_reconnects =
+           parse_count(f, v, std::numeric_limits<long>::max());
+     },
+     "reconnect attempts before giving up (default 8)", kWorker},
 };
 
 void usage(const char* argv0) {
-  std::printf(
-      "usage: %s <sweep> [options]\n"
-      "       %s list\n"
-      "       %s merge [--csv PATH] [--json PATH] [--journal PATH] "
-      "[--quiet] JOURNAL...\n"
-      "       %s compact [--out PATH] JOURNAL\n"
-      "       %s worker --connect EP [--threads N] [--once]\n"
-      "                 [--fault SPEC] [--max-reconnects N]\n"
-      "       %s submit <sweep> --connect EP [sweep options]\n"
-      "       %s status [JOB] --connect EP\n"
-      "       %s results JOB --connect EP [--csv/--json/--journal PATH]\n"
-      "       %s watch JOB --connect EP\n"
-      "       %s shutdown --connect EP\n"
-      "\n"
-      "sweeps:\n",
-      argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-      argv0);
+  std::printf("usage: %s <sweep> [options]\n", argv0);
+  for (const char* synopsis :
+       {"list", "merge [options] JOURNAL...", "compact [options] JOURNAL",
+        "worker --connect EP [options]",
+        "submit <sweep> --connect EP [options]", "status [JOB] --connect EP",
+        "results JOB --connect EP [options]",
+        "watch JOB --connect EP [options]", "shutdown --connect EP"})
+    std::printf("       %s %s\n", argv0, synopsis);
+  std::printf("\nsweeps:\n");
   for (const auto& p : sweep::sweep_presets())
     std::printf("  %-12s %s\n", p.name.c_str(), p.summary.c_str());
-  std::printf(
-      "\n"
-      "options:\n"
-      "  --control S   replace the sweep's control axis with spec string S\n"
-      "                (repeatable; e.g. pns:v_q=0.04, gov:ondemand:"
-      "period=0.05,\n"
-      "                static:opp=4 -- 'list' prints every kind)\n"
-      "  --source S    replace the sweep's source axis with spec string S\n"
-      "                (repeatable; e.g. shadow:depth=0.2, trace:file=x.csv,"
-      "\n"
-      "                flicker:period=30,depth=0.5)\n"
-      "  --threads N   worker threads (default: hardware concurrency)\n"
-      "  --minutes M   simulated window length where applicable "
-      "(default 60)\n"
-      "  --csv PATH    write the aggregate rows as CSV\n"
-      "  --json PATH   write the aggregate rows as JSON\n"
-      "  --pv-mode M   PV solve mode: exact (default, bit-reproducible)\n"
-      "                or tabulated (interpolation table with a measured\n"
-      "                error bound, ~3x faster sweep wall-clock)\n"
-      "  --integrator S  integration engine spec string: rk23 (default,\n"
-      "                bit-reproducible), rk23pi[:rtol=...,coast=...]\n"
-      "                (PI step control + dense events + coasting, ~2x\n"
-      "                faster), or rk23simd[:width=...] (rk23pi in\n"
-      "                packed lockstep batches, bit-identical to rk23pi\n"
-      "                at every width; rk23batch is its retired alias;\n"
-      "                docs/performance.md has the grammar)\n"
-      "  --platform S  platform topology spec string: mono (default,\n"
-      "                the paper's single-domain board) or a multi-domain\n"
-      "                kind such as biglittle[:little_cores=4,big_cores=4,\n"
-      "                arbiter=demand] (docs/platforms.md has the grammar)\n"
-      "  --journal P   append each completed scenario to the checkpoint\n"
-      "                journal at P (JSON lines; see docs/sweeps.md);\n"
-      "                with merge/results: write the canonical journal\n"
-      "                (index order, no timing) of the full row set to P\n"
-      "  --fsync       fsync the journal after every append, so rows\n"
-      "                survive a machine crash (requires --journal)\n"
-      "  --resume      reuse completed rows from an existing --journal\n"
-      "                instead of refusing to overwrite it\n"
-      "  --shard K/N   run only the K-th (0-based) of N contiguous spec\n"
-      "                ranges; requires --journal, fold partial journals\n"
-      "                with the merge subcommand\n"
-      "  --cost-journal P  balance --shard K/N by the measured wall_s\n"
-      "                entries of the prior journal at P (same sweep)\n"
-      "                instead of contiguous index ranges\n"
-      "  --refine      after the pass, bisect capacitance intervals whose\n"
-      "                adjacent rows diverge (adaptive axis refinement)\n"
-      "  --refine-metric M  aggregate column compared (default brownouts)\n"
-      "  --refine-tol T     relative divergence threshold (default 0.25)\n"
-      "  --refine-depth D   maximum bisection rounds (default 3)\n"
-      "  --quiet       suppress per-scenario progress\n"
-      "\n"
-      "daemon mode (`pns_sweepd`; docs/sweepd.md):\n"
-      "  --connect EP  daemon endpoint: unix:PATH, tcp:HOST:PORT or\n"
-      "                tcp:PORT (required by worker/submit/status/\n"
-      "                results/watch/shutdown)\n"
-      "  --once        worker: exit once every job is complete instead\n"
-      "                of polling for future submissions\n"
-      "  --fault SPEC  worker: deterministic fault injection on the daemon\n"
-      "                connection (docs/fault-injection.md), e.g.\n"
-      "                fault:seed=7,conn_drop=0.05,short_write=0.1\n"
-      "  --max-reconnects N  worker: reconnect attempts before giving up\n"
-      "                (default 8; 0 = die on the first disconnect)\n");
+  std::printf("\noptions, each with the commands that read it:\n");
+  cli::print_flags<Options>(kFlags, kCommands);
 }
 
 void list_sweeps(std::FILE* os) {
   std::fprintf(os, "valid sweeps:");
   for (const auto& p : sweep::sweep_presets())
     std::fprintf(os, " %s", p.name.c_str());
-  std::fprintf(os, " (or the 'list'/'merge' subcommands)\n");
+  std::fprintf(os, " (or the %s subcommands)\n",
+               cli::command_list(~kRun, kCommands).c_str());
 }
 
 void print_params(const std::vector<ParamInfo>& params) {
@@ -334,46 +438,12 @@ int run_compact(const std::vector<std::string>& journals,
   return 0;
 }
 
-/// Parses --connect (required for every daemon-mode subcommand).
-/// Exits with usage guidance when missing or malformed.
-net::Endpoint daemon_endpoint(const Options& opt, const char* subcommand) {
-  if (opt.connect.empty()) {
-    std::fprintf(stderr,
-                 "%s requires --connect (unix:PATH, tcp:HOST:PORT or "
-                 "tcp:PORT)\n",
-                 subcommand);
-    std::exit(2);
-  }
-  try {
-    return net::Endpoint::parse(opt.connect);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "invalid --connect '%s': %s\n",
-                 opt.connect.c_str(), e.what());
-    std::exit(2);
-  }
-}
-
 /// `worker --connect EP`: pull and execute leases until the daemon says
 /// goodbye (or, with --once, until the work runs dry).
 int run_worker_cmd(const Options& opt) {
-  sweepd::WorkerOptions wopt;
-  wopt.endpoint = daemon_endpoint(opt, "worker");
+  sweepd::WorkerOptions wopt = opt.worker;
+  wopt.endpoint = *opt.connect;
   wopt.threads = opt.threads;
-  wopt.once = opt.once;
-  if (opt.max_reconnects >= 0)
-    wopt.max_reconnects = static_cast<std::size_t>(opt.max_reconnects);
-  if (!opt.fault_spec.empty()) {
-    try {
-      wopt.fault = fault::make_injector(opt.fault_spec);
-      // The same seed also drives the backoff jitter, so a whole chaos
-      // session is reproducible from one number.
-      wopt.backoff_seed = fault::FaultSpec::parse(opt.fault_spec).seed;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "invalid --fault '%s': %s\n",
-                   opt.fault_spec.c_str(), e.what());
-      return 2;
-    }
-  }
   if (!opt.quiet) {
     wopt.log = [](const std::string& line) {
       std::fprintf(stderr, "worker: %s\n", line.c_str());
@@ -394,7 +464,7 @@ int run_status_cmd(const Options& opt,
     return 2;
   }
   const sweepd::StatusReport report =
-      sweepd::fetch_status(daemon_endpoint(opt, "status"),
+      sweepd::fetch_status(*opt.connect,
                            positional.empty() ? "" : positional[0]);
   std::printf("%zu worker(s) connected, %zu job(s)%s\n", report.workers,
               report.jobs.size(),
@@ -426,8 +496,8 @@ int run_results_cmd(const Options& opt,
     std::fprintf(stderr, "results: expected exactly one job id\n");
     return 2;
   }
-  const sweepd::ResultsReport report = sweepd::fetch_results(
-      daemon_endpoint(opt, "results"), positional[0]);
+  const sweepd::ResultsReport report =
+      sweepd::fetch_results(*opt.connect, positional[0]);
   const bool wants_files = !opt.csv_path.empty() ||
                            !opt.json_path.empty() ||
                            !opt.journal_path.empty();
@@ -459,7 +529,7 @@ int run_watch_cmd(const Options& opt,
   }
   std::size_t seen = 0;
   const std::size_t failed = sweepd::watch_job(
-      daemon_endpoint(opt, "watch"), positional[0],
+      *opt.connect, positional[0],
       [&](std::size_t index, const sweep::SummaryRow& row) {
         ++seen;
         if (!opt.quiet)
@@ -471,26 +541,6 @@ int run_watch_cmd(const Options& opt,
   return failed == 0 ? 0 : 1;
 }
 
-/// Parses `--shard K/N`; each half follows parse_count's whole-string
-/// rule.
-bool parse_shard(const std::string& text, Options& opt) {
-  const std::size_t slash = text.find('/');
-  if (slash == std::string::npos) return false;
-  std::size_t k = 0, n = 0;
-  try {
-    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-    k = parse_count("--shard", text.substr(0, slash), kMax);
-    n = parse_count("--shard", text.substr(slash + 1), kMax);
-  } catch (const ParamError&) {
-    return false;
-  }
-  if (n == 0 || k >= n) return false;
-  opt.sharded = true;
-  opt.shard_k = k;
-  opt.shard_n = n;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -498,171 +548,57 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  if (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0) {
-    usage(argv[0]);
-    return 0;
-  }
   const std::string command = argv[1];
-  if (command == "list") return run_list();
+  unsigned cmd = kRun;
+  for (std::size_t i = 1; i < std::size(kCommands); ++i)
+    if (command == kCommands[i]) cmd = 1u << i;
 
-  const bool merging = command == "merge";
-  const bool compacting = command == "compact";
-  const bool submitting = command == "submit";
-  // Daemon-mode subcommands (docs/sweepd.md): positionals are job ids or
-  // (for submit) the sweep name.
-  const bool daemon_cmd = submitting || command == "worker" ||
-                          command == "status" || command == "results" ||
-                          command == "watch" || command == "shutdown";
+  // Positionals: the journals of merge and compact, the job ids of the
+  // daemon-mode subcommands (docs/sweepd.md) and submit's sweep name. A
+  // first word that is an option (--help) is parsed as one.
   Options opt;
-  std::vector<std::string> positionals;
-  std::set<std::string> given;  ///< every --flag on the command line
+  const auto [given, positionals] =
+      cli::parse(argc, argv, command[0] == '-' ? 1 : 2, kFlags, opt,
+                 (cmd & (kRun | kList)) == 0, usage);
 
-  // Numeric flag values follow util/params' whole-string rule; a
-  // malformed or out-of-range one exits 2 naming the flag.
-  try {
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) given.insert(arg);
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s requires a value\n", arg.c_str());
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (arg == "--control" || arg == "--source" || arg == "--integrator" ||
-          arg == "--platform") {
-        // Spec strings are validated against the registries up front so
-        // a typo fails in milliseconds, not after the sweep ran.
-        const std::string spec = next();
-        try {
-          if (arg == "--control")
-            opt.job.controls.push_back(sweep::ControlSpec::parse(spec));
-          else if (arg == "--source")
-            opt.job.sources.push_back(sweep::SourceSpec::parse(spec));
-          else if (arg == "--integrator")
-            opt.job.integrator = sweep::IntegratorSpec::parse(spec);
-          else
-            opt.job.platform = sweep::PlatformSpec::parse(spec);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "invalid %s '%s': %s\n", arg.c_str(),
-                       spec.c_str(), e.what());
-          std::fprintf(stderr,
-                       "run '%s list' for every registered kind and its "
-                       "parameters\n",
-                       argv[0]);
-          return 2;
-        }
-      } else if (arg == "--threads")
-        opt.threads = static_cast<unsigned>(
-            parse_count(arg, next(), std::numeric_limits<unsigned>::max()));
-      else if (arg == "--minutes")
-        opt.job.minutes = parse_number(arg, next());  // > 0: JobSpec
-      else if (arg == "--csv")
-        opt.csv_path = next();
-      else if (arg == "--json")
-        opt.json_path = next();
-      else if (arg == "--pv-mode") {
-        const std::string mode = next();
-        if (mode == "exact") {
-          opt.job.pv_mode = ehsim::PvSource::Mode::kExact;
-        } else if (mode == "tabulated") {
-          opt.job.pv_mode = ehsim::PvSource::Mode::kTabulated;
-        } else {
-          std::fprintf(stderr,
-                       "unknown --pv-mode: %s (valid: exact, tabulated)\n",
-                       mode.c_str());
-          return 2;
-        }
-      } else if (arg == "--journal")
-        opt.journal_path = next();
-      else if (arg == "--cost-journal")
-        opt.cost_journal_path = next();
-      else if (arg == "--out")
-        opt.out_path = next();
-      else if (arg == "--resume")
-        opt.resume = true;
-      else if (arg == "--shard") {
-        const std::string spec = next();
-        if (!parse_shard(spec, opt)) {
-          std::fprintf(stderr,
-                       "invalid --shard '%s': expected K/N with 0 <= K < N "
-                       "(e.g. --shard 0/4)\n",
-                       spec.c_str());
-          return 2;
-        }
-      } else if (arg == "--refine")
-        opt.refine = true;
-      else if (arg == "--refine-metric")
-        opt.refine_options.metric = next();
-      else if (arg == "--refine-tol")
-        opt.refine_options.tolerance =
-            parse_number(arg, next(), NumberSign::kNonNegative);
-      else if (arg == "--refine-depth")
-        opt.refine_options.max_depth = static_cast<int>(
-            parse_count(arg, next(), std::numeric_limits<int>::max()));
-      else if (arg == "--quiet")
-        opt.quiet = true;
-      else if (arg == "--connect")
-        opt.connect = next();
-      else if (arg == "--once")
-        opt.once = true;
-      else if (arg == "--fault")
-        opt.fault_spec = next();
-      else if (arg == "--max-reconnects")
-        opt.max_reconnects = static_cast<long>(
-            parse_count(arg, next(), std::numeric_limits<long>::max()));
-      else if (arg == "--fsync")
-        opt.fsync = true;
-      else if (arg == "--help" || arg == "-h") {
-        usage(argv[0]);
-        return 0;
-      } else if ((merging || compacting || daemon_cmd) &&
-                 arg.rfind("--", 0) != 0) {
-        positionals.push_back(arg);
-      } else {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        usage(argv[0]);
-        return 2;
-      }
-    }
-  } catch (const ParamError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
+  // A flag the command does not read would be silently ignored, so it is
+  // refused, naming it; then every given flag's prerequisite must hold.
+  for (const auto* flag : given) {
+    if (flag->commands & cmd) continue;
+    if (cmd == kSubmit && (flag->commands & kRun))
+      std::fprintf(stderr,
+                   "%s does not apply to submit (the daemon journals the "
+                   "job; fetch it with 'pns_sweep results')\n",
+                   flag->name);
+    else
+      std::fprintf(stderr, "%s only applies to %s\n", flag->name,
+                   cli::command_list(flag->commands, kCommands).c_str());
     return 2;
   }
-
-  // Flags that only some commands read: anywhere else they would be
-  // silently ignored, so they are refused, naming the flag.
-  const bool working = command == "worker";
-  const struct {
-    const char* flag;
-    bool applies;
-    const char* where;
-  } scoped[] = {{"--out", compacting, "the compact subcommand"},
-                {"--connect", daemon_cmd,
-                 "the worker/submit/status/results/watch/shutdown "
-                 "subcommands"},
-                {"--once", working, "the worker subcommand"},
-                {"--fault", working, "the worker subcommand"},
-                {"--max-reconnects", working, "the worker subcommand"},
-                {"--refine-metric", opt.refine, "runs with --refine"},
-                {"--refine-tol", opt.refine, "runs with --refine"},
-                {"--refine-depth", opt.refine, "runs with --refine"}};
-  for (const auto& s : scoped) {
-    if (!s.applies && given.count(s.flag) != 0) {
-      std::fprintf(stderr, "%s only applies to %s\n", s.flag, s.where);
+  for (const auto* flag : given) {
+    if (const char* unmet = flag->unmet ? flag->unmet(opt) : nullptr) {
+      std::fprintf(stderr, "%s %s\n", flag->name, unmet);
       return 2;
     }
   }
+  if ((cmd & kDaemon) && !opt.connect) {
+    std::fprintf(stderr,
+                 "%s requires --connect (unix:PATH, tcp:HOST:PORT or "
+                 "tcp:PORT)\n",
+                 command.c_str());
+    return 2;
+  }
+
   try {
-    if (working) return run_worker_cmd(opt);
-    if (command == "status") return run_status_cmd(opt, positionals);
-    if (command == "results") return run_results_cmd(opt, positionals);
-    if (command == "watch") return run_watch_cmd(opt, positionals);
-    if (merging) return run_merge(positionals, opt);
-    if (compacting) return run_compact(positionals, opt);
-    if (command == "shutdown") {
-      sweepd::shutdown_daemon(daemon_endpoint(opt, "shutdown"));
+    if (cmd == kList) return run_list();
+    if (cmd == kWorker) return run_worker_cmd(opt);
+    if (cmd == kStatus) return run_status_cmd(opt, positionals);
+    if (cmd == kResults) return run_results_cmd(opt, positionals);
+    if (cmd == kWatch) return run_watch_cmd(opt, positionals);
+    if (cmd == kMerge) return run_merge(positionals, opt);
+    if (cmd == kCompact) return run_compact(positionals, opt);
+    if (cmd == kShutdown) {
+      sweepd::shutdown_daemon(*opt.connect);
       std::printf("daemon shut down\n");
       return 0;
     }
@@ -673,26 +609,8 @@ int main(int argc, char** argv) {
 
   // A sweep run or a submission: either way the JobSpec below is the
   // whole description of the sweep, expanded and identified once.
+  const bool submitting = cmd == kSubmit;
   if (submitting) {
-    // The daemon journals the job itself, and `results` publishes it.
-    const std::pair<bool, const char*> local_only[] = {
-        {!opt.journal_path.empty(), "--journal"},
-        {!opt.csv_path.empty(), "--csv"},
-        {!opt.json_path.empty(), "--json"},
-        {opt.sharded, "--shard"},
-        {!opt.cost_journal_path.empty(), "--cost-journal"},
-        {opt.resume, "--resume"},
-        {opt.refine, "--refine"},
-        {opt.fsync, "--fsync"}};
-    for (const auto& [given, flag] : local_only) {
-      if (given) {
-        std::fprintf(stderr,
-                     "%s does not apply to submit (the daemon journals the "
-                     "job; fetch it with 'pns_sweep results')\n",
-                     flag);
-        return 2;
-      }
-    }
     if (positionals.size() != 1) {
       std::fprintf(stderr, "submit: expected exactly one sweep name\n");
       list_sweeps(stderr);
@@ -717,7 +635,7 @@ int main(int argc, char** argv) {
   if (submitting) {
     try {
       const sweepd::SubmitResult result =
-          sweepd::submit_job(daemon_endpoint(opt, "submit"), opt.job);
+          sweepd::submit_job(*opt.connect, opt.job);
       std::printf("submitted %s: '%s', %zu scenarios\n", result.job.c_str(),
                   result.identity.c_str(), result.total);
       return 0;
@@ -727,41 +645,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (opt.fsync && opt.journal_path.empty()) {
-    std::fprintf(stderr, "--fsync requires --journal\n");
-    return 2;
-  }
-
-  // Flag consistency: refuse combinations whose output would be partial
-  // or ambiguous instead of silently producing the wrong aggregate.
-  if (opt.resume && opt.journal_path.empty()) {
-    std::fprintf(stderr, "--resume requires --journal\n");
-    return 2;
-  }
-  if (opt.sharded && opt.journal_path.empty()) {
-    std::fprintf(stderr,
-                 "--shard requires --journal (each worker writes a partial "
-                 "journal; fold them with 'pns_sweep merge')\n");
-    return 2;
-  }
-  if (opt.sharded && (!opt.csv_path.empty() || !opt.json_path.empty())) {
-    std::fprintf(stderr,
-                 "--shard produces a partial result; write the aggregate "
-                 "with 'pns_sweep merge --csv/--json JOURNAL...'\n");
-    return 2;
-  }
-  if (opt.sharded && opt.refine) {
-    std::fprintf(stderr,
-                 "--refine needs the full pass; run it on the merged sweep "
-                 "instead of a shard\n");
-    return 2;
-  }
-  if (!opt.cost_journal_path.empty() && !opt.sharded) {
-    std::fprintf(stderr,
-                 "--cost-journal only balances sharded runs; pass "
-                 "--shard K/N\n");
-    return 2;
-  }
   if (opt.refine && !sweep::metric_accessor(opt.refine_options.metric)) {
     std::fprintf(stderr, "unknown --refine-metric: %s (valid:",
                  opt.refine_options.metric.c_str());

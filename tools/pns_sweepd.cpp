@@ -19,10 +19,9 @@
 // printed as the first stdout line, so scripts can scrape it.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "flag_table.hpp"
 #include "sweepd/daemon.hpp"
 #include "util/params.hpp"
 
@@ -30,35 +29,50 @@ namespace {
 
 using namespace pns;
 
+struct Options {
+  sweepd::DaemonOptions daemon;
+  bool listen = false;
+  bool quiet = false;
+};
+
+constexpr cli::Flag<Options> kFlags[] = {
+    {"--listen", "EP",
+     [](auto& o, auto& f, auto& v) {
+       o.daemon.endpoint = cli::parse_value(f, v, net::Endpoint::parse);
+       o.listen = true;
+     },
+     "unix:PATH, tcp:PORT or tcp:HOST:PORT (tcp:0: a free port)"},
+    {"--state-dir", "DIR",
+     [](auto& o, auto&, auto& v) { o.daemon.state_dir = v; },
+     "job specs and journals (default .), resumed on restart"},
+    {"--fsync", nullptr,
+     [](auto& o, auto&, auto&) { o.daemon.fsync_journal = true; },
+     "fsync the journal after every accepted row"},
+    {"--lease-timeout", "S",
+     [](auto& o, auto& f, auto& v) {
+       o.daemon.lease_timeout_s = parse_number(f, v, NumberSign::kPositive);
+     },
+     "re-lease rows after S s without a result (default 120)"},
+    {"--lease-rows", "N",
+     [](auto& o, auto& f, auto& v) { o.daemon.lease_rows = parse_count(f, v); },
+     "rows per lease (default 0: two waves per worker)"},
+    {"--idle-poll", "S",
+     [](auto& o, auto& f, auto& v) {
+       o.daemon.idle_poll_s = parse_number(f, v, NumberSign::kPositive);
+     },
+     "poll-again hint sent to idle workers (default 0.5)"},
+    {"--fault", "SPEC",
+     [](auto& o, auto& f, auto& v) {
+       o.daemon.fault = cli::parse_value(f, v, fault::make_injector);
+     },
+     "deterministic fault injection (docs/fault-injection.md)"},
+    {"--quiet", nullptr, [](auto& o, auto&, auto&) { o.quiet = true; },
+     "suppress the per-event log on stderr"},
+};
+
 void usage(const char* argv0) {
-  std::printf(
-      "usage: %s --listen ENDPOINT [options]\n"
-      "\n"
-      "  --listen EP        address to serve: unix:PATH, tcp:PORT or\n"
-      "                     tcp:HOST:PORT (tcp:0 = ephemeral port,\n"
-      "                     printed on startup)\n"
-      "\n"
-      "options:\n"
-      "  --state-dir DIR    job specs + checkpoint journals live here\n"
-      "                     (default: current directory); restarting with\n"
-      "                     the same dir resumes every job\n"
-      "  --fsync            fsync the journal after every accepted row, so\n"
-      "                     acknowledged rows survive a machine crash (not\n"
-      "                     just a daemon crash); costs a disk round-trip\n"
-      "                     per row\n"
-      "  --lease-timeout S  re-lease a worker's rows when no result arrived\n"
-      "                     for S seconds (default 120)\n"
-      "  --lease-rows N     rows per lease; 0 = the larger of the job's rows\n"
-      "                     and all jobs' pending rows / (2 x connected\n"
-      "                     workers), rounded up: two waves per worker,\n"
-      "                     whole jobs while the queue is deep (default)\n"
-      "  --idle-poll S      poll-again hint sent to idle workers\n"
-      "                     (default 0.5)\n"
-      "  --fault SPEC       deterministic fault injection for chaos runs\n"
-      "                     (docs/fault-injection.md), e.g.\n"
-      "                     fault:seed=7,torn_append=0.1,fsync_fail=2\n"
-      "  --quiet            suppress the per-event log on stderr\n",
-      argv0);
+  std::printf("usage: %s --listen EP [options]\n\noptions:\n", argv0);
+  cli::print_flags<Options>(kFlags);
 }
 
 sweepd::Daemon* g_daemon = nullptr;
@@ -70,71 +84,14 @@ void handle_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweepd::DaemonOptions opt;
-  bool quiet = false;
-  bool have_listen = false;
-
-  // Numeric flag values follow util/params' whole-string rule; a
-  // malformed or out-of-range one exits 2 naming the flag.
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s requires a value\n", arg.c_str());
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (arg == "--listen") {
-        const std::string spec = next();
-        try {
-          opt.endpoint = net::Endpoint::parse(spec);
-          have_listen = true;
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "invalid --listen '%s': %s\n", spec.c_str(),
-                       e.what());
-          return 2;
-        }
-      } else if (arg == "--state-dir")
-        opt.state_dir = next();
-      else if (arg == "--fsync")
-        opt.fsync_journal = true;
-      else if (arg == "--lease-timeout")
-        opt.lease_timeout_s = parse_number(arg, next(), NumberSign::kPositive);
-      else if (arg == "--lease-rows")
-        opt.lease_rows = parse_count(arg, next());
-      else if (arg == "--idle-poll")
-        opt.idle_poll_s = parse_number(arg, next(), NumberSign::kPositive);
-      else if (arg == "--fault") {
-        const std::string spec = next();
-        try {
-          opt.fault = fault::make_injector(spec);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "invalid --fault '%s': %s\n", spec.c_str(),
-                       e.what());
-          return 2;
-        }
-      } else if (arg == "--quiet")
-        quiet = true;
-      else if (arg == "--help" || arg == "-h") {
-        usage(argv[0]);
-        return 0;
-      } else {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        usage(argv[0]);
-        return 2;
-      }
-    }
-  } catch (const ParamError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (!have_listen) {
+  Options options;
+  cli::parse(argc, argv, 1, kFlags, options, false, usage);
+  if (!options.listen) {
     usage(argv[0]);
     return 2;
   }
-  if (!quiet) {
+  sweepd::DaemonOptions& opt = options.daemon;
+  if (!options.quiet) {
     opt.log = [](const std::string& line) {
       std::fprintf(stderr, "pns_sweepd: %s\n", line.c_str());
     };
